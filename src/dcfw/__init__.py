@@ -21,19 +21,16 @@ from .dca import (
     DcProblem,
     OracleFailure,
     RunRecord,
-    StopRule,
     Subproblem,
     boosted_step,
     dc_gap_bounds,
     dca_solve,
     linearize,
-    make_stop_rule,
 )
 from .fw import (
     ActiveSet,
     Agnostic,
     FwStats,
-    GridTwoLevel,
     Secant,
     bpcg,
     fw_gap,
@@ -74,7 +71,6 @@ __all__ = [
     "DcProblem",
     "DcaConfig",
     "FwStats",
-    "GridTwoLevel",
     "HardDcInstance",
     "KSparsePolytope",
     "L1Ball",
@@ -87,7 +83,6 @@ __all__ = [
     "QuadraticDcInstance",
     "RunRecord",
     "Secant",
-    "StopRule",
     "Subproblem",
     "VARIANTS",
     "birkhoff_lmo",
@@ -102,7 +97,6 @@ __all__ = [
     "initial_point",
     "linearize",
     "load_results",
-    "make_stop_rule",
     "parse_qaplib",
     "performance_profile",
     "qap_dc_oracles",

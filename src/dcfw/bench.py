@@ -175,19 +175,27 @@ def run_suite(
     qaplib_dir keeping instances with n <= max(sizes).  fw_gap_tol defaults
     to half of dca_gap_tol.  Results and per-run traces are written under
     out_dir as each run finishes; a failing run is recorded as unsolved and
-    the suite continues.  Returns the list of BenchResult rows.
+    the suite continues.  An out_dir that already holds a results.csv, or a
+    repeated size, seed or variant, is refused, since either would record
+    one (instance, variant) pair twice.  Returns the list of BenchResult
+    rows.
     """
     if fw_gap_tol is None:
         fw_gap_tol = dca_gap_tol / 2.0
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}, choose from {sorted(VARIANTS)}")
+    for name, values in (("sizes", sizes), ("seeds", seeds), ("variants", variants)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} {list(values)} repeat an entry")
     trace_dir = results_path = None
     if out_dir is not None:
         out = Path(out_dir)
+        results_path = out / "results.csv"
+        if results_path.exists():
+            raise ValueError(f"{results_path} already exists; choose a new output")
         trace_dir = out / "traces"
         trace_dir.mkdir(parents=True, exist_ok=True)
-        results_path = out / "results.csv"
 
     results = []
     for instance_id, n, seed, make_problem in _iter_instances(
@@ -259,13 +267,19 @@ def run_suite(
 
 
 def load_results(in_dir):
-    """Read results.csv written by run_suite back into BenchResult rows."""
+    """Read results.csv written by run_suite back into BenchResult rows; a
+    repeated (instance, variant) pair raises ValueError."""
     path = Path(in_dir) / "results.csv"
     if not path.exists():
         raise FileNotFoundError(f"no results.csv under {in_dir}")
     rows = []
+    seen = set()
     with open(path, newline="") as fh:
         for rec in csv.DictReader(fh):
+            key = (rec["instance"], rec["variant"])
+            if key in seen:
+                raise ValueError(f"{path} repeats the row for {key}")
+            seen.add(key)
             rows.append(
                 BenchResult(
                     instance=rec["instance"],

@@ -13,17 +13,44 @@ from . import bench
 
 _BOOSTED_FORM = {"DCA-BPCG-WS-ES": "DCA-BPCG-WS-ES-BT", "DCA-BPCG-WS-ES-BT": "DCA-BPCG-WS-ES-BT"}
 
-DEFAULTS = dict(
-    suite="quadratics",
-    sizes="10,20,30",
-    seeds="0,1,2,3,4",
-    variants=",".join(v for v in bench.VARIANTS if not v.endswith("-BT")),
-    out="bench_out",
-    tol=1e-6,
-)
+
+def _int_list(text):
+    return [int(tok) for tok in str(text).split(",") if tok.strip()]
+
+
+def _name_list(text):
+    return [tok for tok in str(text).split(",") if tok]
+
+
+def _as_bool(text):
+    return str(text).strip().lower() in ("1", "true", "yes", "on")
+
+
+# run options by destination: the add_argument keywords of --<dest with
+# dashes>; a config file may set any of them
+RUN_OPTIONS = {
+    "suite": dict(choices=["quadratics", "hard", "qap"], default="quadratics"),
+    "sizes": dict(
+        type=_int_list, default="10,20,30", help="comma separated instance sizes"
+    ),
+    "seeds": dict(type=_int_list, default="0,1,2,3,4", help="comma separated seeds"),
+    "variants": dict(
+        type=_name_list,
+        default=",".join(v for v in bench.VARIANTS if not v.endswith("-BT")),
+        help="comma separated variant names",
+    ),
+    "qaplib_dir": dict(help="directory of .dat files"),
+    "out": dict(default="bench_out", help="output directory"),
+    "outer_cap": dict(type=int),
+    "inner_cap": dict(type=int),
+    "tol": dict(type=float, default=1e-6, help="stationarity gap tolerance"),
+    "time_limit": dict(type=float),
+    "boosted": dict(action="store_true", help="use the boosted form of each variant"),
+}
 
 
 def _read_config_file(path):
+    """Typed run options from a key=value file; unknown keys raise."""
     opts = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -32,59 +59,39 @@ def _read_config_file(path):
         if "=" not in line:
             raise ValueError(f"config line {raw!r} is not key=value")
         key, value = line.split("=", 1)
-        opts[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        option = RUN_OPTIONS.get(key)
+        if option is None:
+            raise ValueError(f"unknown config key {key!r} in {path}")
+        if option.get("action") == "store_true":
+            opts[key] = _as_bool(value)
+        else:
+            opts[key] = option.get("type", str)(value.strip())
     return opts
 
 
-def _effective(args, key, cast=str):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if args.config:
-        file_opts = _read_config_file(args.config)
-        if key in file_opts:
-            return cast(file_opts[key])
-    return cast(DEFAULTS[key]) if key in DEFAULTS else None
-
-
-def _int_list(text):
-    return [int(tok) for tok in str(text).split(",") if tok.strip()]
-
-
-def _as_bool(text):
-    return str(text).strip().lower() in ("1", "true", "yes", "on")
-
-
 def cmd_run(args):
-    suite = _effective(args, "suite")
-    sizes = _int_list(_effective(args, "sizes"))
-    seeds = _int_list(_effective(args, "seeds"))
-    variants = [v for v in str(_effective(args, "variants")).split(",") if v]
-    out = _effective(args, "out")
-    tol = float(_effective(args, "tol"))
-    boosted = args.boosted or (
-        args.config and _as_bool(_read_config_file(args.config).get("boosted", ""))
-    )
-    if boosted:
+    variants = args.variants
+    if args.boosted:
         missing = [v for v in variants if v not in _BOOSTED_FORM]
         if missing:
             raise ValueError(f"no boosted form of {missing}")
         variants = [_BOOSTED_FORM[v] for v in variants]
     results = bench.run_suite(
-        suite,
-        sizes,
-        seeds,
+        args.suite,
+        args.sizes,
+        args.seeds,
         variants,
-        qaplib_dir=_effective(args, "qaplib_dir"),
-        out_dir=out,
-        dca_gap_tol=tol,
-        outer_cap=_effective(args, "outer_cap", int),
-        inner_cap=_effective(args, "inner_cap", int),
-        time_limit=_effective(args, "time_limit", float),
+        qaplib_dir=args.qaplib_dir,
+        out_dir=args.out,
+        dca_gap_tol=args.tol,
+        outer_cap=args.outer_cap,
+        inner_cap=args.inner_cap,
+        time_limit=args.time_limit,
         log=print,
     )
     solved = sum(r.solved for r in results)
-    print(f"{len(results)} runs, {solved} solved, results under {out}")
+    print(f"{len(results)} runs, {solved} solved, results under {args.out}")
     return 0
 
 
@@ -117,28 +124,18 @@ def cmd_table(args):
     return 0
 
 
-def build_parser():
+def build_parser(run_defaults=None):
+    """The bench parser; run_defaults replace the run options' defaults."""
     parser = argparse.ArgumentParser(
         prog="bench", description="difference-of-convex Frank-Wolfe benchmarks"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a suite of instances")
-    run.add_argument("--suite", choices=["quadratics", "hard", "qap"])
-    run.add_argument("--sizes", help="comma separated instance sizes")
-    run.add_argument("--seeds", help="comma separated seeds")
-    run.add_argument("--variants", help="comma separated variant names")
-    run.add_argument("--qaplib-dir", dest="qaplib_dir", help="directory of .dat files")
-    run.add_argument("--out", help="output directory")
-    run.add_argument("--outer-cap", dest="outer_cap", type=int)
-    run.add_argument("--inner-cap", dest="inner_cap", type=int)
-    run.add_argument("--tol", type=float, help="stationarity gap tolerance")
-    run.add_argument("--time-limit", dest="time_limit", type=float)
-    run.add_argument(
-        "--boosted", action="store_true", help="use the boosted form of each variant"
-    )
+    for dest, option in RUN_OPTIONS.items():
+        run.add_argument("--" + dest.replace("_", "-"), dest=dest, **option)
     run.add_argument("--config", help="key=value file of run options")
-    run.set_defaults(fn=cmd_run)
+    run.set_defaults(fn=cmd_run, **(run_defaults or {}))
 
     profile = sub.add_parser("profile", help="performance profile from saved results")
     profile.add_argument("--in", dest="in_dir", required=True)
@@ -159,6 +156,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # the file's options become defaults, so explicit flags still win
+            args = build_parser(_read_config_file(args.config)).parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -61,6 +61,13 @@ class Subproblem:
     def grad(self, x):
         return np.asarray(self.problem.f_grad(x), dtype=float) - self.g_grad_at_anchor
 
+    def descent(self, y):
+        """phi(anchor) - h(y): the descent y secures, and the threshold of the
+        adaptive inner stop rule.  A Frank-Wolfe gap at y at most this value
+        certifies that half the stationarity gap bound is realized as
+        progress."""
+        return self.phi_at_anchor - self.value(y)
+
 
 def linearize(problem, x_t):
     """Build the surrogate at x_t, calling g_value and g_subgrad exactly once."""
@@ -90,43 +97,8 @@ def dc_gap_bounds(sub, x_next, fw_gap_at_x_next):
     subsolver's Frank-Wolfe gap at x_next.  lb also lower-bounds the primal
     gap at the anchor; a negative lb is reported as is.
     """
-    lb = sub.phi_at_anchor - sub.value(x_next)
+    lb = sub.descent(x_next)
     return lb, lb + fw_gap_at_x_next
-
-
-@dataclass(frozen=True)
-class StopRule:
-    """Inner-solver stopping test on the Frank-Wolfe gap.
-
-    Fixed mode stops at gap <= epsilon.  Adaptive mode stops as soon as the
-    gap is dominated by the descent already secured, gap <= phi(anchor) -
-    h(y), which certifies that half the remaining stationarity gap has been
-    realized as progress.
-    """
-
-    mode: str
-    epsilon: float | None = None
-    phi_at_anchor: float | None = None
-
-    @property
-    def needs_value(self):
-        return self.mode == "adaptive"
-
-    def fires(self, gap, surrogate_value=None):
-        if self.mode == "fixed":
-            return gap <= self.epsilon
-        return gap <= self.phi_at_anchor - surrogate_value
-
-
-def make_stop_rule(mode, sub, fixed_eps=None):
-    """Stop rule for the subproblem: mode is "fixed" or "adaptive"."""
-    if mode == "adaptive":
-        return StopRule(mode="adaptive", phi_at_anchor=sub.phi_at_anchor)
-    if mode == "fixed":
-        if fixed_eps is None:
-            raise ValueError("fixed stop mode needs an epsilon")
-        return StopRule(mode="fixed", epsilon=float(fixed_eps))
-    raise ValueError(f"unknown stop mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +113,6 @@ class DcaConfig:
     fw_gap_tol: float = 5e-7
     max_outer_iters: int = 200
     max_inner_iters: int = 10000
-    secant_tol: float = 1e-10
-    secant_max_eval: int = 40
     time_limit_seconds: float | None = None
 
     def __post_init__(self):
@@ -185,24 +155,21 @@ class RunRecord:
         return [lb + g for lb, g in zip(self.dc_gap_lb, self.fw_gap_final)]
 
 
-def _boost(problem, x_t, x_candidate, points=11):
+def boosted_step(problem, x_t, x_candidate):
+    """Line search the true objective along [x_t, x_candidate].
+
+    Runs the two-level grid search on phi over the segment and returns the
+    best point found and its step gamma in [0, 1], so phi(point) <=
+    phi(x_candidate).  A flat or monotonically decreasing profile returns
+    (a copy of) x_candidate itself with gamma = 1.
+    """
     d = x_candidate - x_t
-    gamma = grid_two_level(problem.phi, x_t, d, 1.0, points)
+    gamma = grid_two_level(problem.phi, x_t, d, 1.0)
     if gamma >= 1.0:
         return x_candidate.copy(), 1.0
     if gamma <= 0.0:
         return x_t.copy(), 0.0
     return x_t + gamma * d, gamma
-
-
-def boosted_step(problem, x_t, x_candidate, points=11):
-    """Line search the true objective along [x_t, x_candidate].
-
-    Runs the two-level grid search on phi over the segment and returns the
-    best point found, so phi(result) <= phi(x_candidate).  A flat or
-    monotonically decreasing profile returns x_candidate itself.
-    """
-    return _boost(problem, x_t, x_candidate, points)[0]
 
 
 def dca_solve(problem, x0, config):
@@ -230,7 +197,7 @@ def dca_solve(problem, x0, config):
 
     lmo = problem.lmo
     lmo_base = lmo.call_count
-    line_search = Secant(tol=config.secant_tol, max_eval=config.secant_max_eval)
+    line_search = Secant()
     record = RunRecord(phi0=problem.phi(x0))
     started = time.perf_counter()
 
@@ -246,7 +213,12 @@ def dca_solve(problem, x0, config):
             record.termination = "time_limit"
             break
         sub = linearize(problem, x)
-        rule = make_stop_rule(config.stop_mode, sub, fixed_eps=config.fw_gap_tol)
+        inner = dict(
+            fw_gap_tol=config.fw_gap_tol,
+            max_iters=config.max_inner_iters,
+            # the fixed mode's epsilon is fw_gap_tol, which the solvers test first
+            stop_rule=sub.descent if config.stop_mode == "adaptive" else None,
+        )
         snapshot = None
         if config.subsolver == "bpcg":
             if config.warm_start and x_set is not None:
@@ -255,25 +227,9 @@ def dca_solve(problem, x0, config):
                     snapshot = x_set.copy()
             else:
                 start_set = ActiveSet.from_vertex(lmo(sub.grad(x)))
-            y, out_set, stats = bpcg(
-                sub,
-                lmo,
-                start_set,
-                line_search,
-                fw_gap_tol=config.fw_gap_tol,
-                max_iters=config.max_inner_iters,
-                stop_rule=rule,
-            )
+            y, out_set, stats = bpcg(sub, lmo, start_set, line_search, **inner)
         else:
-            y, stats = vanilla_fw(
-                sub,
-                lmo,
-                x,
-                line_search,
-                fw_gap_tol=config.fw_gap_tol,
-                max_iters=config.max_inner_iters,
-                stop_rule=rule,
-            )
+            y, stats = vanilla_fw(sub, lmo, x, line_search, **inner)
             out_set = None
 
         lb, ub = dc_gap_bounds(sub, y, stats.final_fw_gap)
@@ -282,7 +238,7 @@ def dca_solve(problem, x0, config):
             record.stalls += 1
             phi_next = phi_x  # iterate kept, objective unchanged
         elif config.boosted:
-            x, gamma = _boost(problem, x, y)
+            x, gamma = boosted_step(problem, x, y)
             if gamma >= 1.0:
                 x_set = out_set
             elif gamma <= 0.0:

@@ -15,6 +15,8 @@ logger = logging.getLogger(__name__)
 
 # weight drift beyond this triggers renormalization of an active set
 _WEIGHT_DRIFT_TOL = 1e-12
+# probes per level of the two-level grid search
+_GRID_POINTS = 11
 
 
 def fw_gap(grad, x, v):
@@ -169,21 +171,24 @@ def _last_argmin(values):
     return len(v) - 1 - int(np.argmin(v[::-1]))
 
 
-def grid_two_level(value_fn, x, d, gamma_max, points=11):
+def grid_two_level(value_fn, x, d, gamma_max):
     """Two-level grid search for min of value(x + gamma * d) on [0, gamma_max].
 
     A coarse equispaced grid locates the best cell, a second grid of the same
     size refines between that point's neighbors.  Ties prefer larger gamma, so
-    a flat objective returns gamma_max.
+    a flat objective returns gamma_max.  When no probe is finite there is
+    nothing to prefer and the search returns 0, no step.
     """
     if gamma_max <= 0:
         return 0.0
-    coarse = np.linspace(0.0, gamma_max, points)
+    coarse = np.linspace(0.0, gamma_max, _GRID_POINTS)
     vals = np.array([float(value_fn(x + g * d)) for g in coarse])
+    if not np.any(np.isfinite(vals)):
+        return 0.0
     i = _last_argmin(vals)
     lo = coarse[max(i - 1, 0)]
-    hi = coarse[min(i + 1, points - 1)]
-    fine = np.linspace(lo, hi, points)
+    hi = coarse[min(i + 1, _GRID_POINTS - 1)]
+    fine = np.linspace(lo, hi, _GRID_POINTS)
     fine_vals = np.array([float(value_fn(x + g * d)) for g in fine])
     candidates = np.concatenate([coarse, fine])
     all_vals = np.concatenate([vals, fine_vals])
@@ -277,51 +282,50 @@ class Agnostic:
 
 @dataclass(frozen=True)
 class Secant:
-    """Secant line search on the directional derivative."""
-
-    tol: float = 1e-10
-    max_eval: int = 40
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_eval < 1:
-            raise ValueError("max_eval must be at least 1")
+    """Secant line search on the directional derivative, with the default
+    tolerance and evaluation budget of secant_line_search."""
 
     def step(self, objective, x, d, gamma_max, k, dphi0=None):
         return secant_line_search(
-            objective.value,
-            objective.grad,
-            x,
-            d,
-            gamma_max,
-            tol=self.tol,
-            max_eval=self.max_eval,
-            dphi0=dphi0,
+            objective.value, objective.grad, x, d, gamma_max, dphi0=dphi0
         )
 
 
-@dataclass(frozen=True)
-class GridTwoLevel:
-    """Derivative-free two-level grid search."""
-
-    points: int = 11
-
-    def step(self, objective, x, d, gamma_max, k, dphi0=None):
-        return grid_two_level(objective.value, x, d, gamma_max, self.points)
-
-
-def _check_stop(stats, gap, fw_gap_tol, stop_rule, objective, x):
-    """Shared termination test run before each step; returns True to stop."""
-    if gap <= fw_gap_tol:
-        stats.termination = "gap_tol"
-        return True
-    if stop_rule is not None:
-        value = objective.value(x) if stop_rule.needs_value else None
-        if stop_rule.fires(gap, value):
+def _inner_loop(
+    objective, lmo, x, step, fw_gap_tol, max_iters, stop_rule, callback, extra
+):
+    """The iteration both solvers share; step(k, x, grad, v, gap) returns
+    (x_next, gamma, step_type) and must leave its state untouched when
+    gamma is 0.  extra holds additional callback entries."""
+    stats = FwStats()
+    for k in range(max_iters + 1):
+        grad = objective.grad(x)
+        v = lmo(grad)
+        stats.lmo_calls += 1
+        gap = fw_gap(grad, x, v)
+        stats.final_fw_gap = gap
+        if gap <= fw_gap_tol:
+            stats.termination = "gap_tol"
+            break
+        if stop_rule is not None and gap <= stop_rule(x):
             stats.termination = "stop_rule"
-            return True
-    return False
+            break
+        if k == max_iters:
+            stats.termination = "iter_cap"
+            break
+        x_next, gamma, step_type = step(k, x, grad, v, gap)
+        if gamma == 0.0:
+            stats.termination = "stagnation"
+            break
+        x = x_next
+        stats.iterations += 1
+        counter = f"{step_type}_steps"  # fw_steps, pairwise_drop_steps, ...
+        setattr(stats, counter, getattr(stats, counter) + 1)
+        if callback is not None:
+            callback(
+                dict(k=k, x=x, gap=gap, gamma=gamma, step_type=step_type, **extra)
+            )
+    return x, stats
 
 
 def vanilla_fw(
@@ -333,7 +337,6 @@ def vanilla_fw(
     fw_gap_tol=1e-7,
     max_iters=10000,
     stop_rule=None,
-    active_set=None,
     callback=None,
 ):
     """Frank-Wolfe with a single LMO call per iteration.
@@ -343,45 +346,25 @@ def vanilla_fw(
     objective : object with value(x) and grad(x)
     lmo : callable mapping a gradient to a vertex
     x0 : feasible starting point
-    line_search : Agnostic, Secant, or GridTwoLevel
+    line_search : Agnostic or Secant
     fw_gap_tol : stop once the Frank-Wolfe gap falls below this
-    stop_rule : optional object with needs_value and fires(gap, value)
-    active_set : optional ActiveSet kept in sync with the iterate; its
-        iterate must equal x0 on entry
+    stop_rule : optional callable x -> threshold; stop once the gap at x is
+        at most stop_rule(x)
     callback : optional, called with a dict after every step
 
     Returns (x, FwStats).  The reported gap is always evaluated at the
     returned iterate, and lmo_calls <= iterations + 1.
     """
-    x = np.array(x0, dtype=float)
-    stats = FwStats()
-    for k in range(max_iters + 1):
-        grad = objective.grad(x)
-        v = lmo(grad)
-        stats.lmo_calls += 1
-        gap = fw_gap(grad, x, v)
-        stats.final_fw_gap = gap
-        if _check_stop(stats, gap, fw_gap_tol, stop_rule, objective, x):
-            break
-        if k == max_iters:
-            stats.termination = "iter_cap"
-            break
+
+    def step(k, x, grad, v, gap):
         d = v - x
         gamma = line_search.step(objective, x, d, 1.0, k, dphi0=-gap)
-        if gamma == 0.0:
-            stats.termination = "stagnation"
-            break
-        x = x + gamma * d
-        if active_set is not None:
-            active_set.fw_update(v, gamma)
-            x = active_set.iterate.copy()
-        stats.iterations += 1
-        stats.fw_steps += 1
-        if callback is not None:
-            callback(
-                {"k": k, "x": x, "gap": gap, "gamma": gamma, "step_type": "fw"}
-            )
-    return x, stats
+        return x + gamma * d, gamma, "fw"
+
+    x = np.array(x0, dtype=float)
+    return _inner_loop(
+        objective, lmo, x, step, fw_gap_tol, max_iters, stop_rule, callback, {}
+    )
 
 
 def bpcg(
@@ -403,25 +386,15 @@ def bpcg(
     <grad, x - w>.  The larger one decides between a weight transfer from a
     to s and a classic step toward w; either way the iteration consumes the
     single LMO call already made.  The active set is updated in place and
-    returned alongside the final iterate.
+    returned alongside the final iterate.  Other parameters as for
+    vanilla_fw.
 
     Returns (x, active_set, FwStats).
     """
     if active_set is None or len(active_set) == 0:
         raise ValueError("bpcg needs a nonempty starting active set")
-    x = active_set.iterate.copy()
-    stats = FwStats()
-    for k in range(max_iters + 1):
-        grad = objective.grad(x)
-        w = lmo(grad)
-        stats.lmo_calls += 1
-        gap = fw_gap(grad, x, w)
-        stats.final_fw_gap = gap
-        if _check_stop(stats, gap, fw_gap_tol, stop_rule, objective, x):
-            break
-        if k == max_iters:
-            stats.termination = "iter_cap"
-            break
+
+    def step(k, x, grad, w, gap):
         away_idx, local_idx = active_set.extremes(grad)
         away = active_set.vertices[away_idx]
         local = active_set.vertices[local_idx]
@@ -430,39 +403,21 @@ def bpcg(
             # transfer weight from the away atom toward the local atom
             d = local - away
             gamma_max = active_set.weights[away_idx]
-            gamma = line_search.step(
-                objective, x, d, gamma_max, k, dphi0=-local_gap
-            )
+            gamma = line_search.step(objective, x, d, gamma_max, k, dphi0=-local_gap)
             if gamma == 0.0:
-                stats.termination = "stagnation"
-                break
+                return x, gamma, None
             dropped = active_set.pairwise_update(local_idx, away_idx, gamma)
-            if dropped:
-                stats.pairwise_drop_steps += 1
-                step_type = "pairwise_drop"
-            else:
-                stats.pairwise_descent_steps += 1
-                step_type = "pairwise_descent"
+            step_type = "pairwise_drop" if dropped else "pairwise_descent"
         else:
             d = w - x
             gamma = line_search.step(objective, x, d, 1.0, k, dphi0=-gap)
-            if gamma == 0.0:
-                stats.termination = "stagnation"
-                break
-            active_set.fw_update(w, gamma)
-            stats.fw_steps += 1
+            active_set.fw_update(w, gamma)  # a zero step leaves the set as is
             step_type = "fw"
-        x = active_set.iterate.copy()
-        stats.iterations += 1
-        if callback is not None:
-            callback(
-                {
-                    "k": k,
-                    "x": x,
-                    "gap": gap,
-                    "gamma": gamma,
-                    "step_type": step_type,
-                    "active_set": active_set,
-                }
-            )
+        return active_set.iterate.copy(), gamma, step_type
+
+    x = active_set.iterate.copy()
+    extra = {"active_set": active_set}
+    x, stats = _inner_loop(
+        objective, lmo, x, step, fw_gap_tol, max_iters, stop_rule, callback, extra
+    )
     return x, active_set, stats

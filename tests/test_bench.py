@@ -220,6 +220,54 @@ class TestRunSuite:
         assert [r.instance for r in results] == ["hard-n10-s0"]
         assert results[0].n == 10
 
+    def test_rerun_into_used_output_is_refused(self, tmp_path):
+        kwargs = dict(out_dir=tmp_path, outer_cap=50, inner_cap=2000)
+        run_suite("quadratics", [6], [0], ["DCA-BPCG-WS-ES"], **kwargs)
+        before = (tmp_path / "results.csv").read_bytes()
+        with pytest.raises(ValueError, match="already exists"):
+            run_suite("quadratics", [6], [0], ["DCA-BPCG-WS-ES"], **kwargs)
+        assert (tmp_path / "results.csv").read_bytes() == before
+        assert len(load_results(tmp_path)) == 1
+
+    def test_load_results_rejects_repeated_rows(self, tmp_path):
+        run_suite(
+            "quadratics", [6], [0], ["DCA-BPCG-WS-ES"], out_dir=tmp_path,
+            outer_cap=50, inner_cap=2000,
+        )
+        path = tmp_path / "results.csv"
+        header, row = path.read_text().splitlines()
+        path.write_text(f"{header}\n{row}\n{row}\n")
+        with pytest.raises(ValueError, match="repeats"):
+            load_results(tmp_path)
+
+    # (outer_iters, lmo_calls) of every variant at outer cap 20, inner cap 500;
+    # a refactor of the solvers must leave them exactly as they are
+    PINNED_COUNTS = {
+        ("quad-n10-s0", "DCA-FW"): (20, 10020),
+        ("quad-n10-s0", "DCA-FW-ES"): (20, 6118),
+        ("quad-n10-s0", "DCA-BPCG"): (10, 78),
+        ("quad-n10-s0", "DCA-BPCG-ES"): (9, 29),
+        ("quad-n10-s0", "DCA-BPCG-WS"): (10, 71),
+        ("quad-n10-s0", "DCA-BPCG-WS-ES"): (9, 21),
+        ("quad-n10-s0", "DCA-BPCG-WS-ES-BT"): (9, 21),
+        ("hard-n10-s0", "DCA-FW"): (20, 10020),
+        ("hard-n10-s0", "DCA-FW-ES"): (12, 222),
+        ("hard-n10-s0", "DCA-BPCG"): (12, 1090),
+        ("hard-n10-s0", "DCA-BPCG-ES"): (11, 209),
+        ("hard-n10-s0", "DCA-BPCG-WS"): (12, 1062),
+        ("hard-n10-s0", "DCA-BPCG-WS-ES"): (13, 191),
+        ("hard-n10-s0", "DCA-BPCG-WS-ES-BT"): (13, 191),
+    }
+
+    def test_pinned_counts(self):
+        got = {}
+        for suite in ("quadratics", "hard"):
+            for r in run_suite(
+                suite, [10], [0], list(VARIANTS), outer_cap=20, inner_cap=500
+            ):
+                got[(r.instance, r.variant)] = (r.outer_iters, r.lmo_calls)
+        assert got == self.PINNED_COUNTS
+
     def test_argument_validation(self, tmp_path):
         with pytest.raises(ValueError):
             run_suite("quadratics", [6], [0], ["DCA-XX"])
@@ -227,6 +275,14 @@ class TestRunSuite:
             run_suite("qap", [6], [0], ["DCA-FW"])  # no directory
         with pytest.raises(ValueError):
             run_suite("mystery", [6], [0], ["DCA-FW"])
+        for sizes, seeds, variants in (
+            ([6, 6], [0], ["DCA-FW"]),
+            ([6], [0, 0], ["DCA-FW"]),
+            ([6], [0], ["DCA-FW", "DCA-FW"]),
+        ):
+            with pytest.raises(ValueError, match="repeat"):
+                run_suite("quadratics", sizes, seeds, variants, out_dir=tmp_path)
+        assert not (tmp_path / "results.csv").exists()
 
 
 class TestShiftedGeomean:

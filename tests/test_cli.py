@@ -111,11 +111,34 @@ class TestRun:
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(
             "sizes = 6\nseeds = 0\nvariants = DCA-BPCG-WS-ES\n"
-            f"out = {out_dir}\nbooster = ignored # unknown keys are inert\n"
+            f"out = {out_dir}\n"
             "boosted = true\nouter-cap = 50\ninner-cap = 2000\n"
         )
         assert main(["run", "--config", str(cfg)]) == 0
         assert _read_results(out_dir)[0]["variant"] == "DCA-BPCG-WS-ES-BT"
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(
+            "sizez = 99\nsizes = 6\nseeds = 0\nvariants = DCA-BPCG-WS-ES\n"
+            f"out = {out_dir}\nouter-cap = 50\ninner-cap = 2000\n"
+        )
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "sizez" in capsys.readouterr().err
+        assert not out_dir.exists()  # nothing ran
+
+    def test_bad_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("outer-cap = fifty\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_rerun_into_used_out_exits_2(self, tmp_path, capsys):
+        assert _run_small(tmp_path) == 0
+        assert _run_small(tmp_path) == 2
+        assert "already exists" in capsys.readouterr().err
+        assert len(_read_results(tmp_path)) == 1
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"

@@ -1,8 +1,14 @@
-"""Outer solver: linearization, gap bounds, stop rules, and full DCA runs."""
+"""Outer solver: linearization, gap bounds, the adaptive stop threshold, and
+full DCA runs."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dcfw.dca
 from dcfw import (
     ActiveSet,
     DcaConfig,
@@ -11,15 +17,19 @@ from dcfw import (
     OracleFailure,
     ProbabilitySimplex,
     Secant,
+    Subproblem,
     boosted_step,
     bpcg,
     dc_gap_bounds,
     dca_solve,
+    gen_hard_dc,
     gen_quadratic_dc,
+    initial_point,
     linearize,
-    make_stop_rule,
     vanilla_fw,
+    variant_config,
 )
+from dcfw.problems import HARD_K
 
 from helpers import (
     Counter,
@@ -178,7 +188,6 @@ class TestDcGapBounds:
         problem = inst.problem()
         anchor = np.full(8, 0.125)
         sub = linearize(problem, anchor)
-        rule = make_stop_rule("adaptive", sub)
         v0 = problem.lmo(sub.grad(anchor))
         y, _, stats = bpcg(
             sub,
@@ -187,7 +196,7 @@ class TestDcGapBounds:
             Secant(),
             fw_gap_tol=1e-300,
             max_iters=10000,
-            stop_rule=rule,
+            stop_rule=sub.descent,
         )
         assert stats.termination == "stop_rule"
         lb, ub = dc_gap_bounds(sub, y, stats.final_fw_gap)
@@ -195,37 +204,74 @@ class TestDcGapBounds:
 
 
 class TestStopRules:
-    def test_fixed_mode_needs_epsilon(self):
-        inst = gen_quadratic_dc(4, 0)
-        sub = linearize(inst.problem(), np.full(4, 0.25))
-        with pytest.raises(ValueError):
-            make_stop_rule("fixed", sub)
-        with pytest.raises(ValueError):
-            make_stop_rule("bogus", sub)
+    """The adaptive stop threshold is Subproblem.descent; the fixed mode's
+    epsilon is fw_gap_tol."""
 
-    def test_fixed_mode_threshold(self):
-        inst = gen_quadratic_dc(4, 0)
-        sub = linearize(inst.problem(), np.full(4, 0.25))
-        rule = make_stop_rule("fixed", sub, fixed_eps=1e-3)
-        assert not rule.needs_value
-        assert rule.fires(9e-4) and not rule.fires(2e-3)
+    def test_fixed_mode_needs_epsilon(self):
+        with pytest.raises(ValueError):
+            DcaConfig(stop_mode="fixed", fw_gap_tol=0.0)
+        with pytest.raises(ValueError):
+            DcaConfig(stop_mode="bogus")
+
+    def test_fixed_mode_threshold(self, monkeypatch):
+        # fixed mode passes no threshold: fw_gap_tol, tested first, is its
+        # epsilon, so its inner solves never stop on the stop rule
+        calls = []
+
+        def spy(*args, **kwargs):
+            out = bpcg(*args, **kwargs)
+            calls.append((kwargs["stop_rule"], out[-1]))
+            return out
+
+        monkeypatch.setattr(dcfw.dca, "bpcg", spy)
+        inst = gen_quadratic_dc(6, 0)
+        cfg = DcaConfig(stop_mode="fixed", fw_gap_tol=1e-3, max_outer_iters=3)
+        dca_solve(inst.problem(), np.full(6, 1.0 / 6.0), cfg)
+        assert calls
+        for rule, stats in calls:
+            assert rule is None
+            assert stats.termination == "gap_tol" and stats.final_fw_gap <= 1e-3
 
     def test_adaptive_at_anchor_cannot_fire(self):
         # tau_t(x_t) = 0: only an exactly zero gap may stop at the anchor
         inst = gen_quadratic_dc(4, 0)
         sub = linearize(inst.problem(), np.full(4, 0.25))
-        rule = make_stop_rule("adaptive", sub)
-        assert rule.needs_value
-        at_anchor = sub.value(sub.anchor)
-        assert not rule.fires(1e-300, at_anchor)
-        assert rule.fires(0.0, sub.phi_at_anchor)
+        assert sub.descent(sub.anchor) == 0.0
 
     def test_adaptive_fires_on_secured_descent(self):
-        inst = gen_quadratic_dc(4, 0)
-        sub = linearize(inst.problem(), np.full(4, 0.25))
-        rule = make_stop_rule("adaptive", sub)
-        assert rule.fires(0.5, sub.phi_at_anchor - 0.6)
-        assert not rule.fires(0.5, sub.phi_at_anchor - 0.4)
+        # the threshold at y is the descent y secures, phi(anchor) - h(y),
+        # which is also lb; the solver stops at the first y it covers
+        inst = gen_quadratic_dc(8, 5)
+        problem = inst.problem()
+        sub = linearize(problem, np.full(8, 0.125))
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            y = rand_simplex(rng, 8)
+            assert sub.descent(y) == sub.phi_at_anchor - sub.value(y)
+            assert dc_gap_bounds(sub, y, 0.25)[0] == sub.descent(y)
+        steps = []
+        y, stats = vanilla_fw(
+            sub, problem.lmo, sub.anchor, Secant(), fw_gap_tol=1e-300,
+            stop_rule=sub.descent, callback=steps.append,
+        )
+        assert stats.termination == "stop_rule" and len(steps) >= 2
+        assert 0.0 <= stats.final_fw_gap <= sub.descent(y)
+        # each step's gap was measured before it; no earlier iterate was covered
+        for before, after in zip(steps, steps[1:]):
+            assert after["gap"] > sub.descent(before["x"])
+
+    def test_adaptive_mode_passes_descent(self, monkeypatch):
+        rules = []
+
+        def spy(*args, **kwargs):
+            rules.append(kwargs["stop_rule"])
+            return vanilla_fw(*args, **kwargs)
+
+        monkeypatch.setattr(dcfw.dca, "vanilla_fw", spy)
+        inst = gen_quadratic_dc(6, 0)
+        cfg = DcaConfig(subsolver="fw", max_outer_iters=3, max_inner_iters=50)
+        dca_solve(inst.problem(), np.full(6, 1.0 / 6.0), cfg)
+        assert rules and all(r.__func__ is Subproblem.descent for r in rules)
 
 
 class TestDcaConfig:
@@ -260,8 +306,9 @@ class TestBoostedStep:
             dimension=1,
             lmo=L1Ball(1, 1.0),
         )
-        point = boosted_step(problem, np.array([-1.0]), np.array([1.0]))
+        point, gamma = boosted_step(problem, np.array([-1.0]), np.array([1.0]))
         assert abs(point[0]) <= 0.01
+        assert np.array_equal(point, [-1.0 + 2.0 * gamma])
 
     def test_monotone_segment_keeps_candidate(self):
         problem = DcProblem(
@@ -272,8 +319,8 @@ class TestBoostedStep:
             dimension=1,
             lmo=L1Ball(1, 1.0),
         )
-        point = boosted_step(problem, np.array([0.0]), np.array([1.0]))
-        assert point[0] == 1.0
+        point, gamma = boosted_step(problem, np.array([0.0]), np.array([1.0]))
+        assert point[0] == 1.0 and gamma == 1.0
 
     def test_never_worse_than_candidate(self):
         inst = gen_quadratic_dc(6, 4)
@@ -282,7 +329,7 @@ class TestBoostedStep:
         for _ in range(20):
             x_t = rand_simplex(rng, 6)
             cand = rand_simplex(rng, 6)
-            point = boosted_step(problem, x_t, cand)
+            point, _ = boosted_step(problem, x_t, cand)
             assert problem.phi(point) <= problem.phi(cand) + 1e-12
 
 
@@ -456,3 +503,41 @@ class TestDcaSolve:
             x, record = dca_solve(inst.problem(), np.full(10, 0.1), cfg)
             assert record.termination == "converged"
             assert inst.problem().lmo.contains(x)
+
+
+class TestCertificateProperties:
+    """The paper's guarantees on random instances of both seeded families."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        family_n=st.one_of(
+            st.tuples(st.just(gen_quadratic_dc), st.integers(2, 12)),
+            st.tuples(st.just(gen_hard_dc), st.integers(HARD_K, 12)),
+        ),
+        seed=st.integers(0, 2**31 - 1),
+        variant=st.sampled_from(["DCA-BPCG-WS-ES", "DCA-FW-ES"]),
+    )
+    def test_adaptive_runs_keep_their_certificates(self, family_n, seed, variant):
+        family, n = family_n
+        problem = family(n, seed).problem()
+        config = variant_config(variant, max_outer_iters=30, max_inner_iters=2000)
+        solver = "bpcg" if config.subsolver == "bpcg" else "vanilla_fw"
+        original = getattr(dcfw.dca, solver)
+        stops = []
+
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            stops.append(out[-1].termination)
+            return out
+
+        with mock.patch.object(dcfw.dca, solver, spy):
+            _, record = dca_solve(problem, initial_point(problem.lmo), config)
+        assert len(stops) == record.outer_iters
+        for stop, lb, ub in zip(stops, record.dc_gap_lb, record.dc_gap_ub):
+            assert lb <= ub + 1e-9
+            if stop == "stop_rule":
+                # the threshold is lb itself, so fw_gap <= lb and ub <= 2 lb
+                assert ub <= 2.0 * lb + 1e-12
+        values = [record.phi0] + record.objective
+        for prev, nxt in zip(values, values[1:]):
+            assert nxt <= prev + 1e-9

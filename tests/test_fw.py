@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dcfw import (
     ActiveSet,
     Agnostic,
-    GridTwoLevel,
     ProbabilitySimplex,
     Secant,
     bpcg,
@@ -48,6 +47,18 @@ class TestGridTwoLevel:
 
     def test_nonpositive_interval(self):
         assert grid_two_level(lambda z: 0.0, np.zeros(1), np.ones(1), 0.0) == 0.0
+
+    def test_all_probes_non_finite_returns_zero(self):
+        # no finite probe means no evidence of descent: do not step
+        for bad in (np.nan, np.inf):
+            got = grid_two_level(lambda z: bad, np.zeros(1), np.ones(1), 0.7)
+            assert got == 0.0
+
+    def test_non_finite_tail_is_avoided(self):
+        # finite and decreasing up to gamma = 0.5, NaN beyond it
+        value = lambda z: -float(z[0]) if z[0] <= 0.5 else np.nan
+        got = grid_two_level(value, np.zeros(1), np.ones(1), 1.0)
+        assert 0.45 <= got <= 0.5
 
     def test_parabola_accuracy(self):
         rng = np.random.default_rng(0)
@@ -133,17 +144,14 @@ class TestStepRules:
         assert rule.step(obj, None, None, 1.0, 2) == 0.5
         assert rule.step(obj, None, None, 0.3, 0) == 0.3
 
-    def test_secant_rule_validation(self):
-        with pytest.raises(ValueError):
-            Secant(tol=0.0)
-        with pytest.raises(ValueError):
-            Secant(max_eval=0)
-
-    def test_grid_rule_delegates(self):
-        value = lambda z: (float(z[0]) - 0.5) ** 2
-        obj = make_objective(value, None)
-        got = GridTwoLevel().step(obj, np.zeros(1), np.ones(1), 1.0, 0)
-        assert abs(got - 0.5) <= 0.0101
+    def test_secant_rule_delegates(self):
+        value, grad = quad_value_grad(np.diag([2.0, 1.0]), np.array([-1.0, 0.0]))
+        obj = make_objective(value, grad)
+        x, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
+        for dphi0 in (None, float(grad(x) @ d)):
+            got = Secant().step(obj, x, d, 1.0, 0, dphi0=dphi0)
+            assert got == secant_line_search(value, grad, x, d, 1.0, dphi0=dphi0)
+        assert 0.0 < got < 1.0
 
 
 class TestActiveSet:
@@ -255,19 +263,6 @@ class TestActiveSet:
             assert len({v.tobytes() for v in s.vertices}) == len(s)
 
 
-class _FireBelow:
-    """Stop-rule stub firing once the gap drops under a threshold."""
-
-    def __init__(self, threshold, needs_value=False):
-        self.threshold = threshold
-        self.needs_value = needs_value
-        self.seen_values = []
-
-    def fires(self, gap, surrogate_value=None):
-        self.seen_values.append(surrogate_value)
-        return gap <= self.threshold
-
-
 class _ZeroStep:
     def step(self, objective, x, d, gamma_max, k, dphi0=None):
         return 0.0
@@ -370,29 +365,44 @@ class TestVanillaFw:
         Q = random_pd_matrix(rng, 4)
         value, grad = quad_value_grad(Q, rng.standard_normal(4))
         obj = make_objective(value, grad)
-        rule = _FireBelow(np.inf, needs_value=True)
+        x0 = np.full(4, 0.25)
+        seen = []
+
+        def threshold(x):
+            seen.append(x.copy())
+            return np.inf
+
         _, stats = vanilla_fw(
-            obj, ProbabilitySimplex(4), np.full(4, 0.25), Secant(),
-            fw_gap_tol=1e-16, stop_rule=rule,
+            obj, ProbabilitySimplex(4), x0, Secant(),
+            fw_gap_tol=1e-16, stop_rule=threshold,
         )
         assert stats.termination == "stop_rule"
-        assert stats.iterations == 0
-        # needs_value rules receive the surrogate value, not None
-        assert rule.seen_values and rule.seen_values[0] is not None
+        assert stats.iterations == 0 and stats.lmo_calls == 1
+        assert len(seen) == 1 and np.array_equal(seen[0], x0)
 
-    def test_active_set_tracking(self):
-        rng = np.random.default_rng(12)
+    def test_stop_rule_stops_at_first_gap_below_threshold(self):
+        rng = np.random.default_rng(11)
         Q = random_pd_matrix(rng, 4)
         value, grad = quad_value_grad(Q, rng.standard_normal(4))
         obj = make_objective(value, grad)
-        e = np.eye(4)
-        tracker = ActiveSet([e[0]], [1.0])
-        x, stats = vanilla_fw(
-            obj, ProbabilitySimplex(4), e[0], Secant(),
-            fw_gap_tol=1e-8, active_set=tracker,
+        gaps = []
+        _, stats = vanilla_fw(
+            obj, ProbabilitySimplex(4), np.eye(4)[0], Agnostic(),
+            fw_gap_tol=1e-16, stop_rule=lambda x: 1e-2,
+            callback=lambda info: gaps.append(info["gap"]),
         )
-        assert np.allclose(tracker.iterate, x, atol=1e-12)
-        assert np.linalg.norm(tracker.recombine() - x) <= 1e-10
+        assert stats.termination == "stop_rule"
+        assert stats.final_fw_gap <= 1e-2
+        assert all(g > 1e-2 for g in gaps)  # no earlier gap met the threshold
+
+    def test_gap_tol_is_tested_before_the_stop_rule(self):
+        c = np.array([2.0, -1.0, 0.5])
+        obj = make_objective(lambda x: float(c @ x), lambda x: c)
+        _, stats = vanilla_fw(
+            obj, ProbabilitySimplex(3), np.eye(3)[1], Secant(),
+            fw_gap_tol=1e-12, stop_rule=lambda x: np.inf,
+        )
+        assert stats.termination == "gap_tol"
 
 
 class TestBpcg:
@@ -470,8 +480,18 @@ class TestBpcg:
     def test_stagnation_label(self):
         y = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
         obj, lmo = self._projection_problem(5, y)
-        _, _, stats = bpcg(
-            obj, lmo, ActiveSet.from_vertex(np.eye(5)[0]), _ZeroStep(),
-            fw_gap_tol=1e-16,
-        )
+        start = ActiveSet.from_vertex(np.eye(5)[0])
+        x, out_set, stats = bpcg(obj, lmo, start, _ZeroStep(), fw_gap_tol=1e-16)
         assert stats.termination == "stagnation"
+        # a zero step leaves the active set untouched
+        assert len(out_set) == 1 and np.array_equal(x, np.eye(5)[0])
+
+    def test_stop_rule_threshold(self):
+        y = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
+        obj, lmo = self._projection_problem(5, y)
+        start = ActiveSet.from_vertex(np.eye(5)[0])
+        _, _, stats = bpcg(
+            obj, lmo, start, Secant(), fw_gap_tol=1e-16, stop_rule=lambda x: 1e-3
+        )
+        assert stats.termination == "stop_rule"
+        assert stats.final_fw_gap <= 1e-3
