@@ -112,6 +112,13 @@ def _iter_instances(suite, sizes, seeds, qaplib_dir):
     raise ValueError(f"unknown suite {suite!r}")
 
 
+def _error_reason(err):
+    """error:<ExceptionName>, then ': <message>' on one line if there is one."""
+    message = " ".join(str(err).split())
+    reason = f"error:{type(err).__name__}"
+    return f"{reason}: {message}" if message else reason
+
+
 def _write_trace(path, record):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -230,7 +237,7 @@ def run_suite(
                     wall_seconds=wall,
                     lmo_calls=problem.lmo.call_count,
                     final_objective=float("nan"),
-                    reason=f"error:{type(err).__name__}",
+                    reason=_error_reason(err),
                 )
             else:
                 wall = time.perf_counter() - started

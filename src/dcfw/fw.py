@@ -27,10 +27,12 @@ def fw_gap(grad, x, v):
 class ActiveSet:
     """Convex combination of polytope vertices with a cached iterate.
 
-    Atoms are deduplicated by exact coordinate equality; weights stay
-    positive and sum to one.  The cached iterate is updated incrementally by
-    the step routines and recomputed from scratch whenever the weights are
-    renormalized.
+    The atoms are the rows of one array, kept in insertion order: the array
+    doubles when full, and dropping an atom shifts the rows after it down.
+    Atoms are deduplicated by value, so coordinates 0.0 and -0.0 match;
+    weights stay positive and sum to one.  The cached iterate is updated
+    incrementally by the step routines and recomputed from scratch whenever
+    the weights are renormalized.
     """
 
     def __init__(self, vertices, weights):
@@ -38,14 +40,14 @@ class ActiveSet:
             raise ValueError("vertices and weights differ in length")
         if not len(vertices):
             raise ValueError("active set needs at least one atom")
-        self.vertices = []
+        self._rows = np.empty((len(vertices), np.size(vertices[0])))
+        self._m = 0
         self.weights = []
-        self._index = {}
         for v, w in zip(vertices, weights):
             w = float(w)
             if w <= 0:
                 raise ValueError(f"weights must be positive, got {w}")
-            self._add(np.array(v, dtype=float), w)
+            self._add(np.asarray(v, dtype=float), w)
         self._x = self.recombine()
         self._renormalize_if_drifted()
 
@@ -54,7 +56,14 @@ class ActiveSet:
         return cls([v], [1.0])
 
     def __len__(self):
-        return len(self.vertices)
+        return self._m
+
+    @property
+    def vertices(self):
+        """Atoms as the rows of a read-only (len, n) view."""
+        view = self._rows[: self._m]
+        view.flags.writeable = False
+        return view
 
     @property
     def iterate(self):
@@ -63,33 +72,37 @@ class ActiveSet:
 
     def copy(self):
         out = ActiveSet.__new__(ActiveSet)
-        out.vertices = [v.copy() for v in self.vertices]
+        out._rows = self._rows[: self._m].copy()
+        out._m = self._m
         out.weights = list(self.weights)
-        out._index = dict(self._index)
         out._x = self._x.copy()
         return out
 
     def recombine(self):
         """Recompute the iterate directly from atoms and weights."""
-        x = np.zeros_like(self.vertices[0])
-        for v, w in zip(self.vertices, self.weights):
+        x = np.zeros(self._rows.shape[1])
+        for v, w in zip(self._rows[: self._m], self.weights):
             x += w * v
         return x
 
     def _add(self, v, w):
-        key = v.tobytes()
-        i = self._index.get(key)
-        if i is None:
-            self._index[key] = len(self.vertices)
-            self.vertices.append(v)
-            self.weights.append(w)
-        else:
-            self.weights[i] += w
+        m = self._m
+        same = np.flatnonzero((self._rows[:m] == v).all(axis=1))
+        if same.size:
+            self.weights[same[0]] += w
+            return
+        if m == len(self._rows):
+            grown = np.empty((2 * m, self._rows.shape[1]))
+            grown[:m] = self._rows
+            self._rows = grown
+        self._rows[m] = v
+        self._m = m + 1
+        self.weights.append(w)
 
     def _drop(self, i):
-        del self.vertices[i]
+        self._rows[i : self._m - 1] = self._rows[i + 1 : self._m]
+        self._m -= 1
         del self.weights[i]
-        self._index = {v.tobytes(): j for j, v in enumerate(self.vertices)}
 
     def _renormalize_if_drifted(self):
         total = sum(self.weights)
@@ -100,7 +113,9 @@ class ActiveSet:
     def extremes(self, grad):
         """Indices of the away atom (max <grad, v>) and the local forward
         atom (min <grad, v>), ties resolved to the lowest index."""
-        scores = np.array([float(np.dot(grad, v)) for v in self.vertices])
+        # vecdot takes one BLAS dot per row, so each score is bit-identical
+        # to np.dot(grad, v); a matrix product may sum in another order
+        scores = np.vecdot(self._rows[: self._m], grad)
         return int(np.argmax(scores)), int(np.argmin(scores))
 
     def fw_update(self, v, gamma):
@@ -112,10 +127,10 @@ class ActiveSet:
             return
         v = np.array(v, dtype=float)
         if gamma == 1.0:
-            self.vertices = [v]
+            self._rows[0] = v
+            self._m = 1
             self.weights = [1.0]
-            self._index = {v.tobytes(): 0}
-            self._x = v.copy()
+            self._x = v
             return
         self.weights = [(1.0 - gamma) * w for w in self.weights]
         self._add(v, gamma)
@@ -125,13 +140,16 @@ class ActiveSet:
     def pairwise_update(self, to_idx, from_idx, gamma):
         """Transfer gamma of weight from one atom to another; a full transfer
         drops the source atom.  Returns True when a drop happened."""
+        # negative indices count from the last atom, as for a list
+        to_idx, from_idx = range(self._m)[to_idx], range(self._m)[from_idx]
         if to_idx == from_idx:
             raise ValueError("pairwise transfer needs two distinct atoms")
         w_from = self.weights[from_idx]
         if not 0.0 <= gamma <= w_from:
             raise ValueError(f"gamma={gamma} outside [0, {w_from}]")
         self.weights[to_idx] += gamma
-        self._x = self._x + gamma * (self.vertices[to_idx] - self.vertices[from_idx])
+        rows = self._rows[: self._m]
+        self._x = self._x + gamma * (rows[to_idx] - rows[from_idx])
         dropped = gamma >= w_from
         if dropped:
             self._drop(from_idx)
@@ -145,7 +163,7 @@ class ActiveSet:
         """Active set for (1 - lam) * first.iterate + lam * second.iterate."""
         if not 0.0 < lam < 1.0:
             raise ValueError(f"lam must lie strictly in (0, 1), got {lam}")
-        vertices = first.vertices + second.vertices
+        vertices = np.concatenate([first.vertices, second.vertices])
         weights = [(1.0 - lam) * w for w in first.weights] + [
             lam * w for w in second.weights
         ]
@@ -396,8 +414,8 @@ def bpcg(
 
     def step(k, x, grad, w, gap):
         away_idx, local_idx = active_set.extremes(grad)
-        away = active_set.vertices[away_idx]
-        local = active_set.vertices[local_idx]
+        atoms = active_set.vertices
+        away, local = atoms[away_idx], atoms[local_idx]
         local_gap = float(np.dot(grad, away - local))
         if local_gap >= gap and away_idx != local_idx:
             # transfer weight from the away atom toward the local atom

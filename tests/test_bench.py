@@ -164,10 +164,47 @@ class TestRunSuite:
         assert len(results) == 2
         for r in results:
             assert not r.solved
-            assert r.reason == "error:RuntimeError"
+            assert r.reason == "error:RuntimeError: boom"
             assert math.isnan(r.final_objective)
         loaded = load_results(tmp_path)
-        assert [r.reason for r in loaded] == ["error:RuntimeError"] * 2
+        assert [r.reason for r in loaded] == ["error:RuntimeError: boom"] * 2
+
+    @pytest.mark.parametrize(
+        "message, reason",
+        [
+            ("boom", "error:RuntimeError: boom"),
+            ("bad, worse\n  worst", "error:RuntimeError: bad, worse worst"),
+            ("", "error:RuntimeError"),
+        ],
+        ids=["message", "multi-line", "empty"],
+    )
+    def test_failing_oracle_message_is_recorded(
+        self, tmp_path, monkeypatch, message, reason
+    ):
+        real = dcfw.bench.gen_quadratic_dc
+
+        def fail(x):
+            raise RuntimeError(message)
+
+        def broken(n, seed):
+            inst = real(n, seed)
+            make = inst.problem
+
+            def problem():
+                out = make()
+                out.f_grad = fail
+                return out
+
+            inst.problem = problem
+            return inst
+
+        monkeypatch.setattr(dcfw.bench, "gen_quadratic_dc", broken)
+        results = run_suite("quadratics", [6], [0], ["DCA-FW"], out_dir=tmp_path)
+        assert [r.reason for r in results] == [reason]
+        # the message stays on the row's one line and reads back whole
+        lines = (tmp_path / "results.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert [r.reason for r in load_results(tmp_path)] == [reason]
 
     def test_config_plumbing(self, monkeypatch):
         captured = []

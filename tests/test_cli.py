@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from dcfw.cli import main
+from dcfw import VARIANTS
+from dcfw.cli import _read_config_file, main
 
 try:
     import tomllib
@@ -145,6 +146,34 @@ class TestRun:
         cfg.write_text("sizes 6\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "key=value" in capsys.readouterr().err
+
+    # the options of each shipped per-family config file
+    SHIPPED_CONFIGS = {
+        "quadratics": dict(
+            suite="quadratics",
+            sizes=[10, 20, 30],
+            seeds=[0, 1, 2, 3, 4],
+            out="bench_out/quadratics",
+        ),
+        "hard_dc": dict(
+            suite="hard", sizes=[20, 50], seeds=[0, 1, 2, 3, 4], out="bench_out/hard"
+        ),
+        "qap": dict(
+            suite="qap",
+            sizes=[15],
+            seeds=[0],
+            variants=["DCA-BPCG-ES", "DCA-BPCG-WS-ES"],
+            out="bench_out/qap",
+        ),
+    }
+
+    def test_shipped_configs_parse(self):
+        shipped = sorted(REPO_ROOT.glob("configs/*.ini"))
+        assert [p.stem for p in shipped] == sorted(self.SHIPPED_CONFIGS)
+        for path in shipped:
+            opts = _read_config_file(path)
+            assert opts == self.SHIPPED_CONFIGS[path.stem]
+            assert set(opts.get("variants", [])) <= set(VARIANTS)
 
 
 @pytest.fixture(scope="module")

@@ -169,6 +169,20 @@ class TestActiveSet:
         assert len(s) == 1
         assert s.weights[0] == pytest.approx(1.0)
 
+    def test_signed_zero_atoms_merge(self):
+        # atoms are equal by value, not by bit pattern
+        s = ActiveSet([np.array([0.0, 1.0]), np.array([-0.0, 1.0])], [0.5, 0.5])
+        assert len(s) == 1
+        assert s.weights == [1.0]
+
+    def test_vertices_view_is_read_only(self):
+        e = np.eye(3)
+        s = ActiveSet([e[0], e[2]], [0.5, 0.5])
+        assert s.vertices.shape == (2, 3)
+        with pytest.raises(ValueError):
+            s.vertices[0, 0] = 5.0
+        assert np.array_equal(s.vertices, [e[0], e[2]])
+
     def test_iterate_matches_recombination(self):
         e = np.eye(3)
         s = ActiveSet([e[0], e[1], e[2]], [0.5, 0.25, 0.25])
@@ -206,11 +220,22 @@ class TestActiveSet:
         assert dropped and len(s) == 1
         assert np.allclose(s.iterate, e[1])
 
+    def test_pairwise_negative_index_counts_from_last_atom(self):
+        e = np.eye(4)
+        s = ActiveSet([e[0], e[1], e[2]], [0.5, 0.25, 0.25])
+        assert s.pairwise_update(0, -1, 0.25)
+        assert np.array_equal(s.vertices, [e[0], e[1]])
+        assert np.array_equal(s.iterate, [0.75, 0.25, 0.0, 0.0])
+
     def test_pairwise_validation(self):
         e = np.eye(2)
         s = ActiveSet([e[0], e[1]], [0.7, 0.3])
         with pytest.raises(ValueError):
             s.pairwise_update(1, 1, 0.1)
+        with pytest.raises(ValueError):
+            s.pairwise_update(1, -1, 0.1)  # the same atom, counted from the end
+        with pytest.raises(IndexError):
+            s.pairwise_update(2, 0, 0.1)
         with pytest.raises(ValueError):
             s.pairwise_update(1, 0, 0.8)  # exceeds the source weight
 
@@ -219,6 +244,22 @@ class TestActiveSet:
         s = ActiveSet([e[0], e[1], e[2]], [0.2, 0.3, 0.5])
         away, local = s.extremes(np.array([3.0, 1.0, 2.0]))
         assert (away, local) == (0, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_extremes_match_per_atom_dot(self, data):
+        # small integer coordinates make ties common
+        n = data.draw(st.integers(1, 8))
+        m = data.draw(st.integers(1, 20))
+        ints = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        atoms = [np.array(data.draw(ints), dtype=float) for _ in range(m)]
+        s = ActiveSet(atoms, [1.0 / m] * m)
+        grad = np.array(data.draw(ints), dtype=float)
+        grad += data.draw(st.sampled_from([0.0, 1e-3]))
+        scores = [float(np.dot(grad, v)) for v in s.vertices]
+        away = scores.index(max(scores))  # first of the tied atoms
+        local = scores.index(min(scores))
+        assert s.extremes(grad) == (away, local)
 
     def test_convex_combination(self):
         e = np.eye(2)
@@ -231,6 +272,16 @@ class TestActiveSet:
             with pytest.raises(ValueError):
                 ActiveSet.convex_combination(a, b, lam)
 
+    def test_convex_combination_merges_shared_atom(self):
+        e = np.eye(3)
+        a = ActiveSet([e[0], e[1]], [0.5, 0.5])
+        b = ActiveSet([e[1], e[2]], [0.25, 0.75])
+        blend = ActiveSet.convex_combination(a, b, 0.5)
+        assert len(blend) == 3
+        assert np.array_equal(blend.vertices, e)
+        assert blend.weights == pytest.approx([0.25, 0.375, 0.375])
+        assert np.allclose(blend.iterate, [0.25, 0.375, 0.375])
+
     def test_copy_is_independent(self):
         e = np.eye(2)
         s = ActiveSet([e[0], e[1]], [0.5, 0.5])
@@ -239,13 +290,31 @@ class TestActiveSet:
         assert len(s) == 1 and len(c) == 2
         assert np.allclose(c.iterate, [0.5, 0.5])
 
+    @pytest.mark.parametrize("mutate", ["fw_update", "drop", "collapse"])
+    def test_mutating_copy_leaves_original(self, mutate):
+        e = np.eye(4)
+        s = ActiveSet([e[0], e[1], e[2]], [0.5, 0.25, 0.25])
+        atoms, weights, x = s.vertices.copy(), list(s.weights), s.iterate.copy()
+        c = s.copy()
+        if mutate == "fw_update":
+            c.fw_update(e[3], 0.5)
+            c.fw_update(e[0], 0.5)
+        elif mutate == "drop":
+            assert c.pairwise_update(2, 0, c.weights[0])
+        else:
+            c.fw_update(e[3], 1.0)
+        assert np.array_equal(s.vertices, atoms)
+        assert s.weights == weights
+        assert np.array_equal(s.iterate, x)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_step_invariants(self, data):
-        n = 4
+        # enough atoms and steps to grow the atom array past its first size
+        n = data.draw(st.integers(1, 12))
         e = np.eye(n)
         s = ActiveSet([e[0]], [1.0])
-        for _ in range(data.draw(st.integers(1, 12))):
+        for _ in range(data.draw(st.integers(1, 30))):
             if len(s) >= 2 and data.draw(st.booleans()):
                 frm = data.draw(st.integers(0, len(s) - 1))
                 to = data.draw(st.integers(0, len(s) - 2))
@@ -261,6 +330,7 @@ class TestActiveSet:
             assert abs(sum(s.weights) - 1.0) <= 1e-12
             assert np.linalg.norm(s.iterate - s.recombine()) <= 1e-10
             assert len({v.tobytes() for v in s.vertices}) == len(s)
+            assert s.vertices.shape == (len(s), n)
 
 
 class _ZeroStep:
