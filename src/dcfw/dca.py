@@ -51,15 +51,30 @@ class Subproblem:
     g_grad_at_anchor: np.ndarray
     problem: DcProblem
     phi_at_anchor: float
+    # (x.tobytes(), gradient) of the last grad call
+    _grad_memo: tuple = field(
+        default=(None, None), init=False, repr=False, compare=False
+    )
 
     def value(self, x):
-        lin = self.g_at_anchor + float(
-            np.dot(self.g_grad_at_anchor, x - self.anchor)
-        )
+        lin = self.g_at_anchor + float(self.g_grad_at_anchor.dot(x - self.anchor))
         return float(self.problem.f_value(x)) - lin
 
     def grad(self, x):
-        return np.asarray(self.problem.f_grad(x), dtype=float) - self.g_grad_at_anchor
+        """Gradient of the surrogate at x, as a read-only array.
+
+        The last result is kept and returned again for an x with the same
+        bits, so f_grad must be a pure function of x.  The secant search's
+        last probe is bit for bit the solver's next iterate, so the loop
+        gets that gradient without a second f_grad call.
+        """
+        key = x.tobytes()
+        if key == self._grad_memo[0]:
+            return self._grad_memo[1]
+        grad = np.asarray(self.problem.f_grad(x), dtype=float) - self.g_grad_at_anchor
+        grad.flags.writeable = False
+        self._grad_memo = (key, grad)
+        return grad
 
     def descent(self, y):
         """phi(anchor) - h(y): the descent y secures, and the threshold of the
@@ -181,7 +196,9 @@ def dca_solve(problem, x0, config):
     the adaptive stop mode the recorded objective never increases.  If a
     subproblem terminates above the anchor value (negative lb) the iterate is
     kept, the event is counted in record.stalls, and the run ends, since
-    repeating the identical subproblem cannot progress.
+    repeating the identical subproblem cannot progress.  A time limit is
+    passed to the subsolver as a deadline, so a run ends with termination
+    time_limit within about one inner iteration of it.
 
     Returns (x_final, RunRecord).
     """
@@ -200,16 +217,16 @@ def dca_solve(problem, x0, config):
     line_search = Secant()
     record = RunRecord(phi0=problem.phi(x0))
     started = time.perf_counter()
+    deadline = None
+    if config.time_limit_seconds is not None:
+        deadline = started + config.time_limit_seconds
 
     x = x0.copy()
     phi_x = record.phi0
     x_set = None  # decomposition of x when warm starting
     record.termination = "iteration_cap"
     for t in range(config.max_outer_iters):
-        if (
-            config.time_limit_seconds is not None
-            and time.perf_counter() - started > config.time_limit_seconds
-        ):
+        if deadline is not None and time.perf_counter() > deadline:
             record.termination = "time_limit"
             break
         sub = linearize(problem, x)
@@ -218,6 +235,7 @@ def dca_solve(problem, x0, config):
             max_iters=config.max_inner_iters,
             # the fixed mode's epsilon is fw_gap_tol, which the solvers test first
             stop_rule=sub.descent if config.stop_mode == "adaptive" else None,
+            deadline=deadline,
         )
         snapshot = None
         if config.subsolver == "bpcg":
@@ -263,6 +281,9 @@ def dca_solve(problem, x0, config):
 
         if ub <= config.dca_gap_tol:
             record.termination = "converged"
+            break
+        if stats.termination == "time_limit":
+            record.termination = "time_limit"
             break
         if stalled:
             record.termination = "stalled"

@@ -7,6 +7,8 @@ objects exposing ``value(x)`` and ``grad(x)``.
 """
 
 import logging
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,7 @@ _GRID_POINTS = 11
 
 def fw_gap(grad, x, v):
     """Frank-Wolfe gap <grad, x - v> for a vertex v minimizing <grad, .>."""
-    return float(np.dot(grad, x - v))
+    return float((x - v).dot(grad))
 
 
 class ActiveSet:
@@ -177,7 +179,7 @@ class FwStats:
     iterations: int = 0
     lmo_calls: int = 0
     final_fw_gap: float = np.inf
-    termination: str = ""  # gap_tol | stop_rule | iter_cap | stagnation
+    termination: str = ""  # gap_tol | stop_rule | iter_cap | time_limit | stagnation
     fw_steps: int = 0
     pairwise_descent_steps: int = 0
     pairwise_drop_steps: int = 0
@@ -193,9 +195,10 @@ def grid_two_level(value_fn, x, d, gamma_max):
     """Two-level grid search for min of value(x + gamma * d) on [0, gamma_max].
 
     A coarse equispaced grid locates the best cell, a second grid of the same
-    size refines between that point's neighbors.  Ties prefer larger gamma, so
-    a flat objective returns gamma_max.  When no probe is finite there is
-    nothing to prefer and the search returns 0, no step.
+    size refines between that point's neighbors; its two ends are coarse
+    points, so a search makes 2 * _GRID_POINTS - 2 evaluations.  Ties prefer
+    larger gamma, so a flat objective returns gamma_max.  When no probe is
+    finite there is nothing to prefer and the search returns 0, no step.
     """
     if gamma_max <= 0:
         return 0.0
@@ -204,10 +207,12 @@ def grid_two_level(value_fn, x, d, gamma_max):
     if not np.any(np.isfinite(vals)):
         return 0.0
     i = _last_argmin(vals)
-    lo = coarse[max(i - 1, 0)]
-    hi = coarse[min(i + 1, _GRID_POINTS - 1)]
-    fine = np.linspace(lo, hi, _GRID_POINTS)
-    fine_vals = np.array([float(value_fn(x + g * d)) for g in fine])
+    lo, hi = max(i - 1, 0), min(i + 1, _GRID_POINTS - 1)
+    # linspace returns its endpoints exactly, so the fine grid's two ends are
+    # coarse points whose values are already known
+    fine = np.linspace(coarse[lo], coarse[hi], _GRID_POINTS)
+    inner = [float(value_fn(x + g * d)) for g in fine[1:-1]]
+    fine_vals = np.array([vals[lo], *inner, vals[hi]])
     candidates = np.concatenate([coarse, fine])
     all_vals = np.concatenate([vals, fine_vals])
     return float(candidates[_last_argmin(all_vals)])
@@ -228,10 +233,11 @@ def secant_line_search(
     """
     if gamma_max <= 0:
         return 0.0
-    d_scale = tol * float(np.linalg.norm(d))
+    # numpy's own formula for the 2-norm of a 1-D array, without its overhead
+    d_scale = tol * math.sqrt(d.dot(d))
     if dphi0 is None:
         dphi0 = float(np.dot(grad_fn(x), d))
-    if not np.isfinite(dphi0):
+    if not math.isfinite(dphi0):
         logger.warning("non-finite directional derivative, falling back to grid search")
         return grid_two_level(value_fn, x, d, gamma_max)
     if dphi0 >= 0:
@@ -242,10 +248,10 @@ def secant_line_search(
     def dphi(g):
         nonlocal evals
         evals += 1
-        return float(np.dot(grad_fn(x + g * d), d))
+        return float(d.dot(grad_fn(x + g * d)))
 
     d_hi = dphi(gamma_max)
-    if not np.isfinite(d_hi):
+    if not math.isfinite(d_hi):
         logger.warning("non-finite directional derivative, falling back to grid search")
         return grid_two_level(value_fn, x, d, gamma_max)
     if d_hi <= 0:
@@ -258,7 +264,7 @@ def secant_line_search(
     while evals < max_eval:
         gamma = min(max(gamma, lo), hi)
         dg = dphi(gamma)
-        if not np.isfinite(dg):
+        if not math.isfinite(dg):
             logger.warning(
                 "non-finite directional derivative, falling back to grid search"
             )
@@ -310,7 +316,8 @@ class Secant:
 
 
 def _inner_loop(
-    objective, lmo, x, step, fw_gap_tol, max_iters, stop_rule, callback, extra
+    objective, lmo, x, step, fw_gap_tol, max_iters, stop_rule, deadline,
+    callback, extra,
 ):
     """The iteration both solvers share; step(k, x, grad, v, gap) returns
     (x_next, gamma, step_type) and must leave its state untouched when
@@ -330,6 +337,9 @@ def _inner_loop(
             break
         if k == max_iters:
             stats.termination = "iter_cap"
+            break
+        if deadline is not None and time.perf_counter() > deadline:
+            stats.termination = "time_limit"
             break
         x_next, gamma, step_type = step(k, x, grad, v, gap)
         if gamma == 0.0:
@@ -355,6 +365,7 @@ def vanilla_fw(
     fw_gap_tol=1e-7,
     max_iters=10000,
     stop_rule=None,
+    deadline=None,
     callback=None,
 ):
     """Frank-Wolfe with a single LMO call per iteration.
@@ -368,6 +379,8 @@ def vanilla_fw(
     fw_gap_tol : stop once the Frank-Wolfe gap falls below this
     stop_rule : optional callable x -> threshold; stop once the gap at x is
         at most stop_rule(x)
+    deadline : optional time.perf_counter() value; stop with termination
+        time_limit once it has passed
     callback : optional, called with a dict after every step
 
     Returns (x, FwStats).  The reported gap is always evaluated at the
@@ -381,7 +394,8 @@ def vanilla_fw(
 
     x = np.array(x0, dtype=float)
     return _inner_loop(
-        objective, lmo, x, step, fw_gap_tol, max_iters, stop_rule, callback, {}
+        objective, lmo, x, step, fw_gap_tol, max_iters, stop_rule, deadline,
+        callback, {},
     )
 
 
@@ -394,6 +408,7 @@ def bpcg(
     fw_gap_tol=1e-7,
     max_iters=10000,
     stop_rule=None,
+    deadline=None,
     callback=None,
 ):
     """Blended pairwise conditional gradients over a polytope.
@@ -416,7 +431,7 @@ def bpcg(
         away_idx, local_idx = active_set.extremes(grad)
         atoms = active_set.vertices
         away, local = atoms[away_idx], atoms[local_idx]
-        local_gap = float(np.dot(grad, away - local))
+        local_gap = float((away - local).dot(grad))
         if local_gap >= gap and away_idx != local_idx:
             # transfer weight from the away atom toward the local atom
             d = local - away
@@ -436,6 +451,7 @@ def bpcg(
     x = active_set.iterate.copy()
     extra = {"active_set": active_set}
     x, stats = _inner_loop(
-        objective, lmo, x, step, fw_gap_tol, max_iters, stop_rule, callback, extra
+        objective, lmo, x, step, fw_gap_tol, max_iters, stop_rule, deadline,
+        callback, extra,
     )
     return x, active_set, stats

@@ -23,7 +23,7 @@ class LinearMinimizationOracle:
             raise ValueError(
                 f"cost vector has shape {c.shape}, expected ({self.dimension},)"
             )
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("cost vector has non-finite entries")
         self.call_count += 1
         return self._minimize(c)
@@ -40,7 +40,7 @@ class ProbabilitySimplex(LinearMinimizationOracle):
 
     def _minimize(self, c):
         v = np.zeros(self.dimension)
-        v[int(np.argmin(c))] = 1.0  # ties resolve to the lowest index
+        v[c.argmin()] = 1.0  # ties resolve to the lowest index
         return v
 
     def contains(self, x, tol=1e-9):

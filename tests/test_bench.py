@@ -277,23 +277,24 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="repeats"):
             load_results(tmp_path)
 
-    # (outer_iters, lmo_calls) of every variant at outer cap 20, inner cap 500;
-    # a refactor of the solvers must leave them exactly as they are
-    PINNED_COUNTS = {
-        ("quad-n10-s0", "DCA-FW"): (20, 10020),
-        ("quad-n10-s0", "DCA-FW-ES"): (20, 6118),
-        ("quad-n10-s0", "DCA-BPCG"): (10, 78),
-        ("quad-n10-s0", "DCA-BPCG-ES"): (9, 29),
-        ("quad-n10-s0", "DCA-BPCG-WS"): (10, 71),
-        ("quad-n10-s0", "DCA-BPCG-WS-ES"): (9, 21),
-        ("quad-n10-s0", "DCA-BPCG-WS-ES-BT"): (9, 21),
-        ("hard-n10-s0", "DCA-FW"): (20, 10020),
-        ("hard-n10-s0", "DCA-FW-ES"): (12, 222),
-        ("hard-n10-s0", "DCA-BPCG"): (12, 1090),
-        ("hard-n10-s0", "DCA-BPCG-ES"): (11, 209),
-        ("hard-n10-s0", "DCA-BPCG-WS"): (12, 1062),
-        ("hard-n10-s0", "DCA-BPCG-WS-ES"): (13, 191),
-        ("hard-n10-s0", "DCA-BPCG-WS-ES-BT"): (13, 191),
+    # (outer_iters, lmo_calls, final objective) of every variant at outer cap
+    # 20, inner cap 500; a refactor of the solvers must leave them exactly as
+    # they are, down to the last bit of the objective
+    PINNED_RUNS = {
+        ("quad-n10-s0", "DCA-FW"): (20, 10020, -1.9714430887410843),
+        ("quad-n10-s0", "DCA-FW-ES"): (20, 6118, -1.9713570097485291),
+        ("quad-n10-s0", "DCA-BPCG"): (10, 78, -1.9716425373437267),
+        ("quad-n10-s0", "DCA-BPCG-ES"): (9, 29, -1.9716425338530648),
+        ("quad-n10-s0", "DCA-BPCG-WS"): (10, 71, -1.9716425373437216),
+        ("quad-n10-s0", "DCA-BPCG-WS-ES"): (9, 21, -1.9716424059057402),
+        ("quad-n10-s0", "DCA-BPCG-WS-ES-BT"): (9, 21, -1.9716424059057402),
+        ("hard-n10-s0", "DCA-FW"): (20, 10020, -8400.044418079458),
+        ("hard-n10-s0", "DCA-FW-ES"): (12, 222, -8400.095570373176),
+        ("hard-n10-s0", "DCA-BPCG"): (12, 1090, -8400.095570424952),
+        ("hard-n10-s0", "DCA-BPCG-ES"): (11, 209, -8400.09557044799),
+        ("hard-n10-s0", "DCA-BPCG-WS"): (12, 1062, -8400.095570424952),
+        ("hard-n10-s0", "DCA-BPCG-WS-ES"): (13, 191, -8400.09557040298),
+        ("hard-n10-s0", "DCA-BPCG-WS-ES-BT"): (13, 191, -8400.09557040298),
     }
 
     def test_pinned_counts(self):
@@ -302,8 +303,10 @@ class TestRunSuite:
             for r in run_suite(
                 suite, [10], [0], list(VARIANTS), outer_cap=20, inner_cap=500
             ):
-                got[(r.instance, r.variant)] = (r.outer_iters, r.lmo_calls)
-        assert got == self.PINNED_COUNTS
+                got[(r.instance, r.variant)] = (
+                    r.outer_iters, r.lmo_calls, r.final_objective
+                )
+        assert got == self.PINNED_RUNS
 
     def test_argument_validation(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Outer solver: linearization, gap bounds, the adaptive stop threshold, and
 full DCA runs."""
 
+import time
 from unittest import mock
 
 import numpy as np
@@ -129,6 +130,50 @@ class TestLinearize:
         bad_f = DcProblem(lambda x: np.inf, goodv, good, goodv, n, lmo)
         with pytest.raises(OracleFailure):
             linearize(bad_f, x)
+
+
+class TestSubproblemGrad:
+    def _counted(self, n=10):
+        problem = gen_quadratic_dc(n, 0).problem()
+        problem.f_grad = Counter(problem.f_grad)
+        x0 = np.full(n, 1.0 / n)
+        return linearize(problem, x0), problem.f_grad, x0
+
+    def test_same_point_calls_f_grad_once(self):
+        sub, f_grad, x = self._counted()
+        first = sub.grad(x)
+        assert sub.grad(x.copy()) is first
+        assert f_grad.calls == 1
+
+    def test_signed_zero_or_other_point_recomputes(self):
+        sub, f_grad, _ = self._counted()
+        x = np.eye(10)[0]
+        signed = x.copy()
+        signed[1] = -0.0  # equal to x by ==, but other bits
+        g = sub.grad(x)
+        assert np.array_equal(sub.grad(signed), g)
+        assert f_grad.calls == 2
+        sub.grad(np.eye(10)[1])
+        sub.grad(x)  # one entry: x was displaced
+        assert f_grad.calls == 4
+
+    def test_cached_gradient_is_read_only(self):
+        sub, _, x = self._counted()
+        g = sub.grad(x)
+        with pytest.raises(ValueError):
+            g[0] = 1.0
+        assert np.array_equal(sub.grad(x), g)
+
+    def test_capped_fw_makes_two_gradient_calls_per_iteration(self):
+        # the secant search takes two gradients per step on a quadratic; its
+        # last probe is the next iterate, whose gradient the loop reuses
+        sub, f_grad, x0 = self._counted()
+        k = 25
+        _, stats = vanilla_fw(
+            sub, sub.problem.lmo, x0, Secant(), fw_gap_tol=1e-15, max_iters=k
+        )
+        assert stats.termination == "iter_cap" and stats.iterations == k
+        assert f_grad.calls == 2 * k + 1
 
 
 class TestDcGapBounds:
@@ -439,6 +484,25 @@ class TestDcaSolve:
         )
         x, record = dca_solve(inst.problem(), np.full(30, 1.0 / 30.0), cfg)
         assert record.termination == "time_limit"
+
+    def test_time_limit_stops_inside_an_inner_solve(self):
+        # one capped inner solve at n = 100 takes about 0.4 s, so a limit
+        # checked only between outer steps overruns 0.2 s by that much
+        limit = 0.2
+        cfg = DcaConfig(
+            subsolver="fw",
+            stop_mode="fixed",
+            dca_gap_tol=1e-14,
+            fw_gap_tol=1e-14,
+            time_limit_seconds=limit,
+        )
+        problem = gen_quadratic_dc(100, 0).problem()
+        started = time.perf_counter()
+        _, record = dca_solve(problem, np.full(100, 0.01), cfg)
+        elapsed = time.perf_counter() - started
+        assert record.termination == "time_limit"
+        assert record.inner_iters[-1] < cfg.max_inner_iters
+        assert elapsed < limit + 0.1
 
     def test_iteration_cap_label(self):
         inst = gen_quadratic_dc(10, 0)

@@ -1,5 +1,7 @@
 """Frank-Wolfe machinery: gap, line searches, active sets, both solvers."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,28 @@ def test_fw_gap_worked_example():
     assert fw_gap(grad, x, v) == pytest.approx(1.0, abs=1e-15)
 
 
+def _last_argmin(values):
+    v = np.where(np.isfinite(values), values, np.inf)
+    return len(v) - 1 - int(np.argmin(v[::-1]))
+
+
+def _grid_reference(value_fn, x, d, gamma_max, points=11):
+    """The two-level search with every probe evaluated, the fine grid's two
+    ends included: 2 * points evaluations."""
+    if gamma_max <= 0:
+        return 0.0
+    coarse = np.linspace(0.0, gamma_max, points)
+    vals = np.array([float(value_fn(x + g * d)) for g in coarse])
+    if not np.any(np.isfinite(vals)):
+        return 0.0
+    i = _last_argmin(vals)
+    lo, hi = coarse[max(i - 1, 0)], coarse[min(i + 1, points - 1)]
+    fine = np.linspace(lo, hi, points)
+    fine_vals = np.array([float(value_fn(x + g * d)) for g in fine])
+    candidates = np.concatenate([coarse, fine])
+    return float(candidates[_last_argmin(np.concatenate([vals, fine_vals]))])
+
+
 class TestGridTwoLevel:
     def test_flat_objective_returns_gamma_max(self):
         got = grid_two_level(lambda z: 0.0, np.zeros(1), np.ones(1), 0.7)
@@ -69,6 +93,34 @@ class TestGridTwoLevel:
             got = grid_two_level(value, np.zeros(1), np.ones(1), gamma_max)
             best = min(target, gamma_max)
             assert abs(got - best) <= 0.0101 * gamma_max
+
+    @pytest.mark.parametrize("target", [-1.0, 0.37, 2.0])
+    def test_fine_grid_ends_are_not_evaluated_again(self, target):
+        # minimum at the first, an interior and the last coarse point
+        value = Counter(lambda z: (float(z[0]) - target) ** 2)
+        grid_two_level(value, np.zeros(1), np.ones(1), 1.0)
+        assert value.calls == 20
+
+    def test_matches_full_evaluation_reference(self):
+        # rounded profiles tie often; some turn NaN past a cutoff
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            c = rng.standard_normal(5)
+            decimals = int(rng.integers(0, 4))
+            cutoff = rng.uniform(-1.0, 3.0) if rng.random() < 0.3 else np.inf
+            x, d = rng.standard_normal(3), rng.standard_normal(3)
+            w = rng.standard_normal(3)
+
+            def value(z):
+                t = float(w @ z)
+                if t > cutoff:
+                    return np.nan
+                poly = c[0] + c[1] * t + c[2] * t * t
+                return round(poly + c[3] * np.sin(c[4] * t), decimals)
+
+            gamma_max = rng.uniform(0.01, 2.0)
+            got = grid_two_level(value, x, d, gamma_max)
+            assert got == _grid_reference(value, x, d, gamma_max)
 
 
 class TestSecantLineSearch:
@@ -418,6 +470,37 @@ class TestVanillaFw:
         assert stats.termination == "iter_cap"
         assert stats.iterations == 3 and stats.lmo_calls == 4
 
+    def test_passed_deadline_stops_with_time_limit(self):
+        rng = np.random.default_rng(9)
+        Q = random_pd_matrix(rng, 5)
+        value, grad = quad_value_grad(Q, rng.standard_normal(5))
+        obj = make_objective(value, grad)
+        lmo = ProbabilitySimplex(5)
+        x0 = np.full(5, 0.2)
+        x, stats = vanilla_fw(
+            obj, lmo, x0, Secant(), fw_gap_tol=1e-16, deadline=time.perf_counter()
+        )
+        assert stats.termination == "time_limit"
+        assert stats.iterations == 0 and stats.lmo_calls == 1
+        # the reported gap is the one at the returned iterate
+        assert np.array_equal(x, x0)
+        assert stats.final_fw_gap == fw_gap(grad(x0), x0, lmo(grad(x0)))
+
+    def test_future_deadline_changes_nothing(self):
+        rng = np.random.default_rng(9)
+        Q = random_pd_matrix(rng, 5)
+        value, grad = quad_value_grad(Q, rng.standard_normal(5))
+        obj = make_objective(value, grad)
+        runs = [
+            vanilla_fw(
+                obj, ProbabilitySimplex(5), np.full(5, 0.2), Secant(),
+                fw_gap_tol=1e-12, max_iters=300, deadline=deadline,
+            )
+            for deadline in (None, time.perf_counter() + 1e6)
+        ]
+        (x1, s1), (x2, s2) = runs
+        assert np.array_equal(x1, x2) and s1 == s2
+
     def test_stagnation_label(self):
         rng = np.random.default_rng(10)
         Q = random_pd_matrix(rng, 4)
@@ -565,3 +648,14 @@ class TestBpcg:
         )
         assert stats.termination == "stop_rule"
         assert stats.final_fw_gap <= 1e-3
+
+    def test_passed_deadline_stops_with_time_limit(self):
+        y = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
+        obj, lmo = self._projection_problem(5, y)
+        start = ActiveSet.from_vertex(np.eye(5)[0])
+        x, out_set, stats = bpcg(
+            obj, lmo, start, Secant(), fw_gap_tol=1e-16, deadline=time.perf_counter()
+        )
+        assert stats.termination == "time_limit"
+        assert stats.iterations == 0 and stats.lmo_calls == 1
+        assert len(out_set) == 1 and np.array_equal(x, np.eye(5)[0])

@@ -23,6 +23,14 @@ from helpers import (
     rand_simplex,
 )
 
+# fresh oracles per test, since each counts its calls
+ORACLE_FACTORIES = [
+    lambda: ProbabilitySimplex(4),
+    lambda: L1Ball(4, 1.0),
+    lambda: KSparsePolytope(4, tau=1.0, k=2),
+    lambda: BirkhoffPolytope(3),
+]
+
 finite_coeffs = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=3, max_size=3
 )
@@ -229,6 +237,28 @@ class TestOracleProtocol:
         bad[0] = np.inf
         with pytest.raises(ValueError):
             lmo(bad)
+
+    @pytest.mark.parametrize("make", ORACLE_FACTORIES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_entry_is_rejected(self, make, bad):
+        lmo = make()
+        for i in range(lmo.dimension):
+            c = np.ones(lmo.dimension)
+            c[i] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                lmo(c)
+        assert lmo.call_count == 0
+
+    @pytest.mark.parametrize("make", ORACLE_FACTORIES)
+    def test_huge_finite_entries_are_accepted(self, make):
+        lmo = make()
+        rng = np.random.default_rng(3)
+        c = rng.choice([-1.0, 1.0], lmo.dimension) * rng.uniform(
+            1e199, 1e200, lmo.dimension
+        )
+        v = lmo(c)
+        assert lmo.call_count == 1
+        assert lmo.contains(v)
 
     @settings(max_examples=50)
     @given(
