@@ -12,7 +12,6 @@ from .bench import (
     performance_profile,
     run_suite,
     shifted_geomean,
-    shifted_objective_traces,
     summarize_table,
     variant_config,
 )
@@ -47,15 +46,12 @@ from .lmo import (
     birkhoff_lmo,
 )
 from .problems import (
-    HardDcInstance,
-    QuadraticDcInstance,
     gen_hard_dc,
     gen_quadratic_dc,
     initial_point,
     qap_dc_oracles,
 )
 from .qaplib import (
-    ParseReport,
     QapInstance,
     QaplibParseError,
     parse_qaplib,
@@ -71,16 +67,13 @@ __all__ = [
     "DcProblem",
     "DcaConfig",
     "FwStats",
-    "HardDcInstance",
     "KSparsePolytope",
     "L1Ball",
     "LinearMinimizationOracle",
     "OracleFailure",
-    "ParseReport",
     "ProbabilitySimplex",
     "QapInstance",
     "QaplibParseError",
-    "QuadraticDcInstance",
     "RunRecord",
     "Secant",
     "Subproblem",
@@ -105,7 +98,6 @@ __all__ = [
     "secant_line_search",
     "serialize_qaplib",
     "shifted_geomean",
-    "shifted_objective_traces",
     "summarize_table",
     "vanilla_fw",
     "variant_config",

@@ -426,13 +426,3 @@ def format_table(rows):
         )
     return "\n".join(lines)
 
-
-def shifted_objective_traces(traces):
-    """Shift each variant's objective trace by the minimum across variants.
-
-    traces maps variant -> sequence of objective values; the same additive
-    shift is applied to all variants so the best value becomes zero and every
-    curve is nonnegative, which keeps log-scale plots defined.
-    """
-    low = min(min(vals) for vals in traces.values() if len(vals))
-    return {s: [v - low for v in vals] for s, vals in traces.items()}

@@ -191,19 +191,23 @@ def _last_argmin(values):
     return len(v) - 1 - int(np.argmin(v[::-1]))
 
 
-def grid_two_level(value_fn, x, d, gamma_max):
+def grid_two_level(value_fn, x, d, gamma_max, value0=None):
     """Two-level grid search for min of value(x + gamma * d) on [0, gamma_max].
 
     A coarse equispaced grid locates the best cell, a second grid of the same
     size refines between that point's neighbors; its two ends are coarse
-    points, so a search makes 2 * _GRID_POINTS - 2 evaluations.  Ties prefer
-    larger gamma, so a flat objective returns gamma_max.  When no probe is
-    finite there is nothing to prefer and the search returns 0, no step.
+    points, so a search makes 2 * _GRID_POINTS - 2 evaluations, one fewer
+    when value0, the value at gamma = 0, is given.  Ties prefer larger
+    gamma, so a flat objective returns gamma_max.  When no probe is finite
+    there is nothing to prefer and the search returns 0, no step.
     """
     if gamma_max <= 0:
         return 0.0
     coarse = np.linspace(0.0, gamma_max, _GRID_POINTS)
-    vals = np.array([float(value_fn(x + g * d)) for g in coarse])
+    known = [] if value0 is None else [float(value0)]
+    vals = np.array(
+        known + [float(value_fn(x + g * d)) for g in coarse[len(known) :]]
+    )
     if not np.any(np.isfinite(vals)):
         return 0.0
     i = _last_argmin(vals)

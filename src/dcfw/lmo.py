@@ -5,7 +5,6 @@ counts how many times it has been called.
 """
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 class LinearMinimizationOracle:
@@ -23,7 +22,9 @@ class LinearMinimizationOracle:
             raise ValueError(
                 f"cost vector has shape {c.shape}, expected ({self.dimension},)"
             )
-        if not np.isfinite(c).all():
+        # count_nonzero is a C call; .all() goes through a Python wrapper
+        # that costs more than the check itself at these sizes
+        if np.count_nonzero(np.isfinite(c)) != c.size:
             raise ValueError("cost vector has non-finite entries")
         self.call_count += 1
         return self._minimize(c)
@@ -122,6 +123,9 @@ def birkhoff_lmo(C):
     Solves the linear assignment problem for the n x n cost matrix C and
     returns the optimal permutation as a 0/1 matrix.
     """
+    # imported here, so that importing dcfw does not import scipy
+    from scipy.optimize import linear_sum_assignment
+
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {C.shape}")

@@ -10,7 +10,6 @@ fixed PCG64 draw order.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dca import DcProblem
 from .lmo import BirkhoffPolytope, KSparsePolytope, L1Ball, ProbabilitySimplex
@@ -89,6 +88,9 @@ class HardDcInstance:
     k: int = HARD_K
 
     def problem(self):
+        # imported here, so that importing dcfw does not import scipy
+        from scipy.special import expit
+
         A, B, a, b, c, d, n = self.A, self.B, self.a, self.b, self.c, self.d, self.n
 
         def f_value(x):

@@ -20,7 +20,6 @@ from dcfw import (
     run_suite,
     serialize_qaplib,
     shifted_geomean,
-    shifted_objective_traces,
     summarize_table,
     variant_config,
 )
@@ -32,6 +31,9 @@ from dcfw.bench import (
     format_table,
     write_profile,
 )
+from dcfw.problems import HardDcInstance, QuadraticDcInstance
+
+from helpers import Counter
 
 
 class TestVariantConfig:
@@ -297,16 +299,55 @@ class TestRunSuite:
         ("hard-n10-s0", "DCA-BPCG-WS-ES-BT"): (13, 191, -8400.09557040298),
     }
 
-    def test_pinned_counts(self):
-        got = {}
+    # (f_grad, f_value, g_value) calls of the same runs: each oracle is
+    # evaluated once per point, so a later change that evaluates a point
+    # again shows here
+    PINNED_ORACLE_CALLS = {
+        ("quad-n10-s0", "DCA-FW"): (10026, 21, 21),
+        ("quad-n10-s0", "DCA-FW-ES"): (6120, 6119, 21),
+        ("quad-n10-s0", "DCA-BPCG"): (136, 11, 11),
+        ("quad-n10-s0", "DCA-BPCG-ES"): (40, 21, 10),
+        ("quad-n10-s0", "DCA-BPCG-WS"): (126, 11, 11),
+        ("quad-n10-s0", "DCA-BPCG-WS-ES"): (30, 21, 10),
+        ("quad-n10-s0", "DCA-BPCG-WS-ES-BT"): (30, 192, 181),
+        ("hard-n10-s0", "DCA-FW"): (20686, 21, 21),
+        ("hard-n10-s0", "DCA-FW-ES"): (561, 223, 13),
+        ("hard-n10-s0", "DCA-BPCG"): (2906, 13, 13),
+        ("hard-n10-s0", "DCA-BPCG-ES"): (609, 199, 12),
+        ("hard-n10-s0", "DCA-BPCG-WS"): (2939, 13, 13),
+        ("hard-n10-s0", "DCA-BPCG-WS-ES"): (542, 191, 14),
+        ("hard-n10-s0", "DCA-BPCG-WS-ES-BT"): (542, 438, 261),
+    }
+
+    def test_pinned_counts(self, monkeypatch):
+        oracle_calls = []  # one dict of Counters per run, in run order
+        for cls in (QuadraticDcInstance, HardDcInstance):
+
+            def counted(inst, make=cls.problem):
+                problem = make(inst)
+                calls = {}
+                for name in ("f_grad", "f_value", "g_value"):
+                    calls[name] = Counter(getattr(problem, name))
+                    setattr(problem, name, calls[name])
+                oracle_calls.append(calls)
+                return problem
+
+            monkeypatch.setattr(cls, "problem", counted)
+        results = []
         for suite in ("quadratics", "hard"):
-            for r in run_suite(
+            results += run_suite(
                 suite, [10], [0], list(VARIANTS), outer_cap=20, inner_cap=500
-            ):
-                got[(r.instance, r.variant)] = (
-                    r.outer_iters, r.lmo_calls, r.final_objective
-                )
+            )
+        got, got_calls = {}, {}
+        for r, calls in zip(results, oracle_calls, strict=True):
+            got[(r.instance, r.variant)] = (
+                r.outer_iters, r.lmo_calls, r.final_objective
+            )
+            got_calls[(r.instance, r.variant)] = tuple(
+                calls[name].calls for name in ("f_grad", "f_value", "g_value")
+            )
         assert got == self.PINNED_RUNS
+        assert got_calls == self.PINNED_ORACLE_CALLS
 
     def test_argument_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -443,13 +484,3 @@ class TestSummarizeTable:
         b_line = next(l for l in lines if " B " in l)
         assert "*" in b_line
 
-
-class TestShiftedTraces:
-    def test_common_shift_across_variants(self):
-        shifted = shifted_objective_traces({"A": [3.0, 2.0, 1.5], "B": [4.0, 1.0]})
-        assert shifted["A"] == [2.0, 1.0, 0.5]
-        assert shifted["B"] == [3.0, 0.0]
-
-    def test_empty_trace_preserved(self):
-        shifted = shifted_objective_traces({"A": [2.0], "B": []})
-        assert shifted["A"] == [0.0] and shifted["B"] == []

@@ -260,6 +260,25 @@ class TestEntryPoints:
         for word in ("run", "profile", "table"):
             assert word in proc.stdout
 
+    @pytest.mark.parametrize(
+        "args", [["-c", "import dcfw"], ["-m", "dcfw.cli", "--help"]]
+    )
+    def test_scipy_is_not_imported(self, args):
+        # only the hard family and the Birkhoff LMO need scipy, and they
+        # import it when used; -X importtime lists every module imported
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        imported = [
+            line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "dcfw" in imported
+        assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
     def test_console_script(self, declared_scripts_on_path):
         proc = subprocess.run(["bench", "--help"], capture_output=True, text=True)
         assert proc.returncode == 0

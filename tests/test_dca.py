@@ -17,6 +17,7 @@ from dcfw import (
     L1Ball,
     OracleFailure,
     ProbabilitySimplex,
+    QapInstance,
     Secant,
     Subproblem,
     boosted_step,
@@ -27,6 +28,7 @@ from dcfw import (
     gen_quadratic_dc,
     initial_point,
     linearize,
+    qap_dc_oracles,
     vanilla_fw,
     variant_config,
 )
@@ -131,6 +133,24 @@ class TestLinearize:
         with pytest.raises(OracleFailure):
             linearize(bad_f, x)
 
+    def test_carried_values_replace_f_and_g_calls(self):
+        base = gen_quadratic_dc(5, 3).problem()
+        fv, gv = Counter(base.f_value), Counter(base.g_value)
+        problem = DcProblem(fv, base.f_grad, gv, base.g_subgrad, 5, base.lmo)
+        x = np.full(5, 0.2)
+        f_x, g_x = base.f_value(x), base.g_value(x)
+        carried = linearize(problem, x, f_x, g_x)
+        assert (fv.calls, gv.calls) == (0, 0)
+        fresh = linearize(base, x)
+        assert carried.phi_at_anchor == fresh.phi_at_anchor
+        assert carried.g_at_anchor == fresh.g_at_anchor
+
+    @pytest.mark.parametrize("f_val, g_val", [(np.nan, 0.0), (0.0, np.inf)])
+    def test_non_finite_carried_value_raises(self, f_val, g_val):
+        problem = gen_quadratic_dc(3, 0).problem()
+        with pytest.raises(OracleFailure):
+            linearize(problem, np.full(3, 1.0 / 3.0), f_val, g_val)
+
 
 class TestSubproblemGrad:
     def _counted(self, n=10):
@@ -174,6 +194,94 @@ class TestSubproblemGrad:
         )
         assert stats.termination == "iter_cap" and stats.iterations == k
         assert f_grad.calls == 2 * k + 1
+
+
+class TestVertexTable:
+    """The vanilla-FW subsolver's table of f_grad at LMO vertices."""
+
+    def test_one_f_grad_call_per_iteration_vertex_and_outer_step(self):
+        class RecordingSimplex(ProbabilitySimplex):
+            vertices = set()
+
+            def _minimize(self, c):
+                v = super()._minimize(c)
+                self.vertices.add(v.tobytes())
+                return v
+
+        problem = gen_quadratic_dc(30, 0).problem()
+        problem.f_grad = Counter(problem.f_grad)
+        problem.lmo = RecordingSimplex(30)
+        cfg = DcaConfig(
+            subsolver="fw", stop_mode="fixed", dca_gap_tol=1e-8,
+            fw_gap_tol=1e-9, max_outer_iters=6, max_inner_iters=400,
+        )
+        _, record = dca_solve(problem, np.full(30, 1.0 / 30.0), cfg)
+        vertices = len(RecordingSimplex.vertices)
+        bound = sum(record.inner_iters) + vertices + record.outer_iters
+        assert problem.f_grad.calls <= bound
+        # the table adds no LMO call: the count before the table existed
+        assert problem.lmo.call_count == 2406
+
+    def test_table_keeps_its_bound_on_the_birkhoff_polytope(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        A, B = rng.normal(size=(5, 5)), rng.normal(size=(5, 5))
+        inst = QapInstance("rand5", 5, A, B)
+        cfg = DcaConfig(
+            subsolver="fw", stop_mode="fixed", dca_gap_tol=1e-12,
+            fw_gap_tol=1e-12, max_outer_iters=4, max_inner_iters=300,
+        )
+        x0 = np.full(25, 0.2)
+        tables = []
+
+        def spy(objective, *args, **kwargs):
+            tables.append(objective.vertex_grads)
+            return vanilla_fw(objective, *args, **kwargs)
+
+        _, unbounded = dca_solve(qap_dc_oracles(inst), x0, cfg)
+        monkeypatch.setattr(dcfw.dca, "vanilla_fw", spy)
+        monkeypatch.setattr(dcfw.dca, "VERTEX_TABLE_SIZE", 8)
+        _, bounded = dca_solve(qap_dc_oracles(inst), x0, cfg)
+        # one table for the whole run, full but not over its bound
+        assert all(t is tables[0] for t in tables)
+        assert len(tables[0].grads) == 8
+        assert bounded.objective == unbounded.objective
+        assert bounded.lmo_calls_cum == unbounded.lmo_calls_cum
+
+    def test_stored_gradient_survives_the_oracle_reusing_its_array(self):
+        n = 4
+        rng = np.random.default_rng(0)
+        Q = random_pd_matrix(rng, n)
+        out = np.empty(n)
+
+        def f_grad(x):  # returns the same array every call
+            np.dot(Q, x, out=out)
+            return out
+
+        problem = quadratic_problem(Q, np.zeros(n), n)
+        problem.f_grad = f_grad
+        table = dcfw.dca.VertexTable(problem.lmo)
+        v = table(-np.eye(n)[2])
+        sub = linearize(problem, np.full(n, 1.0 / n))
+        sub.vertex_grads = table
+        sub.grad(v)
+        stored = table.grads[v.tobytes()]
+        assert not stored.flags.writeable and stored is not out
+        sub.grad(np.eye(n)[0])  # overwrites the oracle's array
+        other = linearize(problem, np.eye(n)[1])
+        other.vertex_grads = table
+        assert np.array_equal(other.grad(v), Q @ v - other.g_grad_at_anchor)
+        assert np.array_equal(table.grads[v.tobytes()], Q @ v)
+
+    def test_bpcg_runs_keep_no_table(self, monkeypatch):
+        tables = []
+
+        def spy(objective, *args, **kwargs):
+            tables.append(objective.vertex_grads)
+            return bpcg(objective, *args, **kwargs)
+
+        monkeypatch.setattr(dcfw.dca, "bpcg", spy)
+        dca_solve(gen_quadratic_dc(6, 0).problem(), np.full(6, 1.0 / 6.0), DcaConfig())
+        assert tables and all(t is None for t in tables)
 
 
 class TestDcGapBounds:
@@ -366,6 +474,17 @@ class TestBoostedStep:
         )
         point, gamma = boosted_step(problem, np.array([0.0]), np.array([1.0]))
         assert point[0] == 1.0 and gamma == 1.0
+
+    def test_known_value_at_anchor_saves_one_evaluation(self):
+        base = gen_quadratic_dc(6, 4).problem()
+        problem = gen_quadratic_dc(6, 4).problem()
+        problem.f_value = Counter(problem.f_value)
+        rng = np.random.default_rng(5)
+        x_t, cand = rand_simplex(rng, 6), rand_simplex(rng, 6)
+        point, gamma = boosted_step(problem, x_t, cand, base.phi(x_t))
+        assert problem.f_value.calls == 19
+        want_point, want_gamma = boosted_step(base, x_t, cand)
+        assert gamma == want_gamma and np.array_equal(point, want_point)
 
     def test_never_worse_than_candidate(self):
         inst = gen_quadratic_dc(6, 4)

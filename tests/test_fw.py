@@ -122,6 +122,17 @@ class TestGridTwoLevel:
             got = grid_two_level(value, x, d, gamma_max)
             assert got == _grid_reference(value, x, d, gamma_max)
 
+    def test_known_value_at_zero_saves_one_evaluation(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            c = rng.standard_normal(3)
+            x, d = rng.standard_normal(2), rng.standard_normal(2)
+            value = Counter(lambda z: c[0] + c[1] * z[0] + c[2] * z[1] ** 2)
+            gamma_max = rng.uniform(0.01, 2.0)
+            got = grid_two_level(value, x, d, gamma_max, value(x))
+            assert value.calls == 1 + 19
+            assert got == _grid_reference(value, x, d, gamma_max)
+
 
 class TestSecantLineSearch:
     def test_quadratic_closed_form_and_two_evaluations(self):
