@@ -20,30 +20,20 @@ from .dca import (
     DcProblem,
     OracleFailure,
     RunRecord,
-    Subproblem,
-    boosted_step,
-    dc_gap_bounds,
     dca_solve,
-    linearize,
 )
 from .fw import (
     ActiveSet,
     Agnostic,
-    FwStats,
     Secant,
     bpcg,
-    fw_gap,
-    grid_two_level,
-    secant_line_search,
     vanilla_fw,
 )
 from .lmo import (
     BirkhoffPolytope,
     KSparsePolytope,
-    L1Ball,
     LinearMinimizationOracle,
     ProbabilitySimplex,
-    birkhoff_lmo,
 )
 from .problems import (
     gen_hard_dc,
@@ -66,9 +56,7 @@ __all__ = [
     "BirkhoffPolytope",
     "DcProblem",
     "DcaConfig",
-    "FwStats",
     "KSparsePolytope",
-    "L1Ball",
     "LinearMinimizationOracle",
     "OracleFailure",
     "ProbabilitySimplex",
@@ -76,26 +64,18 @@ __all__ = [
     "QaplibParseError",
     "RunRecord",
     "Secant",
-    "Subproblem",
     "VARIANTS",
-    "birkhoff_lmo",
-    "boosted_step",
     "bpcg",
-    "dc_gap_bounds",
     "dca_solve",
-    "fw_gap",
     "gen_hard_dc",
     "gen_quadratic_dc",
-    "grid_two_level",
     "initial_point",
-    "linearize",
     "load_results",
     "parse_qaplib",
     "performance_profile",
     "qap_dc_oracles",
     "run_suite",
     "scan_directory",
-    "secant_line_search",
     "serialize_qaplib",
     "shifted_geomean",
     "summarize_table",

@@ -5,13 +5,13 @@ profiles.
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .dca import DcaConfig, dca_solve
+from .dca import DcaConfig, RunRecord, dca_solve
 from .problems import gen_hard_dc, gen_quadratic_dc, initial_point, qap_dc_oracles
 from .qaplib import parse_qaplib, scan_directory
 
@@ -52,18 +52,13 @@ METRICS = ("iters", "time", "lmo")
 
 
 def variant_config(name, **overrides):
-    """DcaConfig for a named variant; overrides must not contradict the name."""
+    """DcaConfig for a named variant; overriding a key the name sets raises."""
     if name not in VARIANTS:
         raise ValueError(f"unknown variant {name!r}, choose from {sorted(VARIANTS)}")
-    fields = dict(VARIANTS[name])
-    for key in ("subsolver", "stop_mode", "warm_start", "boosted"):
-        if key in overrides:
-            if overrides[key] != fields[key]:
-                raise ValueError(
-                    f"override {key}={overrides[key]!r} contradicts variant {name}"
-                )
-            overrides = {k: v for k, v in overrides.items() if k != key}
-    return DcaConfig(**fields, **overrides)
+    fixed = sorted(VARIANTS[name].keys() & overrides.keys())
+    if fixed:
+        raise ValueError(f"variant {name} sets {fixed}; choose another variant")
+    return DcaConfig(**VARIANTS[name], **overrides)
 
 
 def default_caps(suite, n):
@@ -189,9 +184,12 @@ def run_suite(
     """
     if fw_gap_tol is None:
         fw_gap_tol = dca_gap_tol / 2.0
-    for v in variants:
-        if v not in VARIANTS:
-            raise ValueError(f"unknown variant {v!r}, choose from {sorted(VARIANTS)}")
+    # built first, so that a bad variant, tolerance or time limit is refused
+    # before any output
+    common = dict(
+        dca_gap_tol=dca_gap_tol, fw_gap_tol=fw_gap_tol, time_limit_seconds=time_limit
+    )
+    configs = {v: variant_config(v, **common) for v in variants}
     for name, values in (("sizes", sizes), ("seeds", seeds), ("variants", variants)):
         if len(set(values)) != len(values):
             raise ValueError(f"{name} {list(values)} repeat an entry")
@@ -212,55 +210,34 @@ def run_suite(
         outer = outer_cap if outer_cap is not None else caps[0]
         inner = inner_cap if inner_cap is not None else caps[1]
         for variant in variants:
-            config = variant_config(
-                variant,
-                dca_gap_tol=dca_gap_tol,
-                fw_gap_tol=fw_gap_tol,
-                max_outer_iters=outer,
-                max_inner_iters=inner,
-                time_limit_seconds=time_limit,
+            config = replace(
+                configs[variant], max_outer_iters=outer, max_inner_iters=inner
             )
             problem = make_problem()  # fresh oracles and LMO counter per run
             x0 = initial_point(problem.lmo)
             started = time.perf_counter()
             try:
-                x, record = dca_solve(problem, x0, config)
+                _, record = dca_solve(problem, x0, config)
+                reason = record.termination
             except Exception as err:  # keep the suite going
-                wall = time.perf_counter() - started
-                result = BenchResult(
-                    instance=instance_id,
-                    variant=variant,
-                    n=n,
-                    seed=seed,
-                    solved=False,
-                    outer_iters=0,
-                    wall_seconds=wall,
-                    lmo_calls=problem.lmo.call_count,
-                    final_objective=float("nan"),
-                    reason=_error_reason(err),
-                )
-            else:
-                wall = time.perf_counter() - started
-                record.instance, record.variant = instance_id, variant
-                record.n, record.seed = n, seed
-                result = BenchResult(
-                    instance=instance_id,
-                    variant=variant,
-                    n=n,
-                    seed=seed,
-                    solved=record.termination == "converged",
-                    outer_iters=record.outer_iters,
-                    wall_seconds=wall,
-                    lmo_calls=problem.lmo.call_count,
-                    final_objective=record.objective[-1]
-                    if record.objective
-                    else record.phi0,
-                    reason=record.termination,
-                )
-                if trace_dir is not None:
-                    path = trace_dir / f"{instance_id}__{variant}.csv"
-                    _write_trace(path, record)
-                    result.trace_path = str(path)
+                # an empty record: no steps, a NaN objective, no termination
+                record, reason = RunRecord(), _error_reason(err)
+            result = BenchResult(
+                instance=instance_id,
+                variant=variant,
+                n=n,
+                seed=seed,
+                solved=reason == "converged",
+                outer_iters=record.outer_iters,
+                wall_seconds=time.perf_counter() - started,
+                lmo_calls=problem.lmo.call_count,
+                final_objective=(record.objective or [record.phi0])[-1],
+                reason=reason,
+            )
+            if trace_dir is not None and record.termination:
+                path = trace_dir / f"{instance_id}__{variant}.csv"
+                _write_trace(path, record)
+                result.trace_path = str(path)
             if results_path is not None:
                 _append_result(results_path, result)
             if log is not None:

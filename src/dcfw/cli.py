@@ -6,12 +6,11 @@ key=value config file can supply any ``run`` option; explicit flags win.
 """
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
 from . import bench
-
-_BOOSTED_FORM = {"DCA-BPCG-WS-ES": "DCA-BPCG-WS-ES-BT", "DCA-BPCG-WS-ES-BT": "DCA-BPCG-WS-ES-BT"}
 
 
 def _int_list(text):
@@ -20,10 +19,6 @@ def _int_list(text):
 
 def _name_list(text):
     return [tok for tok in str(text).split(",") if tok]
-
-
-def _as_bool(text):
-    return str(text).strip().lower() in ("1", "true", "yes", "on")
 
 
 # run options by destination: the add_argument keywords of --<dest with
@@ -45,7 +40,6 @@ RUN_OPTIONS = {
     "inner_cap": dict(type=int),
     "tol": dict(type=float, default=1e-6, help="stationarity gap tolerance"),
     "time_limit": dict(type=float),
-    "boosted": dict(action="store_true", help="use the boosted form of each variant"),
 }
 
 
@@ -63,25 +57,16 @@ def _read_config_file(path):
         option = RUN_OPTIONS.get(key)
         if option is None:
             raise ValueError(f"unknown config key {key!r} in {path}")
-        if option.get("action") == "store_true":
-            opts[key] = _as_bool(value)
-        else:
-            opts[key] = option.get("type", str)(value.strip())
+        opts[key] = option.get("type", str)(value.strip())
     return opts
 
 
 def cmd_run(args):
-    variants = args.variants
-    if args.boosted:
-        missing = [v for v in variants if v not in _BOOSTED_FORM]
-        if missing:
-            raise ValueError(f"no boosted form of {missing}")
-        variants = [_BOOSTED_FORM[v] for v in variants]
     results = bench.run_suite(
         args.suite,
         args.sizes,
         args.seeds,
-        variants,
+        args.variants,
         qaplib_dir=args.qaplib_dir,
         out_dir=args.out,
         dca_gap_tol=args.tol,
@@ -111,11 +96,11 @@ def cmd_profile(args):
 
 def cmd_table(args):
     results = bench.load_results(args.in_dir)
+    if not results:
+        raise ValueError(f"{Path(args.in_dir) / 'results.csv'} has no result rows")
     rows = bench.summarize_table(results)
     print(bench.format_table(rows))
     path = Path(args.in_dir) / "summary.csv"
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

@@ -204,15 +204,17 @@ class DcaConfig:
             raise ValueError(f"unknown stop mode {self.stop_mode!r}")
         if self.warm_start and self.subsolver != "bpcg":
             raise ValueError("warm starts need the bpcg subsolver")
-        if self.dca_gap_tol <= 0 or self.fw_gap_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < tol < np.inf for tol in (self.dca_gap_tol, self.fw_gap_tol)):
+            raise ValueError("tolerances must be positive and finite")
+        if self.time_limit_seconds is not None and not self.time_limit_seconds > 0:
+            raise ValueError("time_limit_seconds must be positive")
         if self.max_outer_iters < 1 or self.max_inner_iters < 1:
             raise ValueError("iteration caps must be at least 1")
 
 
 @dataclass
 class RunRecord:
-    """Per-outer-iteration trace of one run plus metadata."""
+    """Per-outer-iteration trace of one run and how it ended."""
 
     phi0: float = np.nan
     dc_gap_lb: list = field(default_factory=list)
@@ -222,11 +224,6 @@ class RunRecord:
     inner_iters: list = field(default_factory=list)
     elapsed_seconds: list = field(default_factory=list)
     termination: str = ""  # converged | iteration_cap | time_limit | stalled
-    stalls: int = 0
-    instance: str = ""
-    variant: str = ""
-    n: int = 0
-    seed: int | None = None
 
     @property
     def outer_iters(self):
@@ -263,10 +260,10 @@ def dca_solve(problem, x0, config):
     stationarity gap ub = lb + fw_gap falls below config.dca_gap_tol.  With
     the adaptive stop mode the recorded objective never increases.  If a
     subproblem terminates above the anchor value (negative lb) the iterate is
-    kept, the event is counted in record.stalls, and the run ends, since
-    repeating the identical subproblem cannot progress.  A time limit is
-    passed to the subsolver as a deadline, so a run ends with termination
-    time_limit within about one inner iteration of it.
+    kept and the run ends as stalled, since repeating the identical
+    subproblem cannot progress.  A time limit is passed to the subsolver as a
+    deadline, so a run ends with termination time_limit within about one
+    inner iteration of it.
 
     Returns (x_final, RunRecord).
     """
@@ -324,10 +321,8 @@ def dca_solve(problem, x0, config):
             out_set = None
 
         lb, ub = dc_gap_bounds(sub, y, stats.final_fw_gap)
-        stalled = lb < 0
-        if stalled:
-            record.stalls += 1  # iterate kept, objective unchanged
-        else:
+        stalled = lb < 0  # then the iterate is kept, objective unchanged
+        if not stalled:
             gamma = 1.0
             if config.boosted:
                 x, gamma = boosted_step(problem, x, y, phi_x)

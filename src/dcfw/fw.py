@@ -19,6 +19,9 @@ logger = logging.getLogger(__name__)
 _WEIGHT_DRIFT_TOL = 1e-12
 # probes per level of the two-level grid search
 _GRID_POINTS = 11
+# the secant search's derivative tolerance (relative to ||d||) and budget
+_SECANT_TOL = 1e-10
+_SECANT_MAX_EVAL = 40
 
 
 def fw_gap(grad, x, v):
@@ -222,72 +225,72 @@ def grid_two_level(value_fn, x, d, gamma_max, value0=None):
     return float(candidates[_last_argmin(all_vals)])
 
 
-def secant_line_search(
-    value_fn, grad_fn, x, d, gamma_max, tol=1e-10, max_eval=40, dphi0=None
-):
+class _NonFiniteSlope(ArithmeticError):
+    """A directional derivative in the secant search is not finite."""
+
+
+def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0=None):
     """Approximately minimize phi(gamma) = value(x + gamma * d) on [0, gamma_max].
 
     Runs a bracketing secant iteration on phi'(gamma) = <grad(x + gamma*d), d>
-    seeded at gamma = 0 and gamma = gamma_max.  Stops once |phi'| <= tol *
-    ||d|| or after max_eval gradient evaluations; a final value comparison
-    guarantees value(x + gamma*d) <= value(x).  Pass dphi0 = <grad(x), d> when
-    the gradient at x is already available so it is not evaluated again.  On a
-    quadratic the first secant step is exact, so the interior minimizer is
-    found with two gradient evaluations.
+    seeded at gamma = 0 and gamma = gamma_max.  Stops once |phi'| <=
+    _SECANT_TOL * ||d|| or after _SECANT_MAX_EVAL gradient evaluations; a
+    final value comparison guarantees value(x + gamma*d) <= value(x).  Pass
+    dphi0 = <grad(x), d> when the gradient at x is already available so it
+    is not evaluated again.  A non-finite phi' anywhere falls back, with a
+    warning, to grid_two_level.  On a quadratic the first secant step is
+    exact, so the interior minimizer is found with two gradient evaluations.
     """
     if gamma_max <= 0:
         return 0.0
-    # numpy's own formula for the 2-norm of a 1-D array, without its overhead
-    d_scale = tol * math.sqrt(d.dot(d))
-    if dphi0 is None:
-        dphi0 = float(np.dot(grad_fn(x), d))
-    if not math.isfinite(dphi0):
-        logger.warning("non-finite directional derivative, falling back to grid search")
-        return grid_two_level(value_fn, x, d, gamma_max)
-    if dphi0 >= 0:
-        return 0.0
-
     evals = 0
 
     def dphi(g):
         nonlocal evals
         evals += 1
-        return float(d.dot(grad_fn(x + g * d)))
+        slope = float(d.dot(grad_fn(x + g * d)))
+        if not math.isfinite(slope):
+            raise _NonFiniteSlope
+        return slope
 
-    d_hi = dphi(gamma_max)
-    if not math.isfinite(d_hi):
+    try:
+        if dphi0 is None:
+            dphi0 = float(np.dot(grad_fn(x), d))
+        if not math.isfinite(dphi0):
+            raise _NonFiniteSlope
+        if dphi0 >= 0:
+            return 0.0
+        d_hi = dphi(gamma_max)
+        if d_hi <= 0:
+            return float(gamma_max)  # still descending at the cap
+
+        # numpy's own formula for the 2-norm of a 1-D array, without its overhead
+        d_scale = _SECANT_TOL * math.sqrt(d.dot(d))
+        lo, d_lo = 0.0, dphi0
+        hi = float(gamma_max)
+        gamma = hi - d_hi * (hi - lo) / (d_hi - d_lo)
+        converged = False
+        while evals < _SECANT_MAX_EVAL:
+            gamma = min(max(gamma, lo), hi)
+            dg = dphi(gamma)
+            if abs(dg) <= d_scale:
+                converged = True
+                break
+            if dg > 0:
+                hi, d_hi = gamma, dg
+            else:
+                lo, d_lo = gamma, dg
+            if hi - lo <= 1e-17 * gamma_max:
+                break
+            nxt = hi - d_hi * (hi - lo) / (d_hi - d_lo)
+            if nxt == gamma:
+                break
+            gamma = nxt
+    except _NonFiniteSlope:
         logger.warning("non-finite directional derivative, falling back to grid search")
         return grid_two_level(value_fn, x, d, gamma_max)
-    if d_hi <= 0:
-        return float(gamma_max)  # still descending at the cap
 
-    lo, d_lo = 0.0, dphi0
-    hi = float(gamma_max)
-    gamma = hi - d_hi * (hi - lo) / (d_hi - d_lo)
-    converged = False
-    while evals < max_eval:
-        gamma = min(max(gamma, lo), hi)
-        dg = dphi(gamma)
-        if not math.isfinite(dg):
-            logger.warning(
-                "non-finite directional derivative, falling back to grid search"
-            )
-            return grid_two_level(value_fn, x, d, gamma_max)
-        if abs(dg) <= d_scale:
-            converged = True
-            break
-        if dg > 0:
-            hi, d_hi = gamma, dg
-        else:
-            lo, d_lo = gamma, dg
-        if hi - lo <= 1e-17 * gamma_max:
-            break
-        nxt = hi - d_hi * (hi - lo) / (d_hi - d_lo)
-        if nxt == gamma:
-            break
-        gamma = nxt
-
-    # a converged exit cannot ascend by more than (tol*||d||)^2 / curvature,
+    # a converged exit cannot ascend by more than (_SECANT_TOL*||d||)^2 / curvature,
     # far below roundoff for the objectives here; otherwise check values
     if converged:
         return float(gamma)
@@ -310,8 +313,7 @@ class Agnostic:
 
 @dataclass(frozen=True)
 class Secant:
-    """Secant line search on the directional derivative, with the default
-    tolerance and evaluation budget of secant_line_search."""
+    """Secant line search on the directional derivative (secant_line_search)."""
 
     def step(self, objective, x, d, gamma_max, k, dphi0=None):
         return secant_line_search(

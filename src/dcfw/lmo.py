@@ -6,6 +6,9 @@ counts how many times it has been called.
 
 import numpy as np
 
+# slack a point may have in contains() and still count as inside
+_TOL = 1e-9
+
 
 class LinearMinimizationOracle:
     """Base oracle: argmin of <c, v> over the vertices of a polytope."""
@@ -32,7 +35,7 @@ class LinearMinimizationOracle:
     def _minimize(self, c):
         raise NotImplementedError
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         raise NotImplementedError
 
 
@@ -44,29 +47,9 @@ class ProbabilitySimplex(LinearMinimizationOracle):
         v[c.argmin()] = 1.0  # ties resolve to the lowest index
         return v
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return bool(x.min() >= -tol and abs(x.sum() - 1.0) <= tol)
-
-
-class L1Ball(LinearMinimizationOracle):
-    """Scaled cross-polytope {x : ||x||_1 <= radius}."""
-
-    def __init__(self, dimension, radius=1.0):
-        if radius < 0:
-            raise ValueError(f"radius must be nonnegative, got {radius}")
-        super().__init__(dimension)
-        self.radius = float(radius)
-
-    def _minimize(self, c):
-        v = np.zeros(self.dimension)
-        i = int(np.argmax(np.abs(c)))  # ties resolve to the lowest index
-        # sign convention: zero entries count as positive
-        v[i] = -self.radius if c[i] >= 0 else self.radius
-        return v
-
-    def contains(self, x, tol=1e-9):
-        return bool(np.abs(np.asarray(x, dtype=float)).sum() <= self.radius + tol)
+        return bool(x.min() >= -_TOL and abs(x.sum() - 1.0) <= _TOL)
 
 
 class KSparsePolytope(LinearMinimizationOracle):
@@ -91,9 +74,9 @@ class KSparsePolytope(LinearMinimizationOracle):
         v[top] = np.where(c[top] >= 0, -self.tau, self.tau)
         return v
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         a = np.abs(np.asarray(x, dtype=float))
-        return bool(a.max() <= self.tau + tol and a.sum() <= self.k * self.tau + tol)
+        return bool(a.max() <= self.tau + _TOL and a.sum() <= self.k * self.tau + _TOL)
 
 
 class BirkhoffPolytope(LinearMinimizationOracle):
@@ -108,12 +91,12 @@ class BirkhoffPolytope(LinearMinimizationOracle):
     def _minimize(self, c):
         return birkhoff_lmo(c.reshape(self.n, self.n)).ravel()
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         X = np.asarray(x, dtype=float).reshape(self.n, self.n)
         return bool(
-            X.min() >= -tol
-            and np.abs(X.sum(axis=0) - 1.0).max() <= tol
-            and np.abs(X.sum(axis=1) - 1.0).max() <= tol
+            X.min() >= -_TOL
+            and np.abs(X.sum(axis=0) - 1.0).max() <= _TOL
+            and np.abs(X.sum(axis=1) - 1.0).max() <= _TOL
         )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dca import DcProblem
-from .lmo import BirkhoffPolytope, KSparsePolytope, L1Ball, ProbabilitySimplex
+from .lmo import BirkhoffPolytope, KSparsePolytope, ProbabilitySimplex
 
 HARD_TAU = 10.0
 HARD_K = 10
@@ -185,6 +185,6 @@ def initial_point(lmo):
         return np.full(lmo.dimension, 1.0 / lmo.dimension)
     if isinstance(lmo, BirkhoffPolytope):
         return np.full(lmo.dimension, 1.0 / lmo.n)
-    if isinstance(lmo, (KSparsePolytope, L1Ball)):
+    if isinstance(lmo, KSparsePolytope):
         return np.zeros(lmo.dimension)
     raise ValueError(f"no canonical start for {type(lmo).__name__}")

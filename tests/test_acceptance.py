@@ -18,7 +18,6 @@ from dcfw import (
     QapInstance,
     QaplibParseError,
     Secant,
-    birkhoff_lmo,
     bpcg,
     dca_solve,
     gen_hard_dc,
@@ -29,13 +28,13 @@ from dcfw import (
     qap_dc_oracles,
     run_suite,
     scan_directory,
-    secant_line_search,
     shifted_geomean,
     serialize_qaplib,
     vanilla_fw,
     variant_config,
 )
-from dcfw.fw import Agnostic
+from dcfw.fw import Agnostic, secant_line_search
+from dcfw.lmo import birkhoff_lmo
 from helpers import (
     Counter,
     brute_force_assignment,

@@ -65,8 +65,11 @@ class TestVariantConfig:
         with pytest.raises(ValueError):
             variant_config("DCA-FW", stop_mode="adaptive")
 
-    def test_consistent_and_benign_overrides(self):
-        cfg = variant_config("DCA-FW", subsolver="fw", dca_gap_tol=1e-3)
+    def test_only_other_keys_override(self):
+        # a key the name sets raises even when it repeats the variant's value
+        with pytest.raises(ValueError, match="subsolver"):
+            variant_config("DCA-FW", subsolver="fw", dca_gap_tol=1e-3)
+        cfg = variant_config("DCA-FW", dca_gap_tol=1e-3)
         assert cfg.dca_gap_tol == 1e-3
 
     def test_default_caps(self):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dcfw import VARIANTS
+from dcfw.bench import RESULT_FIELDS
 from dcfw.cli import _read_config_file, main
 
 try:
@@ -57,18 +58,22 @@ class TestRun:
         out = capsys.readouterr().out
         assert "1 runs, 1 solved" in out
 
-    def test_boosted_flag_maps_variant(self, tmp_path):
-        assert _run_small(tmp_path, "--boosted") == 0
-        rows = _read_results(tmp_path)
-        assert rows[0]["variant"] == "DCA-BPCG-WS-ES-BT"
+    def test_boosted_flag_exits_2(self, tmp_path, capsys):
+        # the boosted variant is selected by name, --variants DCA-BPCG-WS-ES-BT
+        with pytest.raises(SystemExit) as exc:
+            _run_small(tmp_path / "out", "--boosted")
+        assert exc.value.code == 2
+        assert "--boosted" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_boosted_rejects_variant_without_boosted_form(self, tmp_path, capsys):
-        code = main([
-            "run", "--suite", "quadratics", "--sizes", "6", "--seeds", "0",
-            "--variants", "DCA-FW", "--out", str(tmp_path), "--boosted",
-        ])
-        assert code == 2
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--time-limit", "nan"),
+        ("--time-limit", "0"), ("--time-limit", "-1"),
+    ])
+    def test_bad_tolerance_or_time_limit_exits_2(self, tmp_path, capsys, flag, value):
+        assert _run_small(tmp_path / "out", flag, value) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # refused before any output
 
     def test_unknown_variant_exits_2(self, tmp_path, capsys):
         code = main([
@@ -107,7 +112,7 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--seeds", "0"]) == 0
         assert len(_read_results(out_dir)) == 1
 
-    def test_config_boosted_key(self, tmp_path):
+    def test_config_boosted_key(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(
@@ -115,8 +120,9 @@ class TestRun:
             f"out = {out_dir}\n"
             "boosted = true\nouter-cap = 50\ninner-cap = 2000\n"
         )
-        assert main(["run", "--config", str(cfg)]) == 0
-        assert _read_results(out_dir)[0]["variant"] == "DCA-BPCG-WS-ES-BT"
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "'boosted'" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -214,6 +220,13 @@ class TestProfileAndTable:
         with open(out_dir / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["variant"] for r in rows} == {"DCA-BPCG-ES", "DCA-BPCG-WS-ES"}
+
+    def test_table_without_rows_exits_2(self, tmp_path, capsys):
+        (tmp_path / "results.csv").write_text(",".join(RESULT_FIELDS) + "\n")
+        assert main(["table", "--in", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no result rows" in err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_missing_results_dir_exits_2(self, tmp_path, capsys):
         code = main(["profile", "--in", str(tmp_path / "nope"), "--metric", "lmo"])

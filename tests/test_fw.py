@@ -1,5 +1,6 @@
 """Frank-Wolfe machinery: gap, line searches, active sets, both solvers."""
 
+import logging
 import time
 
 import numpy as np
@@ -13,13 +14,11 @@ from dcfw import (
     ProbabilitySimplex,
     Secant,
     bpcg,
-    fw_gap,
     gen_quadratic_dc,
-    grid_two_level,
-    linearize,
-    secant_line_search,
     vanilla_fw,
 )
+from dcfw.dca import linearize
+from dcfw.fw import fw_gap, grid_two_level, secant_line_search
 
 from helpers import (
     Counter,
@@ -184,13 +183,30 @@ class TestSecantLineSearch:
         assert abs(got - target) <= 0.0101
         assert value(np.array([got])) <= value(np.zeros(1))
 
+    @pytest.mark.parametrize("where", ["dphi0", "interior"])
+    def test_each_non_finite_derivative_falls_back_to_grid(self, where, caplog):
+        # phi(gamma) = (gamma - 0.4)^2 along d = 1 from x = 0, with a NaN
+        # gradient only at gamma = 0 or only strictly inside (0, 1); the
+        # test above puts it at gamma_max
+        def grad(z):
+            g = float(z[0])
+            bad = g == 0.0 if where == "dphi0" else 0.0 < g < 1.0
+            return np.array([np.nan if bad else 2.0 * (g - 0.4)])
+
+        value = lambda z: (float(z[0]) - 0.4) ** 2
+        x, d = np.zeros(1), np.ones(1)
+        with caplog.at_level(logging.WARNING, logger="dcfw.fw"):
+            got = secant_line_search(value, grad, x, d, 1.0)
+        assert "falling back to grid search" in caplog.text
+        assert got == grid_two_level(value, x, d, 1.0)
+
     def test_safeguard_rejects_fake_descent(self):
         # derivative oracle oscillates so the secant never settles; the value
         # oracle only increases, so the safeguard must refuse to move
         value = lambda z: float(z[0])
         flip = Counter(lambda z: np.array([1.0 if flip.calls % 2 else -1.0]))
         got = secant_line_search(
-            value, flip, np.zeros(1), np.ones(1), 1.0, max_eval=4, dphi0=-1.0
+            value, flip, np.zeros(1), np.ones(1), 1.0, dphi0=-1.0
         )
         assert got == 0.0
 

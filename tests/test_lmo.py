@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from dcfw import (
     BirkhoffPolytope,
     KSparsePolytope,
-    L1Ball,
     ProbabilitySimplex,
-    birkhoff_lmo,
 )
+from dcfw.lmo import birkhoff_lmo
 
 from helpers import (
     assignment_costs,
@@ -26,7 +25,7 @@ from helpers import (
 # fresh oracles per test, since each counts its calls
 ORACLE_FACTORIES = [
     lambda: ProbabilitySimplex(4),
-    lambda: L1Ball(4, 1.0),
+    lambda: KSparsePolytope(4, tau=1.0, k=1),
     lambda: KSparsePolytope(4, tau=1.0, k=2),
     lambda: BirkhoffPolytope(3),
 ]
@@ -72,17 +71,19 @@ class TestSimplex:
 
 
 class TestL1Ball:
+    """The l1 ball of radius tau is the k = 1 case of KSparsePolytope."""
+
     def test_worked_example(self):
-        v = L1Ball(3, 1.0)(np.array([0.0, -2.0, 1.0]))
+        v = KSparsePolytope(3, tau=1.0, k=1)(np.array([0.0, -2.0, 1.0]))
         assert np.array_equal(v, [0.0, 1.0, 0.0])
 
     def test_zero_cost_tie_rule(self):
-        v = L1Ball(3, 2.5)(np.zeros(3))
+        v = KSparsePolytope(3, tau=2.5, k=1)(np.zeros(3))
         assert np.array_equal(v, [-2.5, 0.0, 0.0])
 
     def test_vertex_structure(self):
         rng = np.random.default_rng(1)
-        lmo = L1Ball(5, 3.0)
+        lmo = KSparsePolytope(5, tau=3.0, k=1)
         for _ in range(100):
             v = lmo(rng.standard_normal(5))
             nz = v[v != 0.0]
@@ -92,13 +93,13 @@ class TestL1Ball:
         rng = np.random.default_rng(2)
         r = 2.0
         vertices = np.vstack([r * np.eye(4), -r * np.eye(4)])
-        lmo = L1Ball(4, r)
+        lmo = KSparsePolytope(4, tau=r, k=1)
         for _ in range(100):
             c = rng.standard_normal(4)
             assert c @ lmo(c) == (vertices @ c).min()
 
     def test_contains(self):
-        lmo = L1Ball(3, 1.0)
+        lmo = KSparsePolytope(3, tau=1.0, k=1)
         assert lmo.contains(np.array([0.3, -0.4, 0.3]))
         assert not lmo.contains(np.array([0.8, -0.4, 0.3]))
 
@@ -222,7 +223,7 @@ class TestOracleProtocol:
         "lmo",
         [
             ProbabilitySimplex(4),
-            L1Ball(4, 1.0),
+            KSparsePolytope(4, tau=1.0, k=1),
             KSparsePolytope(4, tau=1.0, k=2),
             BirkhoffPolytope(2),
         ],

@@ -6,7 +6,6 @@ import pytest
 from dcfw import (
     BirkhoffPolytope,
     KSparsePolytope,
-    L1Ball,
     ProbabilitySimplex,
     QapInstance,
     gen_hard_dc,
@@ -160,7 +159,7 @@ class TestInitialPoint:
         assert lmo.contains(x)
 
     def test_sparse_regions_start_at_zero(self):
-        for lmo in (KSparsePolytope(6, 10.0, 3), L1Ball(6, 2.0)):
+        for lmo in (KSparsePolytope(6, 10.0, 3), KSparsePolytope(6, 2.0, 1)):
             x = initial_point(lmo)
             assert np.array_equal(x, np.zeros(6))
             assert lmo.contains(x)

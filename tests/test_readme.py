@@ -1,0 +1,28 @@
+"""The README's library example runs against the package's public names."""
+
+import re
+from pathlib import Path
+
+import dcfw
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_usage_block():
+    section = README.read_text().split("## Library usage", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_usage_block_runs(capsys):
+    block = _library_usage_block()
+    imported = re.search(r"^from dcfw import (.+)$", block, re.M).group(1)
+    assert {name.strip() for name in imported.split(",")} <= set(dcfw.__all__)
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.startswith("converged ")
+
+
+def test_every_exported_name_resolves():
+    assert len(set(dcfw.__all__)) == len(dcfw.__all__)
+    namespace = {}
+    exec("from dcfw import *", namespace)  # raises for a name that is missing
+    assert set(dcfw.__all__) <= namespace.keys()
