@@ -97,10 +97,10 @@ def _iter_instances(suite, sizes, seeds, qaplib_dir):
         if qaplib_dir is None:
             raise ValueError("the qap suite needs a directory of instance files")
         report = scan_directory(qaplib_dir)
-        limit = max(sizes) if sizes else None
+        limit = max(sizes)
         for name in report.valid:
             inst = parse_qaplib((Path(qaplib_dir) / f"{name}.dat").read_bytes(), name)
-            if limit is not None and inst.n > limit:
+            if inst.n > limit:
                 continue
             yield name, inst.n, 0, (lambda inst=inst: qap_dc_oracles(inst))
         return
@@ -179,8 +179,8 @@ def run_suite(
     out_dir as each run finishes; a failing run is recorded as unsolved and
     the suite continues.  An out_dir that already holds a results.csv, or a
     repeated size, seed or variant, is refused, since either would record
-    one (instance, variant) pair twice.  Returns the list of BenchResult
-    rows.
+    one (instance, variant) pair twice, and so is an empty list or a cap
+    below 1.  Returns the list of BenchResult rows.
     """
     if fw_gap_tol is None:
         fw_gap_tol = dca_gap_tol / 2.0
@@ -191,8 +191,13 @@ def run_suite(
     )
     configs = {v: variant_config(v, **common) for v in variants}
     for name, values in (("sizes", sizes), ("seeds", seeds), ("variants", variants)):
+        if not len(values):
+            raise ValueError(f"{name} is empty; the suite would run nothing")
         if len(set(values)) != len(values):
             raise ValueError(f"{name} {list(values)} repeat an entry")
+    for name, cap in (("outer_cap", outer_cap), ("inner_cap", inner_cap)):
+        if cap is not None and cap < 1:
+            raise ValueError(f"{name} must be at least 1, got {cap}")
     trace_dir = results_path = None
     if out_dir is not None:
         out = Path(out_dir)

@@ -180,7 +180,6 @@ class FwStats:
     """Counters and outcome of one inner solve."""
 
     iterations: int = 0
-    lmo_calls: int = 0
     final_fw_gap: float = np.inf
     termination: str = ""  # gap_tol | stop_rule | iter_cap | time_limit | stagnation
     fw_steps: int = 0
@@ -313,9 +312,16 @@ class Agnostic:
 
 @dataclass(frozen=True)
 class Secant:
-    """Secant line search on the directional derivative (secant_line_search)."""
+    """Secant line search on the directional derivative (secant_line_search).
+
+    An objective whose ``quadratic`` attribute is true is minimized along d
+    in closed form by its ``quadratic_step(x, d, gamma_max, dphi0)`` instead;
+    dphi0 must then be given.
+    """
 
     def step(self, objective, x, d, gamma_max, k, dphi0=None):
+        if getattr(objective, "quadratic", False):
+            return objective.quadratic_step(x, d, gamma_max, dphi0)
         return secant_line_search(
             objective.value, objective.grad, x, d, gamma_max, dphi0=dphi0
         )
@@ -332,7 +338,6 @@ def _inner_loop(
     for k in range(max_iters + 1):
         grad = objective.grad(x)
         v = lmo(grad)
-        stats.lmo_calls += 1
         gap = fw_gap(grad, x, v)
         stats.final_fw_gap = gap
         if gap <= fw_gap_tol:
@@ -390,7 +395,7 @@ def vanilla_fw(
     callback : optional, called with a dict after every step
 
     Returns (x, FwStats).  The reported gap is always evaluated at the
-    returned iterate, and lmo_calls <= iterations + 1.
+    returned iterate, and the solve calls lmo iterations + 1 times.
     """
 
     def step(k, x, grad, v, gap):

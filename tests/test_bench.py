@@ -174,6 +174,24 @@ class TestRunSuite:
         loaded = load_results(tmp_path)
         assert [r.reason for r in loaded] == ["error:RuntimeError: boom"] * 2
 
+    def test_false_quadratic_declaration_is_recorded(self, monkeypatch):
+        make = HardDcInstance.problem
+
+        def declared(inst):
+            problem = make(inst)
+            problem.f_quadratic = True
+            return problem
+
+        monkeypatch.setattr(HardDcInstance, "problem", declared)
+        fw, bpcg = run_suite(
+            "hard", [10], [0], ["DCA-FW", "DCA-BPCG-ES"], outer_cap=20, inner_cap=500
+        )
+        assert fw.reason.startswith("error:OracleFailure: f is declared quadratic but")
+        # BPCG does not take the closed-form step, so the flag changes nothing
+        assert (bpcg.outer_iters, bpcg.lmo_calls, bpcg.final_objective) == (
+            self.PINNED_RUNS[("hard-n10-s0", "DCA-BPCG-ES")]
+        )
+
     @pytest.mark.parametrize(
         "message, reason",
         [
@@ -284,10 +302,12 @@ class TestRunSuite:
 
     # (outer_iters, lmo_calls, final objective) of every variant at outer cap
     # 20, inner cap 500; a refactor of the solvers must leave them exactly as
-    # they are, down to the last bit of the objective
+    # they are, down to the last bit of the objective.  The quadratic FW rows
+    # take the closed-form step, whose objectives differ from the secant
+    # search's in the 15th digit.
     PINNED_RUNS = {
-        ("quad-n10-s0", "DCA-FW"): (20, 10020, -1.9714430887410843),
-        ("quad-n10-s0", "DCA-FW-ES"): (20, 6118, -1.9713570097485291),
+        ("quad-n10-s0", "DCA-FW"): (20, 10020, -1.9714430887410865),
+        ("quad-n10-s0", "DCA-FW-ES"): (20, 6118, -1.9713570097485391),
         ("quad-n10-s0", "DCA-BPCG"): (10, 78, -1.9716425373437267),
         ("quad-n10-s0", "DCA-BPCG-ES"): (9, 29, -1.9716425338530648),
         ("quad-n10-s0", "DCA-BPCG-WS"): (10, 71, -1.9716425373437216),
@@ -304,22 +324,23 @@ class TestRunSuite:
 
     # (f_grad, f_value, g_value) calls of the same runs: each oracle is
     # evaluated once per point, so a later change that evaluates a point
-    # again shows here
+    # again shows here.  On the quadratic FW rows f_grad is called once per
+    # distinct vertex and once per outer step, at the iterate certify checks.
     PINNED_ORACLE_CALLS = {
-        ("quad-n10-s0", "DCA-FW"): (10026, 21, 21),
-        ("quad-n10-s0", "DCA-FW-ES"): (6120, 6119, 21),
-        ("quad-n10-s0", "DCA-BPCG"): (136, 11, 11),
-        ("quad-n10-s0", "DCA-BPCG-ES"): (40, 21, 10),
-        ("quad-n10-s0", "DCA-BPCG-WS"): (126, 11, 11),
-        ("quad-n10-s0", "DCA-BPCG-WS-ES"): (30, 21, 10),
-        ("quad-n10-s0", "DCA-BPCG-WS-ES-BT"): (30, 192, 181),
-        ("hard-n10-s0", "DCA-FW"): (20686, 21, 21),
-        ("hard-n10-s0", "DCA-FW-ES"): (561, 223, 13),
-        ("hard-n10-s0", "DCA-BPCG"): (2906, 13, 13),
-        ("hard-n10-s0", "DCA-BPCG-ES"): (609, 199, 12),
-        ("hard-n10-s0", "DCA-BPCG-WS"): (2939, 13, 13),
-        ("hard-n10-s0", "DCA-BPCG-WS-ES"): (542, 191, 14),
-        ("hard-n10-s0", "DCA-BPCG-WS-ES-BT"): (542, 438, 261),
+        ("quad-n10-s0", "DCA-FW"): (27, 21, 21),
+        ("quad-n10-s0", "DCA-FW-ES"): (23, 21, 21),
+        ("quad-n10-s0", "DCA-BPCG"): (127, 11, 11),
+        ("quad-n10-s0", "DCA-BPCG-ES"): (32, 21, 10),
+        ("quad-n10-s0", "DCA-BPCG-WS"): (117, 11, 11),
+        ("quad-n10-s0", "DCA-BPCG-WS-ES"): (22, 13, 10),
+        ("quad-n10-s0", "DCA-BPCG-WS-ES-BT"): (22, 184, 181),
+        ("hard-n10-s0", "DCA-FW"): (20667, 21, 21),
+        ("hard-n10-s0", "DCA-FW-ES"): (550, 211, 13),
+        ("hard-n10-s0", "DCA-BPCG"): (2895, 13, 13),
+        ("hard-n10-s0", "DCA-BPCG-ES"): (599, 199, 12),
+        ("hard-n10-s0", "DCA-BPCG-WS"): (2928, 13, 13),
+        ("hard-n10-s0", "DCA-BPCG-WS-ES"): (530, 179, 14),
+        ("hard-n10-s0", "DCA-BPCG-WS-ES-BT"): (530, 426, 261),
     }
 
     def test_pinned_counts(self, monkeypatch):
@@ -367,6 +388,20 @@ class TestRunSuite:
             with pytest.raises(ValueError, match="repeat"):
                 run_suite("quadratics", sizes, seeds, variants, out_dir=tmp_path)
         assert not (tmp_path / "results.csv").exists()
+
+
+    @pytest.mark.parametrize("override", [
+        dict(sizes=[]), dict(seeds=[]), dict(variants=[]),
+        dict(outer_cap=0), dict(inner_cap=0),
+    ], ids=["sizes", "seeds", "variants", "outer_cap", "inner_cap"])
+    def test_empty_list_or_cap_below_one_writes_nothing(self, tmp_path, override):
+        args = dict(
+            suite="quadratics", sizes=[6], seeds=[0], variants=["DCA-FW"],
+            out_dir=tmp_path / "out",
+        )
+        with pytest.raises(ValueError, match="empty|at least 1"):
+            run_suite(**{**args, **override})
+        assert not (tmp_path / "out").exists()
 
 
 class TestShiftedGeomean:

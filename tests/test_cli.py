@@ -75,6 +75,15 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # refused before any output
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--sizes", ","), ("--seeds", ","), ("--variants", ","),
+        ("--outer-cap", "0"), ("--inner-cap", "0"),
+    ])
+    def test_empty_list_or_zero_cap_exits_2(self, tmp_path, capsys, flag, value):
+        assert _run_small(tmp_path / "out", flag, value) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # refused before any output
+
     def test_unknown_variant_exits_2(self, tmp_path, capsys):
         code = main([
             "run", "--suite", "quadratics", "--sizes", "6", "--seeds", "0",

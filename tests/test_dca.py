@@ -281,6 +281,86 @@ class TestVertexTable:
         assert tables and all(t is None for t in tables)
 
 
+class TestQuadraticFastPath:
+    """The vanilla-FW subsolver on a problem that declares f_quadratic."""
+
+    def _fast_sub(self, n, seed=0):
+        problem = gen_quadratic_dc(n, seed).problem()
+        problem.f_grad = Counter(problem.f_grad)
+        x0 = np.full(n, 1.0 / n)
+        sub = linearize(problem, x0)
+        sub.vertex_grads = dcfw.dca.VertexTable(problem.lmo)
+        sub.quadratic = True
+        return sub, problem.f_grad, x0
+
+    def test_no_f_grad_call_per_iteration_beyond_new_vertices(self):
+        sub, f_grad, x0 = self._fast_sub(10)
+        k = 25
+        _, stats = vanilla_fw(
+            sub, sub.vertex_grads, x0, Secant(), fw_gap_tol=1e-15, max_iters=k
+        )
+        assert stats.termination == "iter_cap" and stats.iterations == k
+        vertices = len(sub.vertex_grads.grads)
+        assert vertices < k  # vertices recur, and cost nothing then
+        # one call at x0, one at each vertex the first time it comes up
+        assert f_grad.calls == 1 + vertices
+
+    @pytest.mark.parametrize("n", [30, 300])
+    def test_carried_values_match_the_oracles(self, n):
+        sub, _, x0 = self._fast_sub(n, seed=n)
+        y, stats = vanilla_fw(
+            sub, sub.vertex_grads, x0, Secant(), fw_gap_tol=1e-15, max_iters=1000
+        )
+        assert stats.iterations == 1000
+        grad, descent = sub.grad(y), sub.descent(y)  # carried by the steps
+        problem = sub.problem
+        exact_grad = problem.f_grad(y) - sub.g_grad_at_anchor
+        h = problem.f_value(y) - (
+            sub.g_at_anchor + sub.g_grad_at_anchor.dot(y - sub.anchor)
+        )
+        exact_descent = sub.phi_at_anchor - h
+        assert np.abs(grad - exact_grad).max() <= 1e-12 * np.abs(exact_grad).max()
+        assert abs(descent - exact_descent) <= 1e-12 * abs(h)
+        sub.certify(y)  # puts the oracles' values in their place
+        assert np.array_equal(sub.grad(y), exact_grad)
+        assert sub.descent(y) == exact_descent
+
+    def test_non_quadratic_f_declared_quadratic_fails_loudly(self):
+        problem = gen_hard_dc(10, 0).problem()
+        problem.f_quadratic = True
+        problem.g_subgrad = Counter(problem.g_subgrad)  # once per outer step
+        x0 = initial_point(problem.lmo)
+        with pytest.raises(OracleFailure, match="f is declared quadratic but"):
+            dca_solve(problem, x0, variant_config("DCA-FW"))
+        assert problem.g_subgrad.calls == 1
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gradient_at_a_vertex_fails_loudly(self):
+        problem = gen_quadratic_dc(6, 0).problem()
+        real = problem.f_grad
+        problem.f_grad = lambda x: np.full(6, np.inf) if x.max() == 1.0 else real(x)
+        with pytest.raises(OracleFailure, match="non-finite"):
+            dca_solve(problem, np.full(6, 1.0 / 6.0), variant_config("DCA-FW"))
+
+    def test_qap_counts_do_not_depend_on_the_declaration(self):
+        rng = np.random.default_rng(3)
+        inst = QapInstance("rand5", 5, rng.normal(size=(5, 5)), rng.normal(size=(5, 5)))
+        cfg = DcaConfig(
+            subsolver="fw", stop_mode="fixed", dca_gap_tol=1e-9,
+            fw_gap_tol=1e-9, max_outer_iters=30, max_inner_iters=2000,
+        )
+        x0 = np.full(25, 0.2)
+        declared = qap_dc_oracles(inst)
+        assert declared.f_quadratic
+        plain = qap_dc_oracles(inst)
+        plain.f_quadratic = False
+        _, a = dca_solve(declared, x0, cfg)
+        _, b = dca_solve(plain, x0, cfg)
+        assert a.outer_iters == b.outer_iters
+        assert a.lmo_calls_cum == b.lmo_calls_cum
+        assert a.objective == pytest.approx(b.objective, rel=1e-12)
+
+
 class TestDcGapBounds:
     def test_exact_subsolve_collapses_sandwich(self):
         inst = gen_quadratic_dc(6, 1)
