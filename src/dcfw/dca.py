@@ -26,6 +26,11 @@ VERTEX_TABLE_SIZE = 4096
 # quadratic_step carried and the oracles' (measured: at most 3.1e-14 over
 # 2,227 checks on the quadratic and QAP families, at up to 5,000 steps)
 CARRY_RTOL = 1e-9
+# largest shortfall of g(x) below its linearization at the anchor that
+# dca_solve accepts at a new iterate x, relative to max(|g(x)|, |g(anchor)|)
+# (measured: no shortfall over 10,471 checks on the three families, the
+# least slack being exactly 0)
+SUBGRAD_RTOL = 1e-9
 
 
 class OracleFailure(RuntimeError):
@@ -163,7 +168,9 @@ class Subproblem:
 
     def f_value(self, y):
         """f(y) as a float; the last result is kept for a y with the same bits."""
-        key = y.tobytes()
+        return self._f(y, y.tobytes())
+
+    def _f(self, y, key):
         if key != self._f_memo[0]:
             self._f_memo = (key, float(self.problem.f_value(y)))
         return self._f_memo[1]
@@ -172,7 +179,7 @@ class Subproblem:
         # the surrogate's value h(y) = f(y) - lin(y), kept for the last y
         if key != self._h_memo[0]:
             lin = self._lin(y)
-            self._h_memo = (key, self.f_value(y) - lin)
+            self._h_memo = (key, self._f(y, key) - lin)
         return self._h_memo[1]
 
     def descent(self, y):
@@ -195,9 +202,10 @@ class Subproblem:
         x + gamma * d follow from those at x and at the end point; they are
         kept as grad's and descent's values there, so the solver's next
         iterate costs no oracle call.  certify checks them at the last one.
+        Returns (gamma, x + gamma * d), the point the memos are keyed on.
         """
         if not dphi0 < 0:
-            return 0.0
+            return 0.0, x
         key = x.tobytes()
         # the solver's loop has just asked grad for x
         grad = self._grad_memo[1] if key == self._grad_memo[0] else self.grad(x)
@@ -210,10 +218,11 @@ class Subproblem:
         if not math.isfinite(curv):
             raise OracleFailure("f_grad returned non-finite entries at a step's end")
         if dphi0 + curv <= 0:  # still descending at the end point
-            gamma, key, grad = gamma_max, end_key, grad_end
+            gamma, y, key, grad = gamma_max, end, end_key, grad_end
         else:
             gamma = min(-dphi0 * gamma_max / curv, gamma_max)
-            key = (x + gamma * d).tobytes()
+            y = x + gamma * d
+            key = y.tobytes()
             diff *= gamma / gamma_max
             diff += grad
             grad = diff
@@ -222,7 +231,7 @@ class Subproblem:
         self._grad_memo = (key, grad, None)
         self._h_memo = (key, h)
         self._carried = (key, grad, h)
-        return gamma
+        return gamma, y
 
     def certify(self, y):
         """Replace the gradient and h that quadratic_step carried to y by the
@@ -373,6 +382,20 @@ def boosted_step(problem, x_t, x_candidate, phi_t=None):
     return x_t + gamma * d, gamma
 
 
+def _check_subgradient(sub, x, g_x, t):
+    """Raise OracleFailure unless g(x) >= g(anchor) + <s, x - anchor> up to
+    SUBGRAD_RTOL, s the subgradient sub linearizes g with.  The inequality
+    is phi(x) <= h(x), which makes the objective monotone and lb a bound;
+    it fails when g is not convex or g_subgrad not a subgradient of it."""
+    shortfall = sub._lin(x) - g_x
+    if shortfall > SUBGRAD_RTOL * max(abs(g_x), abs(sub.g_at_anchor)):
+        raise OracleFailure(
+            f"g lies {shortfall:.3g} below its linearization at the anchor of "
+            f"outer step {t}, so g is not convex or g_subgrad is not its "
+            f"subgradient (g = {g_x:.17g} at the new iterate)"
+        )
+
+
 def dca_solve(problem, x0, config):
     """Minimize phi = f - g over the problem's polytope.
 
@@ -467,6 +490,7 @@ def dca_solve(problem, x0, config):
             if gamma > 0.0:  # otherwise x is x_t, whose f and g are known
                 # at y, sub holds f from the stop rule or the gap bounds
                 f_x, g_x = sub.f_value(x), float(problem.g_value(x))
+                _check_subgradient(sub, x, g_x, t)
                 phi_x = f_x - g_x
                 f_grad_x = sub.f_grad_at(x)
 

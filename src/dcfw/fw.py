@@ -121,7 +121,7 @@ class ActiveSet:
         # vecdot takes one BLAS dot per row, so each score is bit-identical
         # to np.dot(grad, v); a matrix product may sum in another order
         scores = np.vecdot(self._rows[: self._m], grad)
-        return int(np.argmax(scores)), int(np.argmin(scores))
+        return int(scores.argmax()), int(scores.argmin())
 
     def fw_update(self, v, gamma):
         """Move the iterate toward vertex v: weights scale by (1 - gamma) and
@@ -142,9 +142,11 @@ class ActiveSet:
         self._x = (1.0 - gamma) * self._x + gamma * v
         self._renormalize_if_drifted()
 
-    def pairwise_update(self, to_idx, from_idx, gamma):
+    def pairwise_update(self, to_idx, from_idx, gamma, x):
         """Transfer gamma of weight from one atom to another; a full transfer
-        drops the source atom.  Returns True when a drop happened."""
+        drops the source atom.  x is the new iterate, iterate + gamma *
+        (v_to - v_from), which the caller's line search has already built;
+        the set keeps it as its iterate.  Returns True when a drop happened."""
         # negative indices count from the last atom, as for a list
         to_idx, from_idx = range(self._m)[to_idx], range(self._m)[from_idx]
         if to_idx == from_idx:
@@ -153,8 +155,7 @@ class ActiveSet:
         if not 0.0 <= gamma <= w_from:
             raise ValueError(f"gamma={gamma} outside [0, {w_from}]")
         self.weights[to_idx] += gamma
-        rows = self._rows[: self._m]
-        self._x = self._x + gamma * (rows[to_idx] - rows[from_idx])
+        self._x = x
         dropped = gamma >= w_from
         if dropped:
             self._drop(from_idx)
@@ -224,8 +225,10 @@ def grid_two_level(value_fn, x, d, gamma_max, value0=None):
     return float(candidates[_last_argmin(all_vals)])
 
 
-class _NonFiniteSlope(ArithmeticError):
-    """A directional derivative in the secant search is not finite."""
+def _grid_fallback(value_fn, x, d, gamma_max):
+    logger.warning("non-finite directional derivative, falling back to grid search")
+    gamma = grid_two_level(value_fn, x, d, gamma_max)
+    return gamma, x + gamma * d
 
 
 def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0=None):
@@ -239,75 +242,71 @@ def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0=None):
     is not evaluated again.  A non-finite phi' anywhere falls back, with a
     warning, to grid_two_level.  On a quadratic the first secant step is
     exact, so the interior minimizer is found with two gradient evaluations.
+
+    Returns (gamma, x + gamma * d).  The point is the array the search last
+    probed when gamma is that probe's, and x itself when gamma is 0.
     """
     if gamma_max <= 0:
-        return 0.0
-    evals = 0
+        return 0.0, x
+    if dphi0 is None:
+        dphi0 = float(np.dot(grad_fn(x), d))
+    if not math.isfinite(dphi0):
+        return _grid_fallback(value_fn, x, d, gamma_max)
+    if dphi0 >= 0:
+        return 0.0, x
+    y = x + gamma_max * d
+    d_hi = float(d.dot(grad_fn(y)))
+    if not math.isfinite(d_hi):
+        return _grid_fallback(value_fn, x, d, gamma_max)
+    if d_hi <= 0:
+        return float(gamma_max), y  # still descending at the cap
 
-    def dphi(g):
-        nonlocal evals
+    # numpy's own formula for the 2-norm of a 1-D array, without its overhead
+    d_scale = _SECANT_TOL * math.sqrt(d.dot(d))
+    lo, d_lo = 0.0, dphi0
+    hi = float(gamma_max)
+    gamma = hi - d_hi * (hi - lo) / (d_hi - d_lo)
+    evals = 1
+    while evals < _SECANT_MAX_EVAL:
+        gamma = min(max(gamma, lo), hi)
+        y = x + gamma * d
+        dg = float(d.dot(grad_fn(y)))
         evals += 1
-        slope = float(d.dot(grad_fn(x + g * d)))
-        if not math.isfinite(slope):
-            raise _NonFiniteSlope
-        return slope
+        if not math.isfinite(dg):
+            return _grid_fallback(value_fn, x, d, gamma_max)
+        # a converged exit cannot ascend by more than
+        # (_SECANT_TOL*||d||)^2 / curvature, far below roundoff for the
+        # objectives here; the other exits check values
+        if abs(dg) <= d_scale:
+            return float(gamma), y
+        if dg > 0:
+            hi, d_hi = gamma, dg
+        else:
+            lo, d_lo = gamma, dg
+        if hi - lo <= 1e-17 * gamma_max:
+            break
+        nxt = hi - d_hi * (hi - lo) / (d_hi - d_lo)
+        if nxt == gamma:
+            break
+        gamma = nxt
 
-    try:
-        if dphi0 is None:
-            dphi0 = float(np.dot(grad_fn(x), d))
-        if not math.isfinite(dphi0):
-            raise _NonFiniteSlope
-        if dphi0 >= 0:
-            return 0.0
-        d_hi = dphi(gamma_max)
-        if d_hi <= 0:
-            return float(gamma_max)  # still descending at the cap
-
-        # numpy's own formula for the 2-norm of a 1-D array, without its overhead
-        d_scale = _SECANT_TOL * math.sqrt(d.dot(d))
-        lo, d_lo = 0.0, dphi0
-        hi = float(gamma_max)
-        gamma = hi - d_hi * (hi - lo) / (d_hi - d_lo)
-        converged = False
-        while evals < _SECANT_MAX_EVAL:
-            gamma = min(max(gamma, lo), hi)
-            dg = dphi(gamma)
-            if abs(dg) <= d_scale:
-                converged = True
-                break
-            if dg > 0:
-                hi, d_hi = gamma, dg
-            else:
-                lo, d_lo = gamma, dg
-            if hi - lo <= 1e-17 * gamma_max:
-                break
-            nxt = hi - d_hi * (hi - lo) / (d_hi - d_lo)
-            if nxt == gamma:
-                break
-            gamma = nxt
-    except _NonFiniteSlope:
-        logger.warning("non-finite directional derivative, falling back to grid search")
-        return grid_two_level(value_fn, x, d, gamma_max)
-
-    # a converged exit cannot ascend by more than (_SECANT_TOL*||d||)^2 / curvature,
-    # far below roundoff for the objectives here; otherwise check values
-    if converged:
-        return float(gamma)
     phi0 = float(value_fn(x))
     g = float(gamma)
     for _ in range(60):
-        if float(value_fn(x + g * d)) <= phi0:
-            return g
+        y = x + g * d
+        if float(value_fn(y)) <= phi0:
+            return g, y
         g *= 0.5
-    return 0.0
+    return 0.0, x
 
 
 @dataclass(frozen=True)
 class Agnostic:
-    """Open-loop step size 2 / (k + 2)."""
+    """Open-loop step size 2 / (k + 2); step returns (gamma, x + gamma * d)."""
 
     def step(self, objective, x, d, gamma_max, k, dphi0=None):
-        return min(2.0 / (k + 2.0), gamma_max)
+        gamma = min(2.0 / (k + 2.0), gamma_max)
+        return gamma, x + gamma * d
 
 
 @dataclass(frozen=True)
@@ -316,7 +315,7 @@ class Secant:
 
     An objective whose ``quadratic`` attribute is true is minimized along d
     in closed form by its ``quadratic_step(x, d, gamma_max, dphi0)`` instead;
-    dphi0 must then be given.
+    dphi0 must then be given.  Either way step returns (gamma, x + gamma * d).
     """
 
     def step(self, objective, x, d, gamma_max, k, dphi0=None):
@@ -335,6 +334,7 @@ def _inner_loop(
     (x_next, gamma, step_type) and must leave its state untouched when
     gamma is 0.  extra holds additional callback entries."""
     stats = FwStats()
+    steps = {"fw": 0, "pairwise_descent": 0, "pairwise_drop": 0}
     for k in range(max_iters + 1):
         grad = objective.grad(x)
         v = lmo(grad)
@@ -358,12 +358,14 @@ def _inner_loop(
             break
         x = x_next
         stats.iterations += 1
-        counter = f"{step_type}_steps"  # fw_steps, pairwise_drop_steps, ...
-        setattr(stats, counter, getattr(stats, counter) + 1)
+        steps[step_type] += 1
         if callback is not None:
             callback(
                 dict(k=k, x=x, gap=gap, gamma=gamma, step_type=step_type, **extra)
             )
+    stats.fw_steps = steps["fw"]
+    stats.pairwise_descent_steps = steps["pairwise_descent"]
+    stats.pairwise_drop_steps = steps["pairwise_drop"]
     return x, stats
 
 
@@ -399,9 +401,8 @@ def vanilla_fw(
     """
 
     def step(k, x, grad, v, gap):
-        d = v - x
-        gamma = line_search.step(objective, x, d, 1.0, k, dphi0=-gap)
-        return x + gamma * d, gamma, "fw"
+        gamma, x_next = line_search.step(objective, x, v - x, 1.0, k, dphi0=-gap)
+        return x_next, gamma, "fw"
 
     x = np.array(x0, dtype=float)
     return _inner_loop(
@@ -430,8 +431,8 @@ def bpcg(
     <grad, x - w>.  The larger one decides between a weight transfer from a
     to s and a classic step toward w; either way the iteration consumes the
     single LMO call already made.  The active set is updated in place and
-    returned alongside the final iterate.  Other parameters as for
-    vanilla_fw.
+    returned alongside the final iterate, which is the set's own iterate
+    array: treat it as read-only.  Other parameters as for vanilla_fw.
 
     Returns (x, active_set, FwStats).
     """
@@ -440,29 +441,31 @@ def bpcg(
 
     def step(k, x, grad, w, gap):
         away_idx, local_idx = active_set.extremes(grad)
-        atoms = active_set.vertices
-        away, local = atoms[away_idx], atoms[local_idx]
-        local_gap = float((away - local).dot(grad))
+        # the atom rows, without the read-only view `vertices` builds
+        atoms = active_set._rows
+        d = atoms[local_idx] - atoms[away_idx]
+        # negating is exact, so this is <grad, away - local> up to the sign
+        # of a zero
+        local_gap = -float(d.dot(grad))
         if local_gap >= gap and away_idx != local_idx:
             # transfer weight from the away atom toward the local atom
-            d = local - away
             gamma_max = active_set.weights[away_idx]
-            gamma = line_search.step(objective, x, d, gamma_max, k, dphi0=-local_gap)
+            gamma, x_next = line_search.step(
+                objective, x, d, gamma_max, k, dphi0=-local_gap
+            )
             if gamma == 0.0:
                 return x, gamma, None
-            dropped = active_set.pairwise_update(local_idx, away_idx, gamma)
+            dropped = active_set.pairwise_update(local_idx, away_idx, gamma, x_next)
             step_type = "pairwise_drop" if dropped else "pairwise_descent"
         else:
-            d = w - x
-            gamma = line_search.step(objective, x, d, 1.0, k, dphi0=-gap)
+            gamma, _ = line_search.step(objective, x, w - x, 1.0, k, dphi0=-gap)
             active_set.fw_update(w, gamma)  # a zero step leaves the set as is
             step_type = "fw"
-        return active_set.iterate.copy(), gamma, step_type
+        return active_set.iterate, gamma, step_type
 
-    x = active_set.iterate.copy()
     extra = {"active_set": active_set}
     x, stats = _inner_loop(
-        objective, lmo, x, step, fw_gap_tol, max_iters, stop_rule, deadline,
-        callback, extra,
+        objective, lmo, active_set.iterate, step, fw_gap_tol, max_iters,
+        stop_rule, deadline, callback, extra,
     )
     return x, active_set, stats

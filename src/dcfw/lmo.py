@@ -69,7 +69,7 @@ class KSparsePolytope(LinearMinimizationOracle):
 
     def _minimize(self, c):
         # stable sort keeps lower indices first among tied magnitudes
-        top = np.argsort(-np.abs(c), kind="stable")[: self.k]
+        top = (-np.abs(c)).argsort(kind="stable")[: self.k]
         v = np.zeros(self.dimension)
         v[top] = np.where(c[top] >= 0, -self.tau, self.tau)
         return v
@@ -113,6 +113,6 @@ def birkhoff_lmo(C):
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {C.shape}")
     rows, cols = linear_sum_assignment(C)
-    X = np.zeros_like(C)
+    X = np.zeros(C.shape)
     X[rows, cols] = 1.0
     return X

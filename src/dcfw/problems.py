@@ -153,7 +153,7 @@ def qap_dc_oracles(inst):
     def f_value(x):
         X = x.reshape(n, n)
         Y = A.T @ X + X @ B
-        return 0.25 * float(np.sum(Y * Y))
+        return 0.25 * float((Y * Y).sum())
 
     def f_grad(x):
         X = x.reshape(n, n)
@@ -163,7 +163,7 @@ def qap_dc_oracles(inst):
     def g_value(x):
         X = x.reshape(n, n)
         Z = A.T @ X - X @ B
-        return 0.25 * float(np.sum(Z * Z))
+        return 0.25 * float((Z * Z).sum())
 
     def g_subgrad(x):
         X = x.reshape(n, n)

@@ -373,6 +373,48 @@ class TestRunSuite:
         assert got == self.PINNED_RUNS
         assert got_calls == self.PINNED_ORACLE_CALLS
 
+    # (outer_iters, lmo_calls, final objective, (f_grad, f_value, g_value)
+    # calls) of the BPCG variants on a seeded 6 x 6 QAP in the style of
+    # QAPLIB's nug set, at the tolerance of the benchmark's QAP workload
+    PINNED_QAP_RUNS = {
+        "DCA-BPCG-ES": (13, 243, 197.38611843103018, (462, 231, 14)),
+        "DCA-BPCG-WS-ES": (14, 177, 197.38607490435058, (323, 164, 15)),
+    }
+
+    def test_pinned_qap_counts(self, tmp_path, monkeypatch):
+        n, rng = 6, np.random.default_rng(0)
+        points = rng.integers(0, n, size=(n, 2))
+        distances = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+        flows = rng.integers(1, 10, size=(n, n)) * (rng.random((n, n)) < 0.6)
+        flows = np.triu(flows, 1)
+        inst = QapInstance("syn6", n, flows + flows.T, distances)
+        (tmp_path / "syn6.dat").write_text(serialize_qaplib(inst))
+        oracle_calls = []
+        make = dcfw.bench.qap_dc_oracles
+
+        def counted(inst):
+            problem = make(inst)
+            calls = []
+            for name in ("f_grad", "f_value", "g_value"):
+                calls.append(Counter(getattr(problem, name)))
+                setattr(problem, name, calls[-1])
+            oracle_calls.append(calls)
+            return problem
+
+        monkeypatch.setattr(dcfw.bench, "qap_dc_oracles", counted)
+        results = run_suite(
+            "qap", [n], [0], list(self.PINNED_QAP_RUNS), qaplib_dir=tmp_path,
+            dca_gap_tol=1e-3, outer_cap=20, inner_cap=500,
+        )
+        got = {
+            r.variant: (
+                r.outer_iters, r.lmo_calls, r.final_objective,
+                tuple(c.calls for c in calls),
+            )
+            for r, calls in zip(results, oracle_calls, strict=True)
+        }
+        assert got == self.PINNED_QAP_RUNS
+
     def test_argument_validation(self, tmp_path):
         with pytest.raises(ValueError):
             run_suite("quadratics", [6], [0], ["DCA-XX"])

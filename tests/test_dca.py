@@ -361,6 +361,42 @@ class TestQuadraticFastPath:
         assert a.objective == pytest.approx(b.objective, rel=1e-12)
 
 
+class TestSubgradientCheck:
+    """dca_solve checks g(x) >= g(anchor) + <s, x - anchor> at each new
+    iterate x, s the subgradient g was linearized with."""
+
+    @staticmethod
+    def _break(problem, how):
+        g, s = problem.g_value, problem.g_subgrad
+        if how == "concave_g":
+            problem.g_value = lambda x: -g(x)
+        problem.g_subgrad = lambda x: -s(x)  # the gradient of -g, or a lie
+
+    @pytest.mark.parametrize("variant", ["DCA-FW", "DCA-BPCG-WS-ES"])
+    @pytest.mark.parametrize("how", ["concave_g", "sign_flipped_subgrad"])
+    def test_broken_g_fails_loudly(self, how, variant):
+        problem = gen_quadratic_dc(30, 0).problem()
+        self._break(problem, how)
+        config = variant_config(variant, max_outer_iters=50, max_inner_iters=500)
+        with pytest.raises(
+            OracleFailure, match="below its linearization at the anchor of outer step 0"
+        ):
+            dca_solve(problem, initial_point(problem.lmo), config)
+
+    def test_affine_g_passes(self):
+        # g equals its linearization, so only roundoff separates the two
+        base = gen_quadratic_dc(30, 0).problem()
+        b = np.random.default_rng(1).standard_normal(30)
+        problem = DcProblem(
+            base.f_value, base.f_grad, lambda x: float(b @ x) + 3.0,
+            lambda x: b, 30, base.lmo,
+        )
+        _, record = dca_solve(
+            problem, initial_point(problem.lmo), variant_config("DCA-BPCG-ES")
+        )
+        assert record.termination == "converged"
+
+
 class TestDcGapBounds:
     def test_exact_subsolve_collapses_sandwich(self):
         inst = gen_quadratic_dc(6, 1)

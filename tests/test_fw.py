@@ -1,5 +1,6 @@
 """Frank-Wolfe machinery: gap, line searches, active sets, both solvers."""
 
+import itertools
 import logging
 import time
 
@@ -150,7 +151,7 @@ class TestSecantLineSearch:
             dphi0 = float(grad(x) @ d)
             exact = min(max(-dphi0 / denom, 0.0), 1.0)
             counted = Counter(grad)
-            got = secant_line_search(value, counted, x, d, 1.0, dphi0=dphi0)
+            got, _ = secant_line_search(value, counted, x, d, 1.0, dphi0=dphi0)
             assert got == pytest.approx(exact, abs=1e-10)
             if dphi0 >= 0:
                 assert counted.calls == 0
@@ -165,20 +166,22 @@ class TestSecantLineSearch:
         # phi(gamma) = (gamma - 2)^2 has its minimum past gamma_max = 1
         value = lambda z: (float(z[0]) - 2.0) ** 2
         grad = lambda z: np.array([2.0 * (float(z[0]) - 2.0)])
-        got = secant_line_search(value, grad, np.zeros(1), np.ones(1), 1.0)
+        got, _ = secant_line_search(value, grad, np.zeros(1), np.ones(1), 1.0)
         assert got == 1.0
 
     def test_ascent_direction_returns_zero(self):
         value, grad = quad_value_grad(np.eye(2), np.zeros(2))
         x = np.array([1.0, 0.0])
         d = np.array([1.0, 0.0])  # uphill
-        assert secant_line_search(value, grad, x, d, 1.0) == 0.0
+        assert secant_line_search(value, grad, x, d, 1.0)[0] == 0.0
 
     def test_non_finite_derivative_falls_back_to_grid(self):
         target = 0.4
         value = lambda z: (float(z[0]) - target) ** 2
         grad = lambda z: np.array([np.nan])
-        got = secant_line_search(value, grad, np.zeros(1), np.ones(1), 1.0, dphi0=-1.0)
+        got, _ = secant_line_search(
+            value, grad, np.zeros(1), np.ones(1), 1.0, dphi0=-1.0
+        )
         assert np.isfinite(got)
         assert abs(got - target) <= 0.0101
         assert value(np.array([got])) <= value(np.zeros(1))
@@ -196,7 +199,7 @@ class TestSecantLineSearch:
         value = lambda z: (float(z[0]) - 0.4) ** 2
         x, d = np.zeros(1), np.ones(1)
         with caplog.at_level(logging.WARNING, logger="dcfw.fw"):
-            got = secant_line_search(value, grad, x, d, 1.0)
+            got, _ = secant_line_search(value, grad, x, d, 1.0)
         assert "falling back to grid search" in caplog.text
         assert got == grid_two_level(value, x, d, 1.0)
 
@@ -205,32 +208,127 @@ class TestSecantLineSearch:
         # oracle only increases, so the safeguard must refuse to move
         value = lambda z: float(z[0])
         flip = Counter(lambda z: np.array([1.0 if flip.calls % 2 else -1.0]))
-        got = secant_line_search(
+        got, _ = secant_line_search(
             value, flip, np.zeros(1), np.ones(1), 1.0, dphi0=-1.0
         )
         assert got == 0.0
 
     def test_nonpositive_interval(self):
         value, grad = quad_value_grad(np.eye(1), np.zeros(1))
-        assert secant_line_search(value, grad, np.ones(1), np.ones(1), 0.0) == 0.0
+        assert secant_line_search(value, grad, np.ones(1), np.ones(1), 0.0)[0] == 0.0
 
 
 class TestStepRules:
     def test_agnostic_schedule(self):
         rule = Agnostic()
         obj = make_objective(lambda x: 0.0, lambda x: x)
-        assert rule.step(obj, None, None, 1.0, 0) == 1.0
-        assert rule.step(obj, None, None, 1.0, 2) == 0.5
-        assert rule.step(obj, None, None, 0.3, 0) == 0.3
+        x, d = np.zeros(1), np.ones(1)
+        assert rule.step(obj, x, d, 1.0, 0)[0] == 1.0
+        assert rule.step(obj, x, d, 1.0, 2)[0] == 0.5
+        assert rule.step(obj, x, d, 0.3, 0)[0] == 0.3
 
     def test_secant_rule_delegates(self):
         value, grad = quad_value_grad(np.diag([2.0, 1.0]), np.array([-1.0, 0.0]))
         obj = make_objective(value, grad)
         x, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
         for dphi0 in (None, float(grad(x) @ d)):
-            got = Secant().step(obj, x, d, 1.0, 0, dphi0=dphi0)
-            assert got == secant_line_search(value, grad, x, d, 1.0, dphi0=dphi0)
+            got, point = Secant().step(obj, x, d, 1.0, 0, dphi0=dphi0)
+            want, want_point = secant_line_search(value, grad, x, d, 1.0, dphi0=dphi0)
+            assert got == want
+            assert np.array_equal(point, want_point)
         assert 0.0 < got < 1.0
+
+
+class TestPointContract:
+    """A line search returns (gamma, x + gamma * d), the point bit for bit."""
+
+    @staticmethod
+    def _assert_point(x, d, gamma, point):
+        assert point.tobytes() == (x + gamma * d).tobytes()
+
+    def test_agnostic(self):
+        rng = np.random.default_rng(11)
+        obj = make_objective(lambda x: 0.0, lambda x: x)
+        for k in range(20):
+            x, d = rng.standard_normal(7), rng.standard_normal(7)
+            gamma, point = Agnostic().step(obj, x, d, 0.4, k)
+            self._assert_point(x, d, gamma, point)
+
+    def test_secant_interior_exit(self):
+        value, grad = quad_value_grad(np.diag([2.0, 1.0]), np.array([-1.0, 0.0]))
+        x, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
+        gamma, point = secant_line_search(value, grad, x, d, 1.0)
+        assert 0.0 < gamma < 1.0
+        self._assert_point(x, d, gamma, point)
+
+    def test_secant_cap_exit(self):
+        value = lambda z: (float(z[0]) - 2.0) ** 2
+        grad = lambda z: np.array([2.0 * (float(z[0]) - 2.0)])
+        x, d = np.full(1, 0.1), np.full(1, 0.7)
+        gamma, point = secant_line_search(value, grad, x, d, 1.0)
+        assert gamma == 1.0
+        self._assert_point(x, d, gamma, point)
+
+    def test_secant_backtracking_exit(self):
+        # phi' is positive past gamma = 0, so the secant shrinks its bracket
+        # until the budget is spent; phi itself falls, so the first value
+        # check passes
+        value = Counter(lambda z: -float(z[0]))
+        grad = Counter(lambda z: np.array([1.0]))
+        x, d = np.full(1, 0.3), np.full(1, 0.5)
+        gamma, point = secant_line_search(value, grad, x, d, 1.0, dphi0=-1.0)
+        assert grad.calls == 40 and value.calls == 2
+        assert 0.0 < gamma < 1e-6
+        self._assert_point(x, d, gamma, point)
+
+    def test_secant_grid_fallback_exit(self):
+        value = lambda z: (float(z[0]) - 0.4) ** 2
+        grad = lambda z: np.array([np.nan])
+        x, d = np.full(1, 0.05), np.full(1, 0.9)
+        gamma, point = secant_line_search(value, grad, x, d, 1.0, dphi0=-1.0)
+        assert 0.0 < gamma < 1.0
+        self._assert_point(x, d, gamma, point)
+
+    def test_quadratic_step(self):
+        problem = gen_quadratic_dc(8, 0).problem()
+        exits = set()
+        x = np.full(8, 1.0 / 8.0)
+        for i, gamma_max in itertools.product(range(8), (1.0, 0.05)):
+            sub = linearize(problem, x)
+            d = np.eye(8)[i] - x
+            dphi0 = float(sub.grad(x) @ d)
+            gamma, point = sub.quadratic_step(x, d, gamma_max, dphi0)
+            if gamma == 0.0:
+                assert dphi0 >= 0 and point is x
+                continue
+            exits.add(gamma == gamma_max)
+            self._assert_point(x, d, gamma, point)
+        assert exits == {False, True}  # both the interior and the cap exit
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_active_set_keeps_the_passed_point(self, data):
+        n = data.draw(st.integers(2, 12))
+        e = np.eye(n)
+        s = ActiveSet([e[0]], [1.0])
+        for k in range(data.draw(st.integers(1, 40))):
+            if len(s) >= 2 and data.draw(st.booleans()):
+                frm = data.draw(st.integers(0, len(s) - 1))
+                to = data.draw(st.integers(0, len(s) - 2))
+                to += to >= frm
+                d = s.vertices[to] - s.vertices[frm]
+                gamma, x = Agnostic().step(None, s.iterate, d, s.weights[frm], k)
+                s.pairwise_update(to, frm, gamma, x)
+            else:
+                v = e[data.draw(st.integers(0, n - 1))]
+                s.fw_update(v, data.draw(st.floats(0.01, 1.0)))
+            assert np.abs(s.iterate - s.recombine()).max() <= 1e-12
+
+
+def _pairwise(s, to, frm, gamma):
+    # pairwise_update with the new iterate a line search would pass it
+    atoms = s.vertices
+    return s.pairwise_update(to, frm, gamma, s.iterate + gamma * (atoms[to] - atoms[frm]))
 
 
 class TestActiveSet:
@@ -291,32 +389,33 @@ class TestActiveSet:
     def test_pairwise_transfer_and_drop(self):
         e = np.eye(2)
         s = ActiveSet([e[0], e[1]], [0.7, 0.3])
-        dropped = s.pairwise_update(1, 0, 0.2)
+        dropped = _pairwise(s, 1, 0, 0.2)
         assert not dropped
         assert s.weights == pytest.approx([0.5, 0.5])
         assert np.allclose(s.iterate, [0.5, 0.5])
-        dropped = s.pairwise_update(1, 0, s.weights[0])  # full remaining weight
+        dropped = _pairwise(s, 1, 0, s.weights[0])  # full remaining weight
         assert dropped and len(s) == 1
         assert np.allclose(s.iterate, e[1])
 
     def test_pairwise_negative_index_counts_from_last_atom(self):
         e = np.eye(4)
         s = ActiveSet([e[0], e[1], e[2]], [0.5, 0.25, 0.25])
-        assert s.pairwise_update(0, -1, 0.25)
+        assert _pairwise(s, 0, -1, 0.25)
         assert np.array_equal(s.vertices, [e[0], e[1]])
         assert np.array_equal(s.iterate, [0.75, 0.25, 0.0, 0.0])
 
     def test_pairwise_validation(self):
         e = np.eye(2)
         s = ActiveSet([e[0], e[1]], [0.7, 0.3])
+        x = s.iterate  # each call fails before it would keep x
         with pytest.raises(ValueError):
-            s.pairwise_update(1, 1, 0.1)
+            s.pairwise_update(1, 1, 0.1, x)
         with pytest.raises(ValueError):
-            s.pairwise_update(1, -1, 0.1)  # the same atom, counted from the end
+            s.pairwise_update(1, -1, 0.1, x)  # the same atom, counted from the end
         with pytest.raises(IndexError):
-            s.pairwise_update(2, 0, 0.1)
+            s.pairwise_update(2, 0, 0.1, x)
         with pytest.raises(ValueError):
-            s.pairwise_update(1, 0, 0.8)  # exceeds the source weight
+            s.pairwise_update(1, 0, 0.8, x)  # exceeds the source weight
 
     def test_extremes(self):
         e = np.eye(3)
@@ -365,7 +464,7 @@ class TestActiveSet:
         e = np.eye(2)
         s = ActiveSet([e[0], e[1]], [0.5, 0.5])
         c = s.copy()
-        s.pairwise_update(1, 0, 0.5)
+        _pairwise(s, 1, 0, 0.5)
         assert len(s) == 1 and len(c) == 2
         assert np.allclose(c.iterate, [0.5, 0.5])
 
@@ -379,7 +478,7 @@ class TestActiveSet:
             c.fw_update(e[3], 0.5)
             c.fw_update(e[0], 0.5)
         elif mutate == "drop":
-            assert c.pairwise_update(2, 0, c.weights[0])
+            assert _pairwise(c, 2, 0, c.weights[0])
         else:
             c.fw_update(e[3], 1.0)
         assert np.array_equal(s.vertices, atoms)
@@ -400,7 +499,7 @@ class TestActiveSet:
                 to += to >= frm
                 frac = data.draw(st.floats(0.1, 1.0))
                 before = len(s)
-                dropped = s.pairwise_update(to, frm, frac * s.weights[frm])
+                dropped = _pairwise(s, to, frm, frac * s.weights[frm])
                 assert dropped == (len(s) == before - 1)
             else:
                 v = e[data.draw(st.integers(0, n - 1))]
@@ -414,7 +513,7 @@ class TestActiveSet:
 
 class _ZeroStep:
     def step(self, objective, x, d, gamma_max, k, dphi0=None):
-        return 0.0
+        return 0.0, x
 
 
 class TestVanillaFw:

@@ -147,6 +147,21 @@ class TestKSparsePolytope:
         assert not lmo.contains(np.array([1.1, 0.0, 0.0, 0.0]))  # inf-norm
         assert not lmo.contains(np.array([0.9, 0.9, 0.9, 0.0]))  # 1-norm
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_ties_go_to_the_lowest_indices(self, data):
+        # small integer costs make equal magnitudes common
+        n = data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(1, n))
+        c = np.array(
+            data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float
+        )
+        order = sorted(range(n), key=lambda i: (-abs(c[i]), i))
+        want = np.zeros(n)
+        for i in order[:k]:
+            want[i] = -1.5 if c[i] >= 0 else 1.5
+        assert np.array_equal(KSparsePolytope(n, tau=1.5, k=k)(c), want)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             KSparsePolytope(4, tau=-1.0, k=2)
@@ -194,6 +209,20 @@ class TestBirkhoff:
             assert set(np.unique(X)) <= {0.0, 1.0}
             assert np.array_equal(X.sum(axis=0), np.ones(5))
             assert np.array_equal(X.sum(axis=1), np.ones(5))
+
+    @pytest.mark.parametrize("costs", ["random", "integer_ties"])
+    def test_vertex_is_birkhoff_lmo_flattened(self, costs):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            if costs == "random":
+                C = rng.standard_normal((n, n))
+            else:
+                C = rng.integers(0, 3, size=(n, n)).astype(float)
+            v = BirkhoffPolytope(n)(C.ravel())
+            want = birkhoff_lmo(C).ravel()
+            assert v.dtype == want.dtype and v.shape == (n * n,)
+            assert v.tobytes() == want.tobytes()
 
     def test_contains(self):
         lmo = BirkhoffPolytope(4)
