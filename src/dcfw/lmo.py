@@ -82,6 +82,10 @@ class KSparsePolytope(LinearMinimizationOracle):
 class BirkhoffPolytope(LinearMinimizationOracle):
     """Doubly stochastic matrices of order n, handled as flattened n^2 vectors."""
 
+    # scipy's assignment solver, imported on the first call so that
+    # importing dcfw does not import scipy
+    _assign = None
+
     def __init__(self, n):
         if n < 1:
             raise ValueError(f"order must be positive, got {n}")
@@ -89,7 +93,18 @@ class BirkhoffPolytope(LinearMinimizationOracle):
         super().__init__(n * n)
 
     def _minimize(self, c):
-        return birkhoff_lmo(c.reshape(self.n, self.n)).ravel()
+        # c is a finite float vector of length n^2, so the solver takes it
+        # without birkhoff_lmo's checks
+        assign = BirkhoffPolytope._assign
+        if assign is None:
+            from scipy.optimize import linear_sum_assignment as assign
+
+            BirkhoffPolytope._assign = assign
+        n = self.n
+        rows, cols = assign(c.reshape(n, n))
+        v = np.zeros(self.dimension)
+        v[rows * n + cols] = 1.0
+        return v
 
     def contains(self, x):
         X = np.asarray(x, dtype=float).reshape(self.n, self.n)

@@ -47,7 +47,7 @@ class QuadraticDcInstance:
             g_subgrad=lambda x: B @ x + b,
             dimension=self.n,
             lmo=ProbabilitySimplex(self.n),
-            f_quadratic=True,
+            quadratic=True,
         )
 
     def lipschitz_f(self):
@@ -177,7 +177,7 @@ def qap_dc_oracles(inst):
         g_subgrad=g_subgrad,
         dimension=n * n,
         lmo=BirkhoffPolytope(n),
-        f_quadratic=True,
+        quadratic=True,
     )
 
 

@@ -282,7 +282,7 @@ class TestVertexTable:
 
 
 class TestQuadraticFastPath:
-    """The vanilla-FW subsolver on a problem that declares f_quadratic."""
+    """The vanilla-FW subsolver on a problem that declares quadratic."""
 
     def _fast_sub(self, n, seed=0):
         problem = gen_quadratic_dc(n, seed).problem()
@@ -327,7 +327,7 @@ class TestQuadraticFastPath:
 
     def test_non_quadratic_f_declared_quadratic_fails_loudly(self):
         problem = gen_hard_dc(10, 0).problem()
-        problem.f_quadratic = True
+        problem.quadratic = True
         problem.g_subgrad = Counter(problem.g_subgrad)  # once per outer step
         x0 = initial_point(problem.lmo)
         with pytest.raises(OracleFailure, match="f is declared quadratic but"):
@@ -351,9 +351,9 @@ class TestQuadraticFastPath:
         )
         x0 = np.full(25, 0.2)
         declared = qap_dc_oracles(inst)
-        assert declared.f_quadratic
+        assert declared.quadratic
         plain = qap_dc_oracles(inst)
-        plain.f_quadratic = False
+        plain.quadratic = False
         _, a = dca_solve(declared, x0, cfg)
         _, b = dca_solve(plain, x0, cfg)
         assert a.outer_iters == b.outer_iters
@@ -598,8 +598,10 @@ class TestBoostedStep:
         assert point[0] == 1.0 and gamma == 1.0
 
     def test_known_value_at_anchor_saves_one_evaluation(self):
+        # the oracle grid: a declared quadratic is probed in closed form
         base = gen_quadratic_dc(6, 4).problem()
         problem = gen_quadratic_dc(6, 4).problem()
+        base.quadratic = problem.quadratic = False
         problem.f_value = Counter(problem.f_value)
         rng = np.random.default_rng(5)
         x_t, cand = rand_simplex(rng, 6), rand_simplex(rng, 6)
@@ -617,6 +619,144 @@ class TestBoostedStep:
             cand = rand_simplex(rng, 6)
             point, _ = boosted_step(problem, x_t, cand)
             assert problem.phi(point) <= problem.phi(cand) + 1e-12
+
+
+def _quadratic_pair(A, B):
+    """phi = 1/2 x'Ax - 1/2 x'Bx on the simplex, declared quadratic and not."""
+    n = len(A)
+    return [
+        DcProblem(
+            f_value=lambda x: 0.5 * float(x @ A @ x),
+            f_grad=lambda x: A @ x,
+            g_value=lambda x: 0.5 * float(x @ B @ x),
+            g_subgrad=lambda x: B @ x,
+            dimension=n,
+            lmo=ProbabilitySimplex(n),
+            quadratic=declared,
+        )
+        for declared in (True, False)
+    ]
+
+
+class TestClosedFormBoost:
+    """On a problem declared quadratic the boost probes phi's closed form
+    along the segment instead of the oracles."""
+
+    @staticmethod
+    def _assert_same_step(declared, plain, x_t, cand):
+        phi_t = plain.phi(x_t)
+        point, gamma = boosted_step(declared, x_t, cand, phi_t)
+        want_point, want_gamma = boosted_step(plain, x_t, cand, phi_t)
+        assert gamma == want_gamma
+        assert point.tobytes() == want_point.tobytes()
+        return gamma
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**31 - 1))
+    def test_same_gamma_and_point_as_the_oracle_grid(self, n, seed):
+        declared = gen_quadratic_dc(n, seed).problem()
+        plain = gen_quadratic_dc(n, seed).problem()
+        plain.quadratic = False
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            x_t, cand = rand_simplex(rng, n), rand_simplex(rng, n)
+            self._assert_same_step(declared, plain, x_t, cand)
+
+    def test_interior_minimum(self):
+        # phi = (x0 - x1)^2 / 2 - 0 from e1 to e2 is least at gamma = 1/2,
+        # which the grid does not hold, so it picks a nearby interior point
+        A = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        declared, plain = _quadratic_pair(A, np.zeros((2, 2)))
+        gamma = self._assert_same_step(
+            declared, plain, np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        )
+        assert 0.45 < gamma < 0.55
+
+    def test_flat_segment_ties_go_to_the_candidate(self):
+        A = random_pd_matrix(np.random.default_rng(2), 4)
+        declared, plain = _quadratic_pair(A, A)  # phi is 0 everywhere
+        rng = np.random.default_rng(3)
+        x_t, cand = rand_simplex(rng, 4), rand_simplex(rng, 4)
+        assert self._assert_same_step(declared, plain, x_t, cand) == 1.0
+
+    def test_missing_values_come_from_the_oracles(self):
+        declared = gen_quadratic_dc(8, 1).problem()
+        plain = gen_quadratic_dc(8, 1).problem()
+        plain.quadratic = False
+        rng = np.random.default_rng(4)
+        x_t, cand = rand_simplex(rng, 8), rand_simplex(rng, 8)
+        point, gamma = boosted_step(declared, x_t, cand)
+        want_point, want_gamma = boosted_step(plain, x_t, cand)
+        assert gamma == want_gamma and np.array_equal(point, want_point)
+
+    @staticmethod
+    def _quartic():
+        """f = x0^4 on the 2-simplex, g = 0: not quadratic.  Along e1 -> e2,
+        phi = (1 - gamma)^4 with slope -4, so the closed form through phi's
+        two ends and that slope is least inside the segment."""
+        return DcProblem(
+            f_value=lambda x: float(x[0]) ** 4,
+            f_grad=lambda x: np.array([4.0 * float(x[0]) ** 3, 0.0]),
+            g_value=lambda x: 0.0,
+            g_subgrad=lambda x: np.zeros(2),
+            dimension=2,
+            lmo=ProbabilitySimplex(2),
+        )
+
+    def test_false_declaration_fails_loudly_at_an_interior_gamma(self):
+        problem = self._quartic()
+        problem.quadratic = True
+        with pytest.raises(
+            OracleFailure,
+            match="declared quadratic but phi differs .* boosted step of outer step 0",
+        ):
+            dca_solve(problem, np.array([1.0, 0.0]), variant_config("DCA-BPCG-WS-ES-BT"))
+        # undeclared, the oracle grid finds phi decreasing and takes gamma = 1
+        _, record = dca_solve(
+            self._quartic(), np.array([1.0, 0.0]), variant_config("DCA-BPCG-WS-ES-BT")
+        )
+        assert record.termination == "converged" and record.objective[-1] == 0.0
+
+    def test_non_finite_phi_at_the_point_fails_loudly(self):
+        problem = gen_quadratic_dc(10, 0).problem()
+        g_value = Counter(problem.g_value)
+        # finite at x0 only; dca_solve's next call is at the subsolver's point
+        problem.g_value = lambda x: g_value(x) if g_value.calls == 0 else np.nan
+        with pytest.raises(OracleFailure, match="phi is nan at the subsolver's point"):
+            dca_solve(
+                problem, initial_point(problem.lmo), variant_config("DCA-BPCG-WS-ES-BT")
+            )
+
+    def test_grid_is_on_the_call_path_without_oracle_calls(self, monkeypatch):
+        problem = gen_quadratic_dc(30, 0).problem()
+        inside = []  # True while the grid search runs
+        grid_calls, oracle_calls_inside = Counter(dcfw.dca.grid_two_level), []
+        steps = Counter(dcfw.dca.boosted_step)
+
+        def grid(*args, **kwargs):
+            inside.append(True)
+            try:
+                return grid_calls(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        for name in ("f_value", "f_grad", "g_value", "g_subgrad"):
+            fn = getattr(problem, name)
+
+            def counted(x, fn=fn, name=name):
+                if inside:
+                    oracle_calls_inside.append(name)
+                return fn(x)
+
+            setattr(problem, name, counted)
+        monkeypatch.setattr(dcfw.dca, "grid_two_level", grid)
+        monkeypatch.setattr(dcfw.dca, "boosted_step", steps)
+        _, record = dca_solve(
+            problem, initial_point(problem.lmo), variant_config("DCA-BPCG-WS-ES-BT")
+        )
+        assert record.termination == "converged"
+        assert grid_calls.calls == steps.calls == record.outer_iters > 1
+        assert oracle_calls_inside == []
 
 
 class TestDcaSolve:
