@@ -6,7 +6,7 @@ profiles.
 import csv
 import time
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +85,7 @@ class BenchResult:
     trace_path: str = ""
 
 
-def _iter_instances(suite, sizes, seeds, qaplib_dir):
+def _iter_instances(suite, sizes, seeds, qaplib_dir, log):
     if suite in ("quadratics", "hard"):
         gen = gen_quadratic_dc if suite == "quadratics" else gen_hard_dc
         tag = "quad" if suite == "quadratics" else "hard"
@@ -97,6 +97,9 @@ def _iter_instances(suite, sizes, seeds, qaplib_dir):
         if qaplib_dir is None:
             raise ValueError("the qap suite needs a directory of instance files")
         report = scan_directory(qaplib_dir)
+        if log is not None:
+            for name, message in report.invalid:
+                log(f"skipping {name}.dat: {message}")
         limit = max(sizes)
         for name in report.valid:
             inst = parse_qaplib((Path(qaplib_dir) / f"{name}.dat").read_bytes(), name)
@@ -179,8 +182,10 @@ def run_suite(
     out_dir as each run finishes; a failing run is recorded as unsolved and
     the suite continues.  An out_dir that already holds a results.csv, or a
     repeated size, seed or variant, is refused, since either would record
-    one (instance, variant) pair twice, and so is an empty list or a cap
-    below 1.  Returns the list of BenchResult rows.
+    one (instance, variant) pair twice, and so is an empty list, a cap
+    below 1 or a qap suite with no instance to run.  Each file the qap
+    suite cannot parse is passed to log with the parser's message.
+    Returns the list of BenchResult rows.
     """
     if fw_gap_tol is None:
         fw_gap_tol = dca_gap_tol / 2.0
@@ -198,6 +203,11 @@ def run_suite(
     for name, cap in (("outer_cap", outer_cap), ("inner_cap", inner_cap)):
         if cap is not None and cap < 1:
             raise ValueError(f"{name} must be at least 1, got {cap}")
+    # only the first instance is made before any output, the rest one by one
+    instances = _iter_instances(suite, sizes, seeds, qaplib_dir, log)
+    first = next(instances, None)
+    if first is None:
+        raise ValueError(f"no QAP instance to run: no file parses with n <= {max(sizes)}")
     trace_dir = results_path = None
     if out_dir is not None:
         out = Path(out_dir)
@@ -208,9 +218,7 @@ def run_suite(
         trace_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for instance_id, n, seed, make_problem in _iter_instances(
-        suite, sizes, seeds, qaplib_dir
-    ):
+    for instance_id, n, seed, make_problem in chain([first], instances):
         caps = default_caps(suite, n)
         outer = outer_cap if outer_cap is not None else caps[0]
         inner = inner_cap if inner_cap is not None else caps[1]

@@ -19,8 +19,8 @@ import numpy as np
 from .fw import ActiveSet, Secant, bpcg, grid_two_level, vanilla_fw
 
 
-# vertices a VertexTable keeps; it then stops adding, and each entry holds
-# 2 * 8n bytes, key and gradient
+# vertices whose f_grad an Oracles record keeps; it then stops adding, and
+# each entry holds 2 * 8n bytes, key and gradient
 VERTEX_TABLE_SIZE = 4096
 # largest relative difference Subproblem.certify accepts between the values
 # quadratic_step carried and the oracles' (measured: at most 3.1e-14 over
@@ -34,36 +34,16 @@ CARRY_RTOL = 1e-9
 # (measured: no shortfall over 10,471 checks on the three families, the
 # least slack being exactly 0)
 SUBGRAD_RTOL = 1e-9
+# largest shortfall of f at one anchor below its linearization at the other
+# of two consecutive anchors that dca_solve accepts, relative to the larger
+# |f| of the two (measured: no shortfall over 10,872 checks on the three
+# families, the least relative slack being +2.9e-13)
+F_GRAD_RTOL = 1e-9
 
 
 class OracleFailure(RuntimeError):
     """A problem oracle returned a non-finite value, or values that break
     a property the problem declares."""
-
-
-class VertexTable:
-    """An LMO that registers each vertex it returns, with f_grad there.
-
-    grads maps the bits of each registered vertex to a read-only copy of
-    f_grad at it, or to None until a Subproblem first computes it; last
-    is the key of the vertex returned last, if registered.  The table keeps
-    its entries across the outer steps of a run, since f_grad does not
-    depend on the anchor.
-    """
-
-    def __init__(self, lmo):
-        self.lmo = lmo
-        self.grads = {}
-        self.last = None
-
-    def __call__(self, c):
-        v = self.lmo(c)
-        key = v.tobytes()
-        if len(self.grads) < VERTEX_TABLE_SIZE:
-            self.grads.setdefault(key, None)
-        # the key object keeps its hash, so grad's lookup need not hash again
-        self.last = key if key in self.grads else None
-        return v
 
 
 @dataclass
@@ -95,121 +75,141 @@ class DcProblem:
         return float(self.f_value(x)) - float(self.g_value(x))
 
 
+class Oracles:
+    """The oracle values of one dca_solve run.
+
+    f, g and f_grad each keep their value at the last point they were asked
+    for, keyed on the point's bits (key is x.tobytes()), so a point the run
+    comes back to costs no second call; the three must be pure functions of
+    x.  Every value held is the oracle's own, never a closed form's.
+
+    With vertex_table, for the vanilla-FW subsolver, lmo registers each
+    vertex the problem's LMO returns, at most VERTEX_TABLE_SIZE per run, and
+    vertex_grads maps its bits to a read-only copy of f_grad there, or to
+    None until first asked; f_grad does not depend on the anchor, so entries
+    live across outer steps.  quadratic, the fast-path flag, holds for that
+    subsolver only, since BPCG's steps would round differently in closed
+    form and change its LMO counts.
+    """
+
+    def __init__(self, problem, vertex_table=False):
+        self.problem = problem
+        self.quadratic = problem.quadratic and vertex_table
+        self.vertex_grads = {} if vertex_table else None
+        self.last_vertex = None  # key of the vertex lmo returned last, if kept
+        self._f = self._g = self._f_grad = (None, None)
+
+    def lmo(self, c):
+        v = self.problem.lmo(c)
+        key = v.tobytes()
+        grads = self.vertex_grads
+        if len(grads) < VERTEX_TABLE_SIZE:
+            grads.setdefault(key, None)
+        self.last_vertex = key if key in grads else None
+        return v
+
+    def f(self, x, key):
+        if key != self._f[0]:
+            self._f = (key, float(self.problem.f_value(x)))
+        return self._f[1]
+
+    def g(self, x, key):
+        if key != self._g[0]:
+            self._g = (key, float(self.problem.g_value(x)))
+        return self._g[1]
+
+    def f_grad(self, x, key):
+        """f_grad at x, kept in vertex_grads when x is the last vertex."""
+        if key == self._f_grad[0]:
+            return self._f_grad[1]
+        at_vertex = key == self.last_vertex
+        # last_vertex has hashed already; key is a new object that has not
+        f_grad = self.vertex_grads[self.last_vertex] if at_vertex else None
+        if f_grad is None:
+            f_grad = np.asarray(self.problem.f_grad(x), dtype=float)
+            if at_vertex:
+                f_grad = f_grad.copy()  # the oracle may reuse its array
+                f_grad.flags.writeable = False
+                self.vertex_grads[self.last_vertex] = f_grad
+        self._f_grad = (key, f_grad)
+        return f_grad
+
+
 @dataclass
 class Subproblem:
     """Convex majorant of phi obtained by linearizing g at an anchor.
 
-    vertex_grads, if set, is the VertexTable the subsolver calls as its
-    LMO; grad then takes f_grad at the last vertex from it.  quadratic, if
-    set, makes Secant take quadratic_step; dca_solve sets it for the
-    vanilla-FW subsolver on a problem that declares quadratic.
+    f and f_grad at the anchor are the oracles' (f_grad a read-only copy),
+    and grad_at_anchor is the surrogate's gradient there.  oracles is the
+    run's record, through which the surrogate evaluates f and f_grad.
+    quadratic, if set, makes Secant take quadratic_step.
     """
 
     anchor: np.ndarray
     g_at_anchor: float
     g_grad_at_anchor: np.ndarray
-    problem: DcProblem
-    phi_at_anchor: float
-    vertex_grads: VertexTable | None = None
+    f_at_anchor: float
+    f_grad_at_anchor: np.ndarray
+    oracles: Oracles
     quadratic: bool = False
-    # (x.tobytes(), gradient, f_grad or None if carried) of the last grad call
-    _grad_memo: tuple = field(
-        default=(None, None, None), init=False, repr=False, compare=False
-    )
-    # (y.tobytes(), f(y)) of the last f_value call
-    _f_memo: tuple = field(
-        default=(None, None), init=False, repr=False, compare=False
-    )
-    # (y.tobytes(), h(y)) of the last surrogate value descent needed
-    _h_memo: tuple = field(
-        default=(None, None), init=False, repr=False, compare=False
-    )
-    # (x.tobytes(), gradient, h) that quadratic_step carried to x last
-    _carried: tuple = field(
-        default=(None, None, None), init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self):
+        self.phi_at_anchor = self.f_at_anchor - self.g_at_anchor
+        self.grad_at_anchor = self.f_grad_at_anchor - self.g_grad_at_anchor
+        self.grad_at_anchor.flags.writeable = False
+        # (key, value) of the last grad call and of the last h descent needed
+        self._grad_memo = (self.anchor.tobytes(), self.grad_at_anchor)
+        self._h_memo = (None, None)
+        self._carried = None  # key of the point quadratic_step carried to last
 
     def _lin(self, x):
         return self.g_at_anchor + float(self.g_grad_at_anchor.dot(x - self.anchor))
 
     def value(self, x):
-        return float(self.problem.f_value(x)) - self._lin(x)
-
-    def _f_grad(self, x, key):
-        """f_grad at x, kept in vertex_grads when x is its last vertex."""
-        table = self.vertex_grads
-        at_vertex = table is not None and key == table.last
-        f_grad = table.grads[table.last] if at_vertex else None
-        if f_grad is None:
-            f_grad = np.asarray(self.problem.f_grad(x), dtype=float)
-            if at_vertex:
-                # a copy, so the oracle cannot change the entry through its
-                # own reference to the array it returned
-                f_grad = f_grad.copy()
-                f_grad.flags.writeable = False
-                table.grads[table.last] = f_grad
-        return f_grad
+        return float(self.oracles.problem.f_value(x)) - self._lin(x)
 
     def grad(self, x):
         """Gradient of the surrogate at x, as a read-only array.
 
-        The last result is kept and returned again for an x with the same
-        bits, and f_grad at a vertex is kept in vertex_grads, so f_grad must
-        be a pure function of x.  The secant search's last probe is bit for
-        bit the solver's next iterate, so the loop gets that gradient without
-        a second f_grad call; its probe at gamma = 1 is bit for bit the LMO
-        vertex, so a vertex that recurs costs none.
-        """
+        The last result is kept for an x with the same bits.  The secant
+        search's last probe is bit for bit the solver's next iterate, so the
+        loop gets that gradient without a second f_grad call; its probe at
+        gamma = 1 is bit for bit the LMO vertex, whose f_grad the record's
+        vertex table keeps."""
         key = x.tobytes()
         if key == self._grad_memo[0]:
             return self._grad_memo[1]
-        f_grad = self._f_grad(x, key)
-        grad = f_grad - self.g_grad_at_anchor
+        grad = self.oracles.f_grad(x, key) - self.g_grad_at_anchor
         grad.flags.writeable = False
-        self._grad_memo = (key, grad, f_grad)
+        self._grad_memo = (key, grad)
         return grad
-
-    def f_grad_at(self, x):
-        """f_grad at x if the last grad call evaluated it there, else None."""
-        key, _, f_grad = self._grad_memo
-        return f_grad if key == x.tobytes() else None
-
-    def f_value(self, y):
-        """f(y) as a float; the last result is kept for a y with the same bits."""
-        return self._f(y, y.tobytes())
-
-    def _f(self, y, key):
-        if key != self._f_memo[0]:
-            self._f_memo = (key, float(self.problem.f_value(y)))
-        return self._f_memo[1]
 
     def _h(self, y, key):
         # the surrogate's value h(y) = f(y) - lin(y), kept for the last y
         if key != self._h_memo[0]:
             lin = self._lin(y)
-            self._h_memo = (key, self._f(y, key) - lin)
+            self._h_memo = (key, self.oracles.f(y, key) - lin)
         return self._h_memo[1]
 
     def descent(self, y):
         """phi(anchor) - h(y): the descent y secures, and the threshold of the
         adaptive inner stop rule.  A Frank-Wolfe gap at y at most this value
         certifies that half the stationarity gap bound is realized as
-        progress.  f(y) and h(y) are kept, so the gap bounds and the
-        objective at the subsolver's last iterate reuse the stop rule's
-        evaluation."""
+        progress.  h(y) is kept, and f(y) stays in the record, so the gap
+        bounds and the objective at the subsolver's last iterate reuse the
+        stop rule's evaluation."""
         return self.phi_at_anchor - self._h(y, y.tobytes())
 
     def quadratic_step(self, x, d, gamma_max, dphi0):
         """Exact line search along d on [0, gamma_max] for a quadratic f.
 
-        Takes f_grad at the end point x + gamma_max * d, from vertex_grads
-        when that is the last LMO vertex, and with slope dphi0 = <grad(x), d>
-        and curvature <d, grad(end) - grad(x)> returns the minimizing gamma,
-        gamma_max when the slope at the end point is still negative.  Since
-        the surrogate's gradient is affine, the gradient and h at
-        x + gamma * d follow from those at x and at the end point; they are
-        kept as grad's and descent's values there, so the solver's next
-        iterate costs no oracle call.  certify checks them at the last one.
+        With f_grad at the end point x + gamma_max * d from the record (its
+        vertex table at the last LMO vertex), slope dphi0 = <grad(x), d> and
+        curvature <d, grad(end) - grad(x)>, returns the minimizing gamma,
+        gamma_max when the end point still descends.  The surrogate's
+        gradient is affine, so its gradient and h at x + gamma * d follow
+        from those at x and the end point, and are kept as grad's and
+        descent's values there; certify checks them at the last one.
         Returns (gamma, x + gamma * d), the point the memos are keyed on.
         """
         if not dphi0 < 0:
@@ -220,7 +220,7 @@ class Subproblem:
         h = self._h(x, key)
         end = x + gamma_max * d
         end_key = end.tobytes()
-        grad_end = self._f_grad(end, end_key) - self.g_grad_at_anchor
+        grad_end = self.oracles.f_grad(end, end_key) - self.g_grad_at_anchor
         diff = grad_end - grad
         curv = float(d.dot(diff))  # slope at the end point minus dphi0
         if not math.isfinite(curv):
@@ -236,26 +236,24 @@ class Subproblem:
             grad = diff
         grad.flags.writeable = False
         h += gamma * dphi0 + 0.5 * gamma * gamma * curv / gamma_max
-        self._grad_memo = (key, grad, None)
+        self._grad_memo = (key, grad)
         self._h_memo = (key, h)
-        self._carried = (key, grad, h)
+        self._carried = key
         return gamma, y
 
     def certify(self, y):
         """Replace the gradient and h that quadratic_step carried to y by the
-        oracles' values, after checking that the two agree to CARRY_RTOL.
-
-        Calls f_grad and f_value once each at y, or nothing when no carried
-        value reached y.  A larger difference means f is not quadratic on
-        the region and raises OracleFailure.
-        """
-        key, grad_c, h_c = self._carried
-        if key != y.tobytes():
+        oracles' values, taken through the record, after checking that the
+        two agree to CARRY_RTOL; a larger difference means f is not
+        quadratic on the region and raises OracleFailure.  Does nothing when
+        no carried value reached y."""
+        key = y.tobytes()
+        if key != self._carried:
             return
-        f_grad = np.asarray(self.problem.f_grad(y), dtype=float)
+        grad_c, h_c = self.grad(y), self._h(y, key)
+        f_grad = self.oracles.f_grad(y, key)
         grad = f_grad - self.g_grad_at_anchor
-        f = float(self.problem.f_value(y))
-        h = f - self._lin(y)
+        h = self.oracles.f(y, key) - self._lin(y)
         # relative to the terms each value is the difference of
         tiny = np.finfo(float).tiny
         scale = max(np.abs(f_grad).max(), np.abs(self.g_grad_at_anchor).max(), tiny)
@@ -269,45 +267,33 @@ class Subproblem:
                 f"{CARRY_RTOL:g})"
             )
         grad.flags.writeable = False
-        self._grad_memo = (key, grad, f_grad)
-        self._f_memo = (key, f)
+        self._grad_memo = (key, grad)
         self._h_memo = (key, h)
-        self._carried = (None, None, None)
+        self._carried = None
 
 
-def linearize(problem, x_t, f_val=None, g_val=None, f_grad=None):
+def linearize(oracles, x_t):
     """Build the surrogate at x_t.
 
-    Calls g_subgrad once, and f_value and g_value once each unless their
-    values at x_t are passed as f_val and g_val: the outer loop carries them
-    from the step that produced x_t, and f_grad at x_t when it has it.  The
-    surrogate keeps f(x_t), so a stop rule at the anchor calls no oracle.  A
-    non-finite value, carried or not, raises OracleFailure.
+    Takes f, g and f_grad at x_t through the run's record, which calls each
+    only when its last point was not x_t, and calls g_subgrad once.  A
+    non-finite value raises OracleFailure.
     """
     x_t = np.asarray(x_t, dtype=float)
-    g_val = float(problem.g_value(x_t) if g_val is None else g_val)
-    if not np.isfinite(g_val):
-        raise OracleFailure(f"g_value returned {g_val} at the anchor")
-    g_grad = np.asarray(problem.g_subgrad(x_t), dtype=float)
-    if not np.all(np.isfinite(g_grad)):
-        raise OracleFailure("g_subgrad returned non-finite entries at the anchor")
-    f_val = float(problem.f_value(x_t) if f_val is None else f_val)
-    if not np.isfinite(f_val):
-        raise OracleFailure(f"f_value returned {f_val} at the anchor")
-    sub = Subproblem(
-        anchor=x_t.copy(),
-        g_at_anchor=g_val,
-        g_grad_at_anchor=g_grad,
-        problem=problem,
-        phi_at_anchor=f_val - g_val,
-    )
     key = x_t.tobytes()
-    sub._f_memo = (key, f_val)
-    if f_grad is not None:
-        grad = f_grad - g_grad
-        grad.flags.writeable = False
-        sub._grad_memo = (key, grad, f_grad)
-    return sub
+    g_val, f_val = oracles.g(x_t, key), oracles.f(x_t, key)
+    g_grad = np.asarray(oracles.problem.g_subgrad(x_t), dtype=float)
+    f_grad = np.array(oracles.f_grad(x_t, key))  # the oracle may reuse its array
+    f_grad.flags.writeable = False
+    if not (math.isfinite(g_val) and math.isfinite(f_val)):
+        raise OracleFailure(f"f = {f_val} and g = {g_val} at the anchor")
+    for name, grad in (("g_subgrad", g_grad), ("f_grad", f_grad)):
+        # count_nonzero is a C call, where all() goes through Python wrappers
+        if np.count_nonzero(np.isfinite(grad)) != grad.size:
+            raise OracleFailure(f"{name} returned non-finite entries at the anchor")
+    return Subproblem(
+        x_t.copy(), g_val, g_grad, f_val, f_grad, oracles, oracles.quadratic
+    )
 
 
 def dc_gap_bounds(sub, x_next, fw_gap_at_x_next):
@@ -316,6 +302,13 @@ def dc_gap_bounds(sub, x_next, fw_gap_at_x_next):
     Returns (lb, ub) with lb = phi(anchor) - h(x_next) and ub = lb plus the
     subsolver's Frank-Wolfe gap at x_next.  lb also lower-bounds the primal
     gap at the anchor; a negative lb is reported as is.
+
+    On the vanilla-FW fast path the gap comes from the gradient that
+    quadratic_step carried to x_next, lb from the oracles after certify.
+    certify bounds that gradient's drift in the max norm by CARRY_RTOL
+    times max(|f_grad(x_next)|, |s|), s the anchor's subgradient, so the
+    gap is off by at most that times the region's l1 diameter (2 on the
+    simplex): with the measured drift, 3.1e-14, far below any tolerance.
     """
     lb = sub.descent(x_next)
     return lb, lb + fw_gap_at_x_next
@@ -458,6 +451,32 @@ def _check_boost(boost, gamma, f_x, g_x, t):
         )
 
 
+def _check_f_grad(prev, sub, t):
+    """Raise OracleFailure unless f at the anchors x_t of prev and x_{t+1}
+    of sub, the subproblems of outer steps t and t + 1, lies above its
+    linearization at the other one, up to F_GRAD_RTOL relative to
+    max(|f(x_t)|, |f(x_{t+1})|).  These two inequalities of convexity fail
+    for a gradient that is not f's, and all their terms are already held,
+    so the check calls no oracle.  An anchor that did not move, bit for
+    bit, is not checked."""
+    x_t, x_next = prev.anchor, sub.anchor
+    if x_t.tobytes() == x_next.tobytes():
+        return
+    d = x_next - x_t
+    f_t, f_next = prev.f_at_anchor, sub.f_at_anchor
+    slacks = (
+        (f_next - f_t - float(prev.f_grad_at_anchor.dot(d)), t + 1, t),
+        (f_t - f_next + float(sub.f_grad_at_anchor.dot(d)), t, t + 1),
+    )
+    slack, at, linearized_at = min(slacks)
+    if -slack > F_GRAD_RTOL * max(abs(f_t), abs(f_next)):
+        raise OracleFailure(
+            f"f at the anchor of outer step {at} lies {-slack:.3g} below its "
+            f"linearization at the anchor of outer step {linearized_at}, so f "
+            f"is not convex or f_grad is not its gradient"
+        )
+
+
 def dca_solve(problem, x0, config):
     """Minimize phi = f - g over the problem's polytope.
 
@@ -486,31 +505,26 @@ def dca_solve(problem, x0, config):
     lmo = problem.lmo
     lmo_base = lmo.call_count
     line_search = Secant()
-    # f and g at x, carried from the step that produced x into linearize,
-    # and f_grad at x when the subsolver evaluated it there
-    f_x, g_x = float(problem.f_value(x0)), float(problem.g_value(x0))
-    f_grad_x = None
-    record = RunRecord(phi0=f_x - g_x)
+    # only vanilla FW keeps a vertex table and takes the closed-form step
+    oracles = Oracles(problem, vertex_table=config.subsolver == "fw")
+    key = x0.tobytes()
+    record = RunRecord(phi0=oracles.f(x0, key) - oracles.g(x0, key))
     started = time.perf_counter()
     deadline = None
     if config.time_limit_seconds is not None:
         deadline = started + config.time_limit_seconds
 
-    # BPCG revisits few vertices, so only vanilla FW keeps a table; it also
-    # takes the closed-form step on a quadratic, which would change BPCG's
-    # LMO counts
-    vertex_grads = VertexTable(lmo) if config.subsolver == "fw" else None
-    quadratic = problem.quadratic and vertex_grads is not None
     x = x0.copy()
-    phi_x = record.phi0
     x_set = None  # decomposition of x when warm starting
+    sub = None
     record.termination = "iteration_cap"
     for t in range(config.max_outer_iters):
         if deadline is not None and time.perf_counter() > deadline:
             record.termination = "time_limit"
             break
-        sub = linearize(problem, x, f_x, g_x, f_grad_x)
-        sub.vertex_grads, sub.quadratic = vertex_grads, quadratic
+        prev, sub = sub, linearize(oracles, x)
+        if prev is not None:
+            _check_f_grad(prev, sub, t - 1)
         inner = dict(
             fw_gap_tol=config.fw_gap_tol,
             max_iters=config.max_inner_iters,
@@ -525,27 +539,25 @@ def dca_solve(problem, x0, config):
                 if config.boosted:
                     snapshot = x_set.copy()
             else:
-                start_set = ActiveSet.from_vertex(lmo(sub.grad(x)))
-                f_grad_x = sub.f_grad_at(x)  # kept for the boosted step
+                start_set = ActiveSet.from_vertex(lmo(sub.grad_at_anchor))
             y, out_set, stats = bpcg(sub, lmo, start_set, line_search, **inner)
         else:
-            y, stats = vanilla_fw(sub, vertex_grads, x, line_search, **inner)
+            y, stats = vanilla_fw(sub, oracles.lmo, x, line_search, **inner)
             sub.certify(y)
             out_set = None
 
         lb, ub = dc_gap_bounds(sub, y, stats.final_fw_gap)
         stalled = lb < 0  # then the iterate is kept, objective unchanged
+        phi_x = sub.phi_at_anchor
         if not stalled:
-            gamma, g_y, boost = 1.0, None, None
+            gamma, boost = 1.0, None
             if config.boosted:
                 if problem.quadratic:
-                    # what phi's closed form along [x, y] is made of; g at y
-                    # is also g at the new iterate when gamma = 1
-                    g_y = float(problem.g_value(y))
-                    if f_grad_x is None:
-                        f_grad_x = np.asarray(problem.f_grad(x), dtype=float)
-                    slope = float((f_grad_x - sub.g_grad_at_anchor).dot(y - x))
-                    phi_y = sub.f_value(y) - g_y
+                    # what phi's closed form along [x, y] is made of; f and g
+                    # at y stay in the record for the new iterate at gamma = 1
+                    key = y.tobytes()
+                    slope = float(sub.grad_at_anchor.dot(y - x))
+                    phi_y = oracles.f(y, key) - oracles.g(y, key)
                     if not math.isfinite(phi_y):
                         # the grid would keep x_t and repeat this subproblem
                         raise OracleFailure(
@@ -566,18 +578,14 @@ def dca_solve(problem, x0, config):
             else:
                 x = y
                 x_set = out_set
-            if gamma > 0.0:  # otherwise x is x_t, whose f and g are known
-                # at y, sub holds f from the stop rule or the gap bounds
-                f_x = sub.f_value(x)
-                if gamma < 1.0 or g_y is None:
-                    g_x = float(problem.g_value(x))
-                    if boost is not None:  # an interior gamma of the closed form
-                        _check_boost(boost, gamma, f_x, g_x, t)
-                else:
-                    g_x = g_y
+            if gamma > 0.0:  # otherwise x is x_t
+                # at y, the record holds f from the stop rule or the gap bounds
+                key = x.tobytes()
+                f_x, g_x = oracles.f(x, key), oracles.g(x, key)
+                if boost is not None and gamma < 1.0:
+                    _check_boost(boost, gamma, f_x, g_x, t)
                 _check_subgradient(sub, x, g_x, t)
                 phi_x = f_x - g_x
-                f_grad_x = sub.f_grad_at(x)
 
         record.dc_gap_lb.append(lb)
         record.fw_gap_final.append(stats.final_fw_gap)

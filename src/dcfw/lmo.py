@@ -94,7 +94,7 @@ class BirkhoffPolytope(LinearMinimizationOracle):
 
     def _minimize(self, c):
         # c is a finite float vector of length n^2, so the solver takes it
-        # without birkhoff_lmo's checks
+        # without further checks
         assign = BirkhoffPolytope._assign
         if assign is None:
             from scipy.optimize import linear_sum_assignment as assign
@@ -114,20 +114,3 @@ class BirkhoffPolytope(LinearMinimizationOracle):
             and np.abs(X.sum(axis=1) - 1.0).max() <= _TOL
         )
 
-
-def birkhoff_lmo(C):
-    """Exact permutation matrix minimizing <C, X> over doubly stochastic X.
-
-    Solves the linear assignment problem for the n x n cost matrix C and
-    returns the optimal permutation as a 0/1 matrix.
-    """
-    # imported here, so that importing dcfw does not import scipy
-    from scipy.optimize import linear_sum_assignment
-
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError(f"cost matrix must be square, got shape {C.shape}")
-    rows, cols = linear_sum_assignment(C)
-    X = np.zeros(C.shape)
-    X[rows, cols] = 1.0
-    return X

@@ -13,9 +13,11 @@ import dcfw.bench
 from dcfw import (
     BenchResult,
     QapInstance,
+    QaplibParseError,
     RunRecord,
     VARIANTS,
     load_results,
+    parse_qaplib,
     performance_profile,
     run_suite,
     serialize_qaplib,
@@ -264,13 +266,34 @@ class TestRunSuite:
         (qdir / "small.dat").write_text(serialize_qaplib(small))
         (qdir / "big.dat").write_text(serialize_qaplib(big))
         (qdir / "broken.dat").write_text("2 1")
+        lines = []
         results = run_suite(
             "qap", [4], [0], ["DCA-BPCG-WS-ES"],
             qaplib_dir=qdir, out_dir=tmp_path / "out",
-            outer_cap=200, inner_cap=2000,
+            outer_cap=200, inner_cap=2000, log=lines.append,
         )
         assert [r.instance for r in results] == ["small"]
         assert results[0].n == 3
+        # the dropped file is named, with the parser's message
+        with pytest.raises(QaplibParseError) as err:
+            parse_qaplib(b"2 1", "broken")
+        assert lines[0] == f"skipping broken.dat: {err.value}"
+
+    @pytest.mark.parametrize("content", ["2 1", "too big"])
+    def test_qap_suite_with_nothing_to_run_is_refused(self, tmp_path, content):
+        qdir = tmp_path / "instances"
+        qdir.mkdir()
+        if content == "too big":
+            rng = np.random.default_rng(0)
+            A, B = rng.integers(0, 5, (2, 6, 6)).astype(float)
+            content = serialize_qaplib(QapInstance("big", 6, A, B))
+        (qdir / "only.dat").write_text(content)
+        with pytest.raises(ValueError, match="no QAP instance to run"):
+            run_suite(
+                "qap", [4], [0], ["DCA-BPCG-WS-ES"], qaplib_dir=qdir,
+                out_dir=tmp_path / "out",
+            )
+        assert not (tmp_path / "out").exists()
 
     def test_hard_suite_instance_ids(self, tmp_path):
         results = run_suite(

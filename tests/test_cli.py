@@ -92,6 +92,20 @@ class TestRun:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_qap_directory_with_nothing_to_run_exits_2(self, tmp_path, capsys):
+        qdir = tmp_path / "instances"
+        qdir.mkdir()
+        (qdir / "broken.dat").write_text("2 1")
+        code = main([
+            "run", "--suite", "qap", "--qaplib-dir", str(qdir), "--sizes", "4",
+            "--out", str(tmp_path / "out"),
+        ])  # fmt: skip
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "skipping broken.dat: " in captured.out
+        assert "no QAP instance to run" in captured.err
+        assert not (tmp_path / "out").exists()  # refused before any output
+
     def test_config_file_supplies_options(self, tmp_path):
         out_dir = tmp_path / "from_config"
         cfg = tmp_path / "bench.cfg"

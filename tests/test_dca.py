@@ -19,6 +19,7 @@ from dcfw import (
     ProbabilitySimplex,
     QapInstance,
     Secant,
+    VARIANTS,
     bpcg,
     dca_solve,
     gen_hard_dc,
@@ -28,7 +29,7 @@ from dcfw import (
     vanilla_fw,
     variant_config,
 )
-from dcfw.dca import Subproblem, boosted_step, dc_gap_bounds, linearize
+from dcfw.dca import Oracles, Subproblem, boosted_step, dc_gap_bounds, linearize
 from dcfw.problems import HARD_K
 
 from helpers import (
@@ -69,7 +70,7 @@ class TestLinearize:
         )
         for anchor_seed in range(3):
             anchor = rand_simplex(np.random.default_rng(anchor_seed), n)
-            sub = linearize(problem, anchor)
+            sub = linearize(Oracles(problem), anchor)
             for _ in range(3):
                 x = rand_simplex(rng, n)
                 expected = problem.f_value(x) - float(b @ x)
@@ -83,7 +84,7 @@ class TestLinearize:
         fg = lambda x: Q @ x
         problem = DcProblem(fv, fg, fv, fg, n, ProbabilitySimplex(n))
         anchor = rand_simplex(rng, n)
-        sub = linearize(problem, anchor)
+        sub = linearize(Oracles(problem), anchor)
         assert sub.value(anchor) == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(sub.grad(anchor), 0.0, atol=1e-12)
 
@@ -93,7 +94,7 @@ class TestLinearize:
         problem = inst.problem()
         rng = np.random.default_rng(2)
         anchor = rand_simplex(rng, 10)
-        sub = linearize(problem, anchor)
+        sub = linearize(Oracles(problem), anchor)
         for _ in range(100):
             x = rand_simplex(rng, 10)
             excess = sub.value(x) - problem.phi(x)
@@ -109,7 +110,7 @@ class TestLinearize:
         gg = Counter(base.g_subgrad)
         fv = Counter(base.f_value)
         problem = DcProblem(fv, base.f_grad, gv, gg, 5, base.lmo)
-        linearize(problem, np.full(5, 0.2))
+        linearize(Oracles(problem), np.full(5, 0.2))
         assert (gv.calls, gg.calls, fv.calls) == (1, 1, 1)
 
     def test_non_finite_oracles_raise(self):
@@ -120,33 +121,41 @@ class TestLinearize:
         x = np.full(n, 1.0 / 3.0)
         bad_g = DcProblem(good, goodv, lambda x: np.nan, goodv, n, lmo)
         with pytest.raises(OracleFailure):
-            linearize(bad_g, x)
+            linearize(Oracles(bad_g), x)
         bad_gg = DcProblem(
             good, goodv, good, lambda x: np.array([1.0, np.inf, 0.0]), n, lmo
         )
         with pytest.raises(OracleFailure):
-            linearize(bad_gg, x)
+            linearize(Oracles(bad_gg), x)
         bad_f = DcProblem(lambda x: np.inf, goodv, good, goodv, n, lmo)
         with pytest.raises(OracleFailure):
-            linearize(bad_f, x)
+            linearize(Oracles(bad_f), x)
 
     def test_carried_values_replace_f_and_g_calls(self):
+        # f and g at the anchor come from the run's record when it holds them
         base = gen_quadratic_dc(5, 3).problem()
         fv, gv = Counter(base.f_value), Counter(base.g_value)
         problem = DcProblem(fv, base.f_grad, gv, base.g_subgrad, 5, base.lmo)
+        oracles = Oracles(problem)
         x = np.full(5, 0.2)
-        f_x, g_x = base.f_value(x), base.g_value(x)
-        carried = linearize(problem, x, f_x, g_x)
-        assert (fv.calls, gv.calls) == (0, 0)
-        fresh = linearize(base, x)
+        oracles.f(x, x.tobytes()), oracles.g(x, x.tobytes())
+        carried = linearize(oracles, x)
+        assert (fv.calls, gv.calls) == (1, 1)
+        fresh = linearize(Oracles(base), x)
         assert carried.phi_at_anchor == fresh.phi_at_anchor
         assert carried.g_at_anchor == fresh.g_at_anchor
 
     @pytest.mark.parametrize("f_val, g_val", [(np.nan, 0.0), (0.0, np.inf)])
     def test_non_finite_carried_value_raises(self, f_val, g_val):
-        problem = gen_quadratic_dc(3, 0).problem()
+        base = gen_quadratic_dc(3, 0).problem()
+        problem = DcProblem(
+            lambda x: f_val, base.f_grad, lambda x: g_val, base.g_subgrad, 3, base.lmo
+        )
+        oracles = Oracles(problem)
+        x = np.full(3, 1.0 / 3.0)
+        oracles.f(x, x.tobytes()), oracles.g(x, x.tobytes())  # held by the record
         with pytest.raises(OracleFailure):
-            linearize(problem, np.full(3, 1.0 / 3.0), f_val, g_val)
+            linearize(oracles, x)
 
 
 class TestSubproblemGrad:
@@ -154,7 +163,7 @@ class TestSubproblemGrad:
         problem = gen_quadratic_dc(n, 0).problem()
         problem.f_grad = Counter(problem.f_grad)
         x0 = np.full(n, 1.0 / n)
-        return linearize(problem, x0), problem.f_grad, x0
+        return linearize(Oracles(problem), x0), problem.f_grad, x0
 
     def test_same_point_calls_f_grad_once(self):
         sub, f_grad, x = self._counted()
@@ -167,12 +176,12 @@ class TestSubproblemGrad:
         x = np.eye(10)[0]
         signed = x.copy()
         signed[1] = -0.0  # equal to x by ==, but other bits
-        g = sub.grad(x)
+        g = sub.grad(x)  # the first call was linearize's, at the anchor
         assert np.array_equal(sub.grad(signed), g)
-        assert f_grad.calls == 2
+        assert f_grad.calls == 3
         sub.grad(np.eye(10)[1])
         sub.grad(x)  # one entry: x was displaced
-        assert f_grad.calls == 4
+        assert f_grad.calls == 5
 
     def test_cached_gradient_is_read_only(self):
         sub, _, x = self._counted()
@@ -187,7 +196,7 @@ class TestSubproblemGrad:
         sub, f_grad, x0 = self._counted()
         k = 25
         _, stats = vanilla_fw(
-            sub, sub.problem.lmo, x0, Secant(), fw_gap_tol=1e-15, max_iters=k
+            sub, sub.oracles.problem.lmo, x0, Secant(), fw_gap_tol=1e-15, max_iters=k
         )
         assert stats.termination == "iter_cap" and stats.iterations == k
         assert f_grad.calls == 2 * k + 1
@@ -231,7 +240,7 @@ class TestVertexTable:
         tables = []
 
         def spy(objective, *args, **kwargs):
-            tables.append(objective.vertex_grads)
+            tables.append(objective.oracles)
             return vanilla_fw(objective, *args, **kwargs)
 
         _, unbounded = dca_solve(qap_dc_oracles(inst), x0, cfg)
@@ -240,7 +249,7 @@ class TestVertexTable:
         _, bounded = dca_solve(qap_dc_oracles(inst), x0, cfg)
         # one table for the whole run, full but not over its bound
         assert all(t is tables[0] for t in tables)
-        assert len(tables[0].grads) == 8
+        assert len(tables[0].vertex_grads) == 8
         assert bounded.objective == unbounded.objective
         assert bounded.lmo_calls_cum == unbounded.lmo_calls_cum
 
@@ -256,24 +265,25 @@ class TestVertexTable:
 
         problem = quadratic_problem(Q, np.zeros(n), n)
         problem.f_grad = f_grad
-        table = dcfw.dca.VertexTable(problem.lmo)
-        v = table(-np.eye(n)[2])
-        sub = linearize(problem, np.full(n, 1.0 / n))
-        sub.vertex_grads = table
+        oracles = Oracles(problem, vertex_table=True)
+        v = oracles.lmo(-np.eye(n)[2])
+        anchor = np.full(n, 1.0 / n)
+        sub = linearize(oracles, anchor)
         sub.grad(v)
-        stored = table.grads[v.tobytes()]
+        stored = oracles.vertex_grads[v.tobytes()]
         assert not stored.flags.writeable and stored is not out
         sub.grad(np.eye(n)[0])  # overwrites the oracle's array
-        other = linearize(problem, np.eye(n)[1])
-        other.vertex_grads = table
+        other = linearize(oracles, np.eye(n)[1])
         assert np.array_equal(other.grad(v), Q @ v - other.g_grad_at_anchor)
-        assert np.array_equal(table.grads[v.tobytes()], Q @ v)
+        assert np.array_equal(oracles.vertex_grads[v.tobytes()], Q @ v)
+        # the anchor's gradient is a copy too
+        assert np.array_equal(sub.f_grad_at_anchor, Q @ anchor)
 
     def test_bpcg_runs_keep_no_table(self, monkeypatch):
         tables = []
 
         def spy(objective, *args, **kwargs):
-            tables.append(objective.vertex_grads)
+            tables.append(objective.oracles.vertex_grads)
             return bpcg(objective, *args, **kwargs)
 
         monkeypatch.setattr(dcfw.dca, "bpcg", spy)
@@ -288,19 +298,18 @@ class TestQuadraticFastPath:
         problem = gen_quadratic_dc(n, seed).problem()
         problem.f_grad = Counter(problem.f_grad)
         x0 = np.full(n, 1.0 / n)
-        sub = linearize(problem, x0)
-        sub.vertex_grads = dcfw.dca.VertexTable(problem.lmo)
-        sub.quadratic = True
+        sub = linearize(Oracles(problem, vertex_table=True), x0)
+        assert sub.quadratic
         return sub, problem.f_grad, x0
 
     def test_no_f_grad_call_per_iteration_beyond_new_vertices(self):
         sub, f_grad, x0 = self._fast_sub(10)
         k = 25
         _, stats = vanilla_fw(
-            sub, sub.vertex_grads, x0, Secant(), fw_gap_tol=1e-15, max_iters=k
+            sub, sub.oracles.lmo, x0, Secant(), fw_gap_tol=1e-15, max_iters=k
         )
         assert stats.termination == "iter_cap" and stats.iterations == k
-        vertices = len(sub.vertex_grads.grads)
+        vertices = len(sub.oracles.vertex_grads)
         assert vertices < k  # vertices recur, and cost nothing then
         # one call at x0, one at each vertex the first time it comes up
         assert f_grad.calls == 1 + vertices
@@ -309,11 +318,11 @@ class TestQuadraticFastPath:
     def test_carried_values_match_the_oracles(self, n):
         sub, _, x0 = self._fast_sub(n, seed=n)
         y, stats = vanilla_fw(
-            sub, sub.vertex_grads, x0, Secant(), fw_gap_tol=1e-15, max_iters=1000
+            sub, sub.oracles.lmo, x0, Secant(), fw_gap_tol=1e-15, max_iters=1000
         )
         assert stats.iterations == 1000
         grad, descent = sub.grad(y), sub.descent(y)  # carried by the steps
-        problem = sub.problem
+        problem = sub.oracles.problem
         exact_grad = problem.f_grad(y) - sub.g_grad_at_anchor
         h = problem.f_value(y) - (
             sub.g_at_anchor + sub.g_grad_at_anchor.dot(y - sub.anchor)
@@ -397,12 +406,49 @@ class TestSubgradientCheck:
         assert record.termination == "converged"
 
 
+class TestOracleRecord:
+    """dca_solve takes f, g and f_grad through one record per run, and checks
+    f's gradients at consecutive anchors against f's convexity."""
+
+    def test_subsolver_returning_the_anchor_costs_no_second_g_call(self):
+        # the gap at x0 is below fw_gap_tol, so vanilla FW returns x0 itself,
+        # whose g the record holds from phi0
+        problem = gen_quadratic_dc(10, 0).problem()
+        problem.g_value = Counter(problem.g_value)
+        x0 = np.full(10, 0.1)
+        cfg = DcaConfig(
+            subsolver="fw", stop_mode="fixed", dca_gap_tol=1e-12, fw_gap_tol=1e3,
+            max_outer_iters=1,
+        )
+        x, record = dca_solve(problem, x0, cfg)
+        assert record.inner_iters == [0] and x.tobytes() == x0.tobytes()
+        assert record.termination == "iteration_cap"
+        assert problem.g_value.calls == 1
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("family", [gen_quadratic_dc, gen_hard_dc])
+    def test_doubled_gradient_fails_loudly(self, family, variant):
+        problem = family(30, 0).problem()
+        # undeclared, so vanilla FW takes the secant search and certify does
+        # not catch the lie first
+        problem.quadratic = False
+        f_grad = problem.f_grad
+        problem.f_grad = lambda x: 2.0 * f_grad(x)
+        config = variant_config(variant, max_outer_iters=50, max_inner_iters=500)
+        with pytest.raises(
+            OracleFailure,
+            match="f at the anchor of outer step .* below its linearization at "
+            "the anchor of outer step",
+        ):
+            dca_solve(problem, initial_point(problem.lmo), config)
+
+
 class TestDcGapBounds:
     def test_exact_subsolve_collapses_sandwich(self):
         inst = gen_quadratic_dc(6, 1)
         problem = inst.problem()
         anchor = np.full(6, 1.0 / 6.0)
-        sub = linearize(problem, anchor)
+        sub = linearize(Oracles(problem), anchor)
         y = rand_simplex(np.random.default_rng(3), 6)
         lb, ub = dc_gap_bounds(sub, y, 0.0)
         assert lb == ub
@@ -415,7 +461,7 @@ class TestDcGapBounds:
         problem = inst.problem()
         rng = np.random.default_rng(4)
         anchor = rand_simplex(rng, 3)
-        sub = linearize(problem, anchor)
+        sub = linearize(Oracles(problem), anchor)
 
         # imprecise subsolve on purpose
         y, stats = vanilla_fw(
@@ -441,7 +487,7 @@ class TestDcGapBounds:
         anchor = simplex_qp_minimize(  # a good anchor so most y are worse
             inst.A, inst.a - inst.B @ np.full(4, 0.25) - inst.b
         )
-        sub = linearize(problem, anchor)
+        sub = linearize(Oracles(problem), anchor)
         y = np.array([1.0, 0.0, 0.0, 0.0])
         lb, ub = dc_gap_bounds(sub, y, 0.5)
         assert lb == sub.phi_at_anchor - sub.value(y)
@@ -453,7 +499,7 @@ class TestDcGapBounds:
         inst = gen_quadratic_dc(8, 5)
         problem = inst.problem()
         anchor = np.full(8, 0.125)
-        sub = linearize(problem, anchor)
+        sub = linearize(Oracles(problem), anchor)
         v0 = problem.lmo(sub.grad(anchor))
         y, _, stats = bpcg(
             sub,
@@ -501,7 +547,7 @@ class TestStopRules:
     def test_adaptive_at_anchor_cannot_fire(self):
         # tau_t(x_t) = 0: only an exactly zero gap may stop at the anchor
         inst = gen_quadratic_dc(4, 0)
-        sub = linearize(inst.problem(), np.full(4, 0.25))
+        sub = linearize(Oracles(inst.problem()), np.full(4, 0.25))
         assert sub.descent(sub.anchor) == 0.0
 
     def test_adaptive_fires_on_secured_descent(self):
@@ -509,7 +555,7 @@ class TestStopRules:
         # which is also lb; the solver stops at the first y it covers
         inst = gen_quadratic_dc(8, 5)
         problem = inst.problem()
-        sub = linearize(problem, np.full(8, 0.125))
+        sub = linearize(Oracles(problem), np.full(8, 0.125))
         rng = np.random.default_rng(5)
         for _ in range(10):
             y = rand_simplex(rng, 8)

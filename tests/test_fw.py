@@ -18,7 +18,7 @@ from dcfw import (
     gen_quadratic_dc,
     vanilla_fw,
 )
-from dcfw.dca import linearize
+from dcfw.dca import Oracles, linearize
 from dcfw.fw import fw_gap, grid_two_level, secant_line_search
 
 from helpers import (
@@ -294,7 +294,7 @@ class TestPointContract:
         exits = set()
         x = np.full(8, 1.0 / 8.0)
         for i, gamma_max in itertools.product(range(8), (1.0, 0.05)):
-            sub = linearize(problem, x)
+            sub = linearize(Oracles(problem), x)
             d = np.eye(8)[i] - x
             dphi0 = float(sub.grad(x) @ d)
             gamma, point = sub.quadratic_step(x, d, gamma_max, dphi0)
@@ -746,7 +746,7 @@ class TestBpcg:
         inst = gen_quadratic_dc(100, 0)
         problem = inst.problem()
         x0 = np.full(100, 0.01)
-        sub = linearize(problem, x0)
+        sub = linearize(Oracles(problem), x0)
         v0 = problem.lmo(sub.grad(x0))
         start = problem.lmo.call_count
         bpcg(

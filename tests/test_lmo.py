@@ -10,7 +10,6 @@ from dcfw import (
     KSparsePolytope,
     ProbabilitySimplex,
 )
-from dcfw.lmo import birkhoff_lmo
 
 from helpers import (
     assignment_costs,
@@ -171,10 +170,16 @@ class TestKSparsePolytope:
             KSparsePolytope(4, tau=1.0, k=5)
 
 
+def birkhoff_vertex(C):
+    """BirkhoffPolytope's vertex for the cost matrix C, as an n x n matrix."""
+    n = len(C)
+    return BirkhoffPolytope(n)(np.asarray(C, dtype=float).ravel()).reshape(n, n)
+
+
 class TestBirkhoff:
     def test_identity_cost(self):
         C = np.full((3, 3), 5.0) - 4.0 * np.eye(3)
-        X = birkhoff_lmo(C)
+        X = birkhoff_vertex(C)
         assert np.array_equal(X, np.eye(3))
 
     def test_matches_factorial_enumeration(self):
@@ -182,7 +187,7 @@ class TestBirkhoff:
         for _ in range(50):
             n = int(rng.integers(2, 8))
             C = rng.uniform(-10, 10, size=(n, n))
-            X = birkhoff_lmo(C)
+            X = birkhoff_vertex(C)
             assert perm_cost(C, X) == brute_force_assignment(C)
 
     def test_row_shift_invariance(self):
@@ -197,7 +202,7 @@ class TestBirkhoff:
             argmin = {tuple(p) for p in perms[costs <= costs.min() + 1e-12]}
             argmin2 = {tuple(p) for p in perms2[costs2 <= costs2.min() + 1e-12]}
             assert argmin == argmin2
-            X = birkhoff_lmo(shifted)
+            X = birkhoff_vertex(shifted)
             assert tuple(np.argmax(X, axis=1)) in argmin2
             assert perm_cost(shifted, X) == costs2.min()
 
@@ -211,7 +216,7 @@ class TestBirkhoff:
             assert np.array_equal(X.sum(axis=1), np.ones(5))
 
     @pytest.mark.parametrize("costs", ["random", "integer_ties"])
-    def test_vertex_is_birkhoff_lmo_flattened(self, costs):
+    def test_flat_vertex_matches_factorial_enumeration(self, costs):
         rng = np.random.default_rng(10)
         for _ in range(50):
             n = int(rng.integers(1, 9))
@@ -220,9 +225,12 @@ class TestBirkhoff:
             else:
                 C = rng.integers(0, 3, size=(n, n)).astype(float)
             v = BirkhoffPolytope(n)(C.ravel())
-            want = birkhoff_lmo(C).ravel()
-            assert v.dtype == want.dtype and v.shape == (n * n,)
-            assert v.tobytes() == want.tobytes()
+            assert v.dtype == np.float64 and v.shape == (n * n,)
+            X = v.reshape(n, n)
+            assert set(np.unique(X)) <= {0.0, 1.0}
+            assert np.array_equal(X.sum(axis=0), np.ones(n))
+            assert np.array_equal(X.sum(axis=1), np.ones(n))
+            assert perm_cost(C, X) == brute_force_assignment(C)
 
     def test_contains(self):
         lmo = BirkhoffPolytope(4)
