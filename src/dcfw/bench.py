@@ -35,20 +35,23 @@ TRACE_FIELDS = [
     "inner_iters",
     "elapsed_s",
 ]
-RESULT_FIELDS = [
-    "instance",
-    "variant",
-    "n",
-    "seed",
-    "solved",
-    "outer_iters",
-    "wall_s",
-    "lmo_calls",
-    "final_obj",
-    "reason",
-]
+# results.csv column -> (BenchResult field, parser of the written text)
+_RESULT_COLUMNS = {
+    "instance": ("instance", str),
+    "variant": ("variant", str),
+    "n": ("n", int),
+    "seed": ("seed", int),
+    "solved": ("solved", lambda text: bool(int(text))),  # written as 0 or 1
+    "outer_iters": ("outer_iters", int),
+    "wall_s": ("wall_seconds", float),
+    "lmo_calls": ("lmo_calls", int),
+    "final_obj": ("final_objective", float),
+    "reason": ("reason", str),
+}
+RESULT_FIELDS = list(_RESULT_COLUMNS)
 
-METRICS = ("iters", "time", "lmo")
+# metric name -> the BenchResult field it reads
+METRICS = {"iters": "outer_iters", "time": "wall_seconds", "lmo": "lmo_calls"}
 
 
 def variant_config(name, **overrides):
@@ -121,19 +124,18 @@ def _write_trace(path, record):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
-        ubs = record.dc_gap_ub
-        for t in range(record.outer_iters):
-            writer.writerow(
-                [
-                    t,
-                    repr(record.dc_gap_lb[t]),
-                    repr(ubs[t]),
-                    repr(record.objective[t]),
-                    record.lmo_calls_cum[t],
-                    record.inner_iters[t],
-                    repr(record.elapsed_seconds[t]),
-                ]
+        # csv writes a float as its repr, which reads back to the same bits
+        writer.writerows(
+            zip(
+                range(record.outer_iters),
+                record.dc_gap_lb,
+                record.dc_gap_ub,
+                record.objective,
+                record.lmo_calls_cum,
+                record.inner_iters,
+                record.elapsed_seconds,
             )
+        )
 
 
 def _append_result(path, result):
@@ -142,20 +144,8 @@ def _append_result(path, result):
         writer = csv.writer(fh)
         if new:
             writer.writerow(RESULT_FIELDS)
-        writer.writerow(
-            [
-                result.instance,
-                result.variant,
-                result.n,
-                result.seed,
-                int(result.solved),
-                result.outer_iters,
-                repr(result.wall_seconds),
-                result.lmo_calls,
-                repr(result.final_objective),
-                result.reason,
-            ]
-        )
+        values = [getattr(result, name) for name, _ in _RESULT_COLUMNS.values()]
+        writer.writerow([int(v) if isinstance(v, bool) else v for v in values])
 
 
 def run_suite(
@@ -167,7 +157,6 @@ def run_suite(
     qaplib_dir=None,
     out_dir=None,
     dca_gap_tol=1e-6,
-    fw_gap_tol=None,
     outer_cap=None,
     inner_cap=None,
     time_limit=None,
@@ -177,22 +166,22 @@ def run_suite(
 
     suite is "quadratics", "hard", or "qap"; generated suites take the cross
     product of sizes and seeds, the qap suite reads *.dat files from
-    qaplib_dir keeping instances with n <= max(sizes).  fw_gap_tol defaults
-    to half of dca_gap_tol.  Results and per-run traces are written under
-    out_dir as each run finishes; a failing run is recorded as unsolved and
-    the suite continues.  An out_dir that already holds a results.csv, or a
-    repeated size, seed or variant, is refused, since either would record
-    one (instance, variant) pair twice, and so is an empty list, a cap
-    below 1 or a qap suite with no instance to run.  Each file the qap
-    suite cannot parse is passed to log with the parser's message.
-    Returns the list of BenchResult rows.
+    qaplib_dir keeping instances with n <= max(sizes).  The inner solves
+    take fw_gap_tol = dca_gap_tol / 2.  Results and per-run traces are
+    written under out_dir as each run finishes; a failing run is recorded as
+    unsolved and the suite continues.  An out_dir that already holds a
+    results.csv, or a repeated size, seed or variant, is refused, since
+    either would record one (instance, variant) pair twice, and so is an
+    empty list, a cap below 1 or a qap suite with no instance to run.  Each
+    file the qap suite cannot parse is passed to log with the parser's
+    message.  Returns the list of BenchResult rows.
     """
-    if fw_gap_tol is None:
-        fw_gap_tol = dca_gap_tol / 2.0
     # built first, so that a bad variant, tolerance or time limit is refused
     # before any output
     common = dict(
-        dca_gap_tol=dca_gap_tol, fw_gap_tol=fw_gap_tol, time_limit_seconds=time_limit
+        dca_gap_tol=dca_gap_tol,
+        fw_gap_tol=dca_gap_tol / 2.0,
+        time_limit_seconds=time_limit,
     )
     configs = {v: variant_config(v, **common) for v in variants}
     for name, values in (("sizes", sizes), ("seeds", seeds), ("variants", variants)):
@@ -277,20 +266,8 @@ def load_results(in_dir):
             if key in seen:
                 raise ValueError(f"{path} repeats the row for {key}")
             seen.add(key)
-            rows.append(
-                BenchResult(
-                    instance=rec["instance"],
-                    variant=rec["variant"],
-                    n=int(rec["n"]),
-                    seed=int(rec["seed"]),
-                    solved=bool(int(rec["solved"])),
-                    outer_iters=int(rec["outer_iters"]),
-                    wall_seconds=float(rec["wall_s"]),
-                    lmo_calls=int(rec["lmo_calls"]),
-                    final_objective=float(rec["final_obj"]),
-                    reason=rec["reason"],
-                )
-            )
+            fields = {f: parse(rec[col]) for col, (f, parse) in _RESULT_COLUMNS.items()}
+            rows.append(BenchResult(**fields))
     return rows
 
 
@@ -304,16 +281,6 @@ def shifted_geomean(values, shift=1.0):
     return float(np.exp(np.mean(np.log(v + shift))) - shift)
 
 
-def _metric_value(result, metric):
-    if metric == "iters":
-        return float(result.outer_iters)
-    if metric == "time":
-        return float(result.wall_seconds)
-    if metric == "lmo":
-        return float(result.lmo_calls)
-    raise ValueError(f"unknown metric {metric!r}, choose from {METRICS}")
-
-
 def performance_profile(results, metric, *, modified=False, thetas=None):
     """Performance profile curves over a set of benchmark results.
 
@@ -323,8 +290,11 @@ def performance_profile(results, metric, *, modified=False, thetas=None):
     (all instances treated as solved at their final iteration).  Returns
     (thetas, curves) where curves maps each variant to the fraction of
     instances with ratio <= theta, sampled on a log-spaced grid unless an
-    explicit theta grid is given.
+    explicit theta grid is given.  metric is a key of METRICS.
     """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}, choose from {list(METRICS)}")
+    name = METRICS[metric]
     variants = list(dict.fromkeys(r.variant for r in results))
     instances = list(dict.fromkeys(r.instance for r in results))
     if not variants or not instances:
@@ -339,7 +309,7 @@ def performance_profile(results, metric, *, modified=False, thetas=None):
             if r is None:
                 continue
             if modified or r.solved:
-                vals[s] = _metric_value(r, metric)
+                vals[s] = float(getattr(r, name))
         best = min(vals.values()) if vals else np.inf
         best = max(best, 1e-300)
         for s in variants:
@@ -367,8 +337,8 @@ def write_profile(path, thetas, curves):
             writer.writerow([repr(float(t)), *(repr(float(curves[s][i])) for s in curves)])
 
 
-def summarize_table(results, shift=1.0):
-    """Shifted-geomean summary rows per (n, variant).
+def summarize_table(results):
+    """Shifted-geomean summary rows per (n, variant), with shift 1.
 
     Every run counts, solved or not, so capped runs enter at their caps.  The
     per-size winner of each metric is flagged.  Returns a list of dicts with
@@ -383,16 +353,10 @@ def summarize_table(results, shift=1.0):
             runs = [r for r in group if r.variant == s]
             if not runs:
                 continue
-            per_variant.append(
-                {
-                    "n": n,
-                    "count": len(runs),
-                    "variant": s,
-                    "iters": shifted_geomean([r.outer_iters for r in runs], shift),
-                    "time": shifted_geomean([r.wall_seconds for r in runs], shift),
-                    "lmo": shifted_geomean([r.lmo_calls for r in runs], shift),
-                }
-            )
+            row = {"n": n, "count": len(runs), "variant": s}
+            for metric, name in METRICS.items():
+                row[metric] = shifted_geomean([getattr(r, name) for r in runs])
+            per_variant.append(row)
         for metric in METRICS:
             best = min(row[metric] for row in per_variant)
             for row in per_variant:

@@ -379,44 +379,36 @@ def _phi_on_segment(phi_t, phi_y, slope):
     return value
 
 
-def boosted_step(problem, x_t, x_candidate, phi_t=None, phi_candidate=None, slope=None):
-    """Line search the true objective along [x_t, x_candidate].
+def boosted_step(problem, x_t, y, phi_t, phi_y, slope):
+    """Line search the true objective along [x_t, y].
 
-    Runs the two-level grid search on phi over the segment and returns the
-    best point found and its step gamma in [0, 1], so phi(point) <=
-    phi(x_candidate).  A flat or monotonically decreasing profile returns
-    (a copy of) x_candidate itself with gamma = 1.  phi_t, when given, is
-    phi(x_t), which the search then does not evaluate again.
+    phi_t and phi_y are phi at the two ends and slope is <f_grad(x_t) -
+    g_subgrad(x_t), y - x_t>.  Runs the two-level grid search over gamma in
+    [0, 1] and returns the best point found and its gamma, so phi(point) <=
+    phi(y); a flat or monotonically decreasing profile returns (a copy of) y
+    itself with gamma = 1.
 
-    On a problem that declares quadratic, phi along the segment is
-        phi_t + gamma * slope + gamma^2 * (phi_candidate - phi_t - slope),
-    slope = <f_grad(x_t) - g_subgrad(x_t), x_candidate - x_t>, and the same
-    grid probes that instead of the oracles, with the same tie rule; it is
-    phi_candidate exactly at gamma = 1.  phi_t, phi_candidate and slope are
-    evaluated when not given.  Only an interior gamma rests on interpolated
-    values, and dca_solve checks phi at the point it then moves to.  gamma = 1
-    and gamma = 0 rest only on the exact values at the two ends, and the
-    step to x_candidate stays certified by lb >= 0, so a false declaration
-    can make the boost less effective but cannot make a certificate wrong.
+    The grid runs on the gamma axis itself, 0.0 + gamma * 1.0 being gamma.
+    On a problem that declares quadratic it probes phi's closed form
+    through phi_t, phi_y and slope (_phi_on_segment), with the same tie
+    rule, and otherwise phi(x_t + gamma * (y - x_t)) from the oracles.  Only
+    an interior gamma rests on interpolated values, and dca_solve checks phi
+    at the point it then moves to.  gamma = 1 and gamma = 0 rest only on the
+    exact values at the two ends, and the step to y stays certified by lb
+    >= 0, so a false declaration can make the boost less effective but
+    cannot make a certificate wrong.
     """
-    d = x_candidate - x_t
+    d = y - x_t
     if problem.quadratic:
-        if phi_t is None:
-            phi_t = problem.phi(x_t)
-        if phi_candidate is None:
-            phi_candidate = problem.phi(x_candidate)
-        if slope is None:
-            grad_t = np.asarray(problem.f_grad(x_t), dtype=float) - np.asarray(
-                problem.g_subgrad(x_t), dtype=float
-            )
-            slope = float(grad_t.dot(d))
-        # probing on the gamma axis itself: 0.0 + gamma * 1.0 is gamma
-        value = _phi_on_segment(phi_t, phi_candidate, slope)
-        gamma = grid_two_level(value, 0.0, 1.0, 1.0, phi_t)
+        value = _phi_on_segment(phi_t, phi_y, slope)
     else:
-        gamma = grid_two_level(problem.phi, x_t, d, 1.0, phi_t)
+
+        def value(gamma):
+            return problem.phi(x_t + gamma * d)
+
+    gamma = grid_two_level(value, 0.0, 1.0, 1.0, phi_t)
     if gamma >= 1.0:
-        return x_candidate.copy(), 1.0
+        return y.copy(), 1.0
     if gamma <= 0.0:
         return x_t.copy(), 0.0
     return x_t + gamma * d, gamma
@@ -483,12 +475,13 @@ def dca_solve(problem, x0, config):
     Repeatedly linearizes g at the current iterate and drives the convex
     surrogate down with the configured subsolver, stopping once the certified
     stationarity gap ub = lb + fw_gap falls below config.dca_gap_tol.  With
-    the adaptive stop mode the recorded objective never increases.  If a
-    subproblem terminates above the anchor value (negative lb) the iterate is
-    kept and the run ends as stalled, since repeating the identical
-    subproblem cannot progress.  A time limit is passed to the subsolver as a
-    deadline, so a run ends with termination time_limit within about one
-    inner iteration of it.
+    the adaptive stop mode the recorded objective never increases.  The run
+    ends as stalled when repeating the identical subproblem cannot
+    progress: when a subproblem terminates above the anchor value (negative
+    lb), and the iterate is kept, or when the subsolver returns its anchor,
+    bit for bit, without an iteration.  A time limit is passed to the
+    subsolver as a deadline, so a run ends with termination time_limit
+    within about one inner iteration of it.
 
     Returns (x_final, RunRecord).
     """
@@ -550,23 +543,18 @@ def dca_solve(problem, x0, config):
         stalled = lb < 0  # then the iterate is kept, objective unchanged
         phi_x = sub.phi_at_anchor
         if not stalled:
-            gamma, boost = 1.0, None
+            gamma = 1.0
             if config.boosted:
-                if problem.quadratic:
-                    # what phi's closed form along [x, y] is made of; f and g
-                    # at y stay in the record for the new iterate at gamma = 1
-                    key = y.tobytes()
-                    slope = float(sub.grad_at_anchor.dot(y - x))
-                    phi_y = oracles.f(y, key) - oracles.g(y, key)
-                    if not math.isfinite(phi_y):
-                        # the grid would keep x_t and repeat this subproblem
-                        raise OracleFailure(
-                            f"phi is {phi_y} at the subsolver's point in outer step {t}"
-                        )
-                    boost = (phi_x, phi_y, slope)
-                    x, gamma = boosted_step(problem, x, y, *boost)
-                else:
-                    x, gamma = boosted_step(problem, x, y, phi_x)
+                # f and g at y stay in the record for the new iterate at gamma = 1
+                key = y.tobytes()
+                phi_y = oracles.f(y, key) - oracles.g(y, key)
+                if not math.isfinite(phi_y):
+                    # the grid would keep x_t and repeat this subproblem
+                    raise OracleFailure(
+                        f"phi is {phi_y} at the subsolver's point in outer step {t}"
+                    )
+                boost = (phi_x, phi_y, float(sub.grad_at_anchor.dot(y - x)))
+                x, gamma = boosted_step(problem, x, y, *boost)
                 if gamma >= 1.0:
                     x_set = out_set
                 elif gamma <= 0.0:
@@ -582,7 +570,7 @@ def dca_solve(problem, x0, config):
                 # at y, the record holds f from the stop rule or the gap bounds
                 key = x.tobytes()
                 f_x, g_x = oracles.f(x, key), oracles.g(x, key)
-                if boost is not None and gamma < 1.0:
+                if problem.quadratic and gamma < 1.0:
                     _check_boost(boost, gamma, f_x, g_x, t)
                 _check_subgradient(sub, x, g_x, t)
                 phi_x = f_x - g_x
@@ -600,7 +588,10 @@ def dca_solve(problem, x0, config):
         if stats.termination == "time_limit":
             record.termination = "time_limit"
             break
-        if stalled:
+        # an inner solve that made no step from its anchor leaves the next
+        # outer step the same subproblem from the same start
+        repeats = stats.iterations == 0 and y.tobytes() == sub.anchor.tobytes()
+        if stalled or repeats:
             record.termination = "stalled"
             break
     return x, record

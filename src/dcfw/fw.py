@@ -231,25 +231,23 @@ def _grid_fallback(value_fn, x, d, gamma_max):
     return gamma, x + gamma * d
 
 
-def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0=None):
+def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0):
     """Approximately minimize phi(gamma) = value(x + gamma * d) on [0, gamma_max].
 
     Runs a bracketing secant iteration on phi'(gamma) = <grad(x + gamma*d), d>
     seeded at gamma = 0 and gamma = gamma_max.  Stops once |phi'| <=
     _SECANT_TOL * ||d|| or after _SECANT_MAX_EVAL gradient evaluations; a
-    final value comparison guarantees value(x + gamma*d) <= value(x).  Pass
-    dphi0 = <grad(x), d> when the gradient at x is already available so it
-    is not evaluated again.  A non-finite phi' anywhere falls back, with a
-    warning, to grid_two_level.  On a quadratic the first secant step is
-    exact, so the interior minimizer is found with two gradient evaluations.
+    final value comparison guarantees value(x + gamma*d) <= value(x).
+    dphi0 is phi'(0) = <grad(x), d>, which the solvers have from their
+    gaps.  A non-finite phi' anywhere falls back, with a warning, to
+    grid_two_level.  On a quadratic the first secant step is exact, so the
+    interior minimizer is found with two gradient evaluations.
 
     Returns (gamma, x + gamma * d).  The point is the array the search last
     probed when gamma is that probe's, and x itself when gamma is 0.
     """
     if gamma_max <= 0:
         return 0.0, x
-    if dphi0 is None:
-        dphi0 = float(np.dot(grad_fn(x), d))
     if not math.isfinite(dphi0):
         return _grid_fallback(value_fn, x, d, gamma_max)
     if dphi0 >= 0:
@@ -304,7 +302,7 @@ def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0=None):
 class Agnostic:
     """Open-loop step size 2 / (k + 2); step returns (gamma, x + gamma * d)."""
 
-    def step(self, objective, x, d, gamma_max, k, dphi0=None):
+    def step(self, objective, x, d, gamma_max, k, dphi0):
         gamma = min(2.0 / (k + 2.0), gamma_max)
         return gamma, x + gamma * d
 
@@ -314,11 +312,11 @@ class Secant:
     """Secant line search on the directional derivative (secant_line_search).
 
     An objective whose ``quadratic`` attribute is true is minimized along d
-    in closed form by its ``quadratic_step(x, d, gamma_max, dphi0)`` instead;
-    dphi0 must then be given.  Either way step returns (gamma, x + gamma * d).
+    in closed form by its ``quadratic_step(x, d, gamma_max, dphi0)`` instead.
+    Either way step returns (gamma, x + gamma * d).
     """
 
-    def step(self, objective, x, d, gamma_max, k, dphi0=None):
+    def step(self, objective, x, d, gamma_max, k, dphi0):
         if getattr(objective, "quadratic", False):
             return objective.quadratic_step(x, d, gamma_max, dphi0)
         return secant_line_search(

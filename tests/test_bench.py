@@ -564,7 +564,7 @@ class TestSummarizeTable:
             _result("p1", "B", 1, outer=2, wall=0.25),
             _result("p2", "B", 7, outer=2, wall=0.25),
         ]
-        return summarize_table(results, shift=1.0)
+        return summarize_table(results)
 
     def test_hand_checked_values(self):
         rows = {row["variant"]: row for row in self._rows()}

@@ -422,7 +422,7 @@ class TestOracleRecord:
         )
         x, record = dca_solve(problem, x0, cfg)
         assert record.inner_iters == [0] and x.tobytes() == x0.tobytes()
-        assert record.termination == "iteration_cap"
+        assert record.termination == "stalled"
         assert problem.g_value.calls == 1
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -617,6 +617,12 @@ class TestDcaConfig:
         assert cfg.subsolver == "bpcg" and cfg.stop_mode == "adaptive"
 
 
+def _boost_args(problem, x_t, y):
+    """(phi_t, phi_y, slope) of the segment [x_t, y], from the oracles."""
+    grad = np.asarray(problem.f_grad(x_t)) - np.asarray(problem.g_subgrad(x_t))
+    return problem.phi(x_t), problem.phi(y), float(grad @ (y - x_t))
+
+
 class TestBoostedStep:
     def test_parabola_on_segment(self):
         problem = DcProblem(
@@ -627,7 +633,8 @@ class TestBoostedStep:
             dimension=1,
             lmo=KSparsePolytope(1, 1.0, 1),
         )
-        point, gamma = boosted_step(problem, np.array([-1.0]), np.array([1.0]))
+        x_t, y = np.array([-1.0]), np.array([1.0])
+        point, gamma = boosted_step(problem, x_t, y, *_boost_args(problem, x_t, y))
         assert abs(point[0]) <= 0.01
         assert np.array_equal(point, [-1.0 + 2.0 * gamma])
 
@@ -640,7 +647,8 @@ class TestBoostedStep:
             dimension=1,
             lmo=KSparsePolytope(1, 1.0, 1),
         )
-        point, gamma = boosted_step(problem, np.array([0.0]), np.array([1.0]))
+        x_t, y = np.array([0.0]), np.array([1.0])
+        point, gamma = boosted_step(problem, x_t, y, *_boost_args(problem, x_t, y))
         assert point[0] == 1.0 and gamma == 1.0
 
     def test_known_value_at_anchor_saves_one_evaluation(self):
@@ -651,9 +659,10 @@ class TestBoostedStep:
         problem.f_value = Counter(problem.f_value)
         rng = np.random.default_rng(5)
         x_t, cand = rand_simplex(rng, 6), rand_simplex(rng, 6)
-        point, gamma = boosted_step(problem, x_t, cand, base.phi(x_t))
+        boost = _boost_args(base, x_t, cand)
+        point, gamma = boosted_step(problem, x_t, cand, *boost)
         assert problem.f_value.calls == 19
-        want_point, want_gamma = boosted_step(base, x_t, cand)
+        want_point, want_gamma = boosted_step(base, x_t, cand, *boost)
         assert gamma == want_gamma and np.array_equal(point, want_point)
 
     def test_never_worse_than_candidate(self):
@@ -663,8 +672,24 @@ class TestBoostedStep:
         for _ in range(20):
             x_t = rand_simplex(rng, 6)
             cand = rand_simplex(rng, 6)
-            point, _ = boosted_step(problem, x_t, cand)
+            boost = _boost_args(problem, x_t, cand)
+            point, _ = boosted_step(problem, x_t, cand, *boost)
             assert problem.phi(point) <= problem.phi(cand) + 1e-12
+
+    def test_non_finite_phi_at_the_point_fails_loudly_on_the_oracle_grid(self):
+        # undeclared, the grid probes the oracles; a NaN at the subsolver's
+        # point would make it keep x_t and repeat the subproblem to the cap
+        problem = gen_hard_dc(10, 0).problem()
+        assert not problem.quadratic
+        g_value = Counter(problem.g_value)
+        # finite at x0 only; dca_solve's next call is at the subsolver's point
+        problem.g_value = lambda x: g_value(x) if g_value.calls == 0 else np.nan
+        with pytest.raises(
+            OracleFailure, match="^phi is nan at the subsolver's point in outer step 0$"
+        ):
+            dca_solve(
+                problem, initial_point(problem.lmo), variant_config("DCA-BPCG-WS-ES-BT")
+            )
 
 
 def _quadratic_pair(A, B):
@@ -690,9 +715,9 @@ class TestClosedFormBoost:
 
     @staticmethod
     def _assert_same_step(declared, plain, x_t, cand):
-        phi_t = plain.phi(x_t)
-        point, gamma = boosted_step(declared, x_t, cand, phi_t)
-        want_point, want_gamma = boosted_step(plain, x_t, cand, phi_t)
+        boost = _boost_args(plain, x_t, cand)
+        point, gamma = boosted_step(declared, x_t, cand, *boost)
+        want_point, want_gamma = boosted_step(plain, x_t, cand, *boost)
         assert gamma == want_gamma
         assert point.tobytes() == want_point.tobytes()
         return gamma
@@ -724,16 +749,6 @@ class TestClosedFormBoost:
         rng = np.random.default_rng(3)
         x_t, cand = rand_simplex(rng, 4), rand_simplex(rng, 4)
         assert self._assert_same_step(declared, plain, x_t, cand) == 1.0
-
-    def test_missing_values_come_from_the_oracles(self):
-        declared = gen_quadratic_dc(8, 1).problem()
-        plain = gen_quadratic_dc(8, 1).problem()
-        plain.quadratic = False
-        rng = np.random.default_rng(4)
-        x_t, cand = rand_simplex(rng, 8), rand_simplex(rng, 8)
-        point, gamma = boosted_step(declared, x_t, cand)
-        want_point, want_gamma = boosted_step(plain, x_t, cand)
-        assert gamma == want_gamma and np.array_equal(point, want_point)
 
     @staticmethod
     def _quartic():
@@ -963,6 +978,20 @@ class TestDcaSolve:
         assert np.array_equal(x, x0)
         assert record.objective == [record.phi0]
         assert record.dc_gap_lb[-1] < 0
+
+    @pytest.mark.parametrize("variant", ["DCA-FW", "DCA-BPCG-WS"])
+    def test_inner_tolerance_above_outer_stalls(self, variant):
+        # fw_gap_tol above dca_gap_tol: once an inner solve stops on gap_tol
+        # at its anchor, lb = 0 and ub = gap > dca_gap_tol, and every later
+        # outer step would solve the same subproblem from the same start
+        problem = gen_quadratic_dc(10, 0).problem()
+        config = variant_config(variant, fw_gap_tol=1e-2)
+        x, record = dca_solve(problem, initial_point(problem.lmo), config)
+        assert record.termination == "stalled"
+        assert record.outer_iters < config.max_outer_iters
+        assert record.inner_iters[-1] == 0 and record.dc_gap_lb[-1] == 0.0
+        assert config.dca_gap_tol < record.dc_gap_ub[-1] <= config.fw_gap_tol
+        assert record.objective[-1] == problem.phi(x)
 
     def test_boosting_changes_little_on_dc_quadratics(self):
         # boosted and unboosted runs should take comparable outer work

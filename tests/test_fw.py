@@ -166,14 +166,16 @@ class TestSecantLineSearch:
         # phi(gamma) = (gamma - 2)^2 has its minimum past gamma_max = 1
         value = lambda z: (float(z[0]) - 2.0) ** 2
         grad = lambda z: np.array([2.0 * (float(z[0]) - 2.0)])
-        got, _ = secant_line_search(value, grad, np.zeros(1), np.ones(1), 1.0)
+        x, d = np.zeros(1), np.ones(1)
+        got, _ = secant_line_search(value, grad, x, d, 1.0, float(grad(x) @ d))
         assert got == 1.0
 
     def test_ascent_direction_returns_zero(self):
         value, grad = quad_value_grad(np.eye(2), np.zeros(2))
         x = np.array([1.0, 0.0])
         d = np.array([1.0, 0.0])  # uphill
-        assert secant_line_search(value, grad, x, d, 1.0)[0] == 0.0
+        dphi0 = float(grad(x) @ d)
+        assert secant_line_search(value, grad, x, d, 1.0, dphi0)[0] == 0.0
 
     def test_non_finite_derivative_falls_back_to_grid(self):
         target = 0.4
@@ -198,8 +200,9 @@ class TestSecantLineSearch:
 
         value = lambda z: (float(z[0]) - 0.4) ** 2
         x, d = np.zeros(1), np.ones(1)
+        dphi0 = float(grad(x) @ d)  # nan in the dphi0 case
         with caplog.at_level(logging.WARNING, logger="dcfw.fw"):
-            got, _ = secant_line_search(value, grad, x, d, 1.0)
+            got, _ = secant_line_search(value, grad, x, d, 1.0, dphi0)
         assert "falling back to grid search" in caplog.text
         assert got == grid_two_level(value, x, d, 1.0)
 
@@ -215,7 +218,8 @@ class TestSecantLineSearch:
 
     def test_nonpositive_interval(self):
         value, grad = quad_value_grad(np.eye(1), np.zeros(1))
-        assert secant_line_search(value, grad, np.ones(1), np.ones(1), 0.0)[0] == 0.0
+        x = d = np.ones(1)
+        assert secant_line_search(value, grad, x, d, 0.0, float(grad(x) @ d))[0] == 0.0
 
 
 class TestStepRules:
@@ -223,19 +227,20 @@ class TestStepRules:
         rule = Agnostic()
         obj = make_objective(lambda x: 0.0, lambda x: x)
         x, d = np.zeros(1), np.ones(1)
-        assert rule.step(obj, x, d, 1.0, 0)[0] == 1.0
-        assert rule.step(obj, x, d, 1.0, 2)[0] == 0.5
-        assert rule.step(obj, x, d, 0.3, 0)[0] == 0.3
+        dphi0 = float(obj.grad(x) @ d)
+        assert rule.step(obj, x, d, 1.0, 0, dphi0)[0] == 1.0
+        assert rule.step(obj, x, d, 1.0, 2, dphi0)[0] == 0.5
+        assert rule.step(obj, x, d, 0.3, 0, dphi0)[0] == 0.3
 
     def test_secant_rule_delegates(self):
         value, grad = quad_value_grad(np.diag([2.0, 1.0]), np.array([-1.0, 0.0]))
         obj = make_objective(value, grad)
         x, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
-        for dphi0 in (None, float(grad(x) @ d)):
-            got, point = Secant().step(obj, x, d, 1.0, 0, dphi0=dphi0)
-            want, want_point = secant_line_search(value, grad, x, d, 1.0, dphi0=dphi0)
-            assert got == want
-            assert np.array_equal(point, want_point)
+        dphi0 = float(grad(x) @ d)
+        got, point = Secant().step(obj, x, d, 1.0, 0, dphi0=dphi0)
+        want, want_point = secant_line_search(value, grad, x, d, 1.0, dphi0=dphi0)
+        assert got == want
+        assert np.array_equal(point, want_point)
         assert 0.0 < got < 1.0
 
 
@@ -251,13 +256,13 @@ class TestPointContract:
         obj = make_objective(lambda x: 0.0, lambda x: x)
         for k in range(20):
             x, d = rng.standard_normal(7), rng.standard_normal(7)
-            gamma, point = Agnostic().step(obj, x, d, 0.4, k)
+            gamma, point = Agnostic().step(obj, x, d, 0.4, k, float(x @ d))
             self._assert_point(x, d, gamma, point)
 
     def test_secant_interior_exit(self):
         value, grad = quad_value_grad(np.diag([2.0, 1.0]), np.array([-1.0, 0.0]))
         x, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
-        gamma, point = secant_line_search(value, grad, x, d, 1.0)
+        gamma, point = secant_line_search(value, grad, x, d, 1.0, float(grad(x) @ d))
         assert 0.0 < gamma < 1.0
         self._assert_point(x, d, gamma, point)
 
@@ -265,7 +270,7 @@ class TestPointContract:
         value = lambda z: (float(z[0]) - 2.0) ** 2
         grad = lambda z: np.array([2.0 * (float(z[0]) - 2.0)])
         x, d = np.full(1, 0.1), np.full(1, 0.7)
-        gamma, point = secant_line_search(value, grad, x, d, 1.0)
+        gamma, point = secant_line_search(value, grad, x, d, 1.0, float(grad(x) @ d))
         assert gamma == 1.0
         self._assert_point(x, d, gamma, point)
 
@@ -317,7 +322,8 @@ class TestPointContract:
                 to = data.draw(st.integers(0, len(s) - 2))
                 to += to >= frm
                 d = s.vertices[to] - s.vertices[frm]
-                gamma, x = Agnostic().step(None, s.iterate, d, s.weights[frm], k)
+                # Agnostic ignores the slope
+                gamma, x = Agnostic().step(None, s.iterate, d, s.weights[frm], k, -1.0)
                 s.pairwise_update(to, frm, gamma, x)
             else:
                 v = e[data.draw(st.integers(0, n - 1))]
@@ -512,7 +518,7 @@ class TestActiveSet:
 
 
 class _ZeroStep:
-    def step(self, objective, x, d, gamma_max, k, dphi0=None):
+    def step(self, objective, x, d, gamma_max, k, dphi0):
         return 0.0, x
 
 

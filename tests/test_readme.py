@@ -1,5 +1,7 @@
-"""The README's library example runs against the package's public names."""
+"""The README's library example runs against the package's public names,
+and the internal names it lists import from the modules it names."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -26,3 +28,17 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from dcfw import *", namespace)  # raises for a name that is missing
     assert set(dcfw.__all__) <= namespace.keys()
+
+
+def test_internal_pieces_import_from_the_modules_named():
+    marker = "Internal pieces stay importable from their modules:"
+    sentence = README.read_text().split(marker, 1)[1].split("\n\n", 1)[0]
+    groups = " ".join(sentence.split()).rstrip(".").split(";")
+    assert len(groups) >= 2
+    for group in groups:
+        names, module = group.rsplit(" from ", 1)
+        module = importlib.import_module(module.strip().strip("`"))
+        found = re.findall(r"`(\w+)`", names)
+        assert found, group
+        for name in found:
+            assert hasattr(module, name), f"{module.__name__} has no {name}"
