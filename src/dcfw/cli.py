@@ -13,12 +13,12 @@ from pathlib import Path
 from . import bench
 
 
-def _int_list(text):
-    return [int(tok) for tok in str(text).split(",") if tok.strip()]
-
-
 def _name_list(text):
-    return [tok for tok in str(text).split(",") if tok]
+    return [tok.strip() for tok in str(text).split(",") if tok.strip()]
+
+
+def _int_list(text):
+    return [int(tok) for tok in _name_list(text)]
 
 
 # run options by destination: the add_argument keywords of --<dest with

@@ -166,7 +166,7 @@ class Subproblem:
         return self.g_at_anchor + float(self.g_grad_at_anchor.dot(x - self.anchor))
 
     def value(self, x):
-        return float(self.oracles.problem.f_value(x)) - self._lin(x)
+        return self._h(x, x.tobytes())
 
     def grad(self, x):
         """Gradient of the surrogate at x, as a read-only array.
@@ -385,11 +385,10 @@ def boosted_step(problem, x_t, y, phi_t, phi_y, slope):
     phi_t and phi_y are phi at the two ends and slope is <f_grad(x_t) -
     g_subgrad(x_t), y - x_t>.  Runs the two-level grid search over gamma in
     [0, 1] and returns the best point found and its gamma, so phi(point) <=
-    phi(y); a flat or monotonically decreasing profile returns (a copy of) y
-    itself with gamma = 1.
+    phi(y); a flat or monotonically decreasing profile returns y itself with
+    gamma = 1, and gamma = 0 returns x_t itself.
 
-    The grid runs on the gamma axis itself, 0.0 + gamma * 1.0 being gamma.
-    On a problem that declares quadratic it probes phi's closed form
+    On a problem that declares quadratic the grid probes phi's closed form
     through phi_t, phi_y and slope (_phi_on_segment), with the same tie
     rule, and otherwise phi(x_t + gamma * (y - x_t)) from the oracles.  Only
     an interior gamma rests on interpolated values, and dca_solve checks phi
@@ -406,11 +405,11 @@ def boosted_step(problem, x_t, y, phi_t, phi_y, slope):
         def value(gamma):
             return problem.phi(x_t + gamma * d)
 
-    gamma = grid_two_level(value, 0.0, 1.0, 1.0, phi_t)
+    gamma = grid_two_level(value, 1.0, phi_t)
     if gamma >= 1.0:
-        return y.copy(), 1.0
+        return y, 1.0
     if gamma <= 0.0:
-        return x_t.copy(), 0.0
+        return x_t, 0.0
     return x_t + gamma * d, gamma
 
 
@@ -449,12 +448,8 @@ def _check_f_grad(prev, sub, t):
     linearization at the other one, up to F_GRAD_RTOL relative to
     max(|f(x_t)|, |f(x_{t+1})|).  These two inequalities of convexity fail
     for a gradient that is not f's, and all their terms are already held,
-    so the check calls no oracle.  An anchor that did not move, bit for
-    bit, is not checked."""
-    x_t, x_next = prev.anchor, sub.anchor
-    if x_t.tobytes() == x_next.tobytes():
-        return
-    d = x_next - x_t
+    so the check calls no oracle."""
+    d = sub.anchor - prev.anchor
     f_t, f_next = prev.f_at_anchor, sub.f_at_anchor
     slacks = (
         (f_next - f_t - float(prev.f_grad_at_anchor.dot(d)), t + 1, t),
@@ -525,12 +520,9 @@ def dca_solve(problem, x0, config):
             stop_rule=sub.descent if config.stop_mode == "adaptive" else None,
             deadline=deadline,
         )
-        snapshot = None
         if config.subsolver == "bpcg":
             if config.warm_start and x_set is not None:
                 start_set = x_set
-                if config.boosted:
-                    snapshot = x_set.copy()
             else:
                 start_set = ActiveSet.from_vertex(lmo(sub.grad_at_anchor))
             y, out_set, stats = bpcg(sub, lmo, start_set, line_search, **inner)
@@ -555,17 +547,11 @@ def dca_solve(problem, x0, config):
                     )
                 boost = (phi_x, phi_y, float(sub.grad_at_anchor.dot(y - x)))
                 x, gamma = boosted_step(problem, x, y, *boost)
-                if gamma >= 1.0:
-                    x_set = out_set
-                elif gamma <= 0.0:
-                    x_set = snapshot
-                elif snapshot is not None and out_set is not None:
-                    x_set = ActiveSet.convex_combination(snapshot, out_set, gamma)
-                else:
-                    x_set = None
             else:
                 x = y
-                x_set = out_set
+            # bpcg moved its start set to y in place, so short of y no active
+            # set holds x and the next subproblem starts cold
+            x_set = out_set if gamma >= 1.0 else None
             if gamma > 0.0:  # otherwise x is x_t
                 # at y, the record holds f from the stop rule or the gap bounds
                 key = x.tobytes()

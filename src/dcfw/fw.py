@@ -194,8 +194,8 @@ def _last_argmin(values):
     return len(v) - 1 - int(np.argmin(v[::-1]))
 
 
-def grid_two_level(value_fn, x, d, gamma_max, value0=None):
-    """Two-level grid search for min of value(x + gamma * d) on [0, gamma_max].
+def grid_two_level(value_fn, gamma_max, value0=None):
+    """Two-level grid search for min of value_fn(gamma) on [0, gamma_max].
 
     A coarse equispaced grid locates the best cell, a second grid of the same
     size refines between that point's neighbors; its two ends are coarse
@@ -208,9 +208,7 @@ def grid_two_level(value_fn, x, d, gamma_max, value0=None):
         return 0.0
     coarse = np.linspace(0.0, gamma_max, _GRID_POINTS)
     known = [] if value0 is None else [float(value0)]
-    vals = np.array(
-        known + [float(value_fn(x + g * d)) for g in coarse[len(known) :]]
-    )
+    vals = np.array(known + [float(value_fn(g)) for g in coarse[len(known) :]])
     if not np.any(np.isfinite(vals)):
         return 0.0
     i = _last_argmin(vals)
@@ -218,7 +216,7 @@ def grid_two_level(value_fn, x, d, gamma_max, value0=None):
     # linspace returns its endpoints exactly, so the fine grid's two ends are
     # coarse points whose values are already known
     fine = np.linspace(coarse[lo], coarse[hi], _GRID_POINTS)
-    inner = [float(value_fn(x + g * d)) for g in fine[1:-1]]
+    inner = [float(value_fn(g)) for g in fine[1:-1]]
     fine_vals = np.array([vals[lo], *inner, vals[hi]])
     candidates = np.concatenate([coarse, fine])
     all_vals = np.concatenate([vals, fine_vals])
@@ -227,8 +225,9 @@ def grid_two_level(value_fn, x, d, gamma_max, value0=None):
 
 def _grid_fallback(value_fn, x, d, gamma_max):
     logger.warning("non-finite directional derivative, falling back to grid search")
-    gamma = grid_two_level(value_fn, x, d, gamma_max)
-    return gamma, x + gamma * d
+    gamma = grid_two_level(lambda g: value_fn(x + g * d), gamma_max)
+    # x + 0.0 * d would turn -0.0 into 0.0, so no step returns x itself
+    return (gamma, x + gamma * d) if gamma else (0.0, x)
 
 
 def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0):
@@ -434,8 +433,8 @@ def bpcg(
 
     Returns (x, active_set, FwStats).
     """
-    if active_set is None or len(active_set) == 0:
-        raise ValueError("bpcg needs a nonempty starting active set")
+    if active_set is None:
+        raise ValueError("bpcg needs a starting active set")
 
     def step(k, x, grad, w, gap):
         away_idx, local_idx = active_set.extremes(grad)
@@ -451,8 +450,7 @@ def bpcg(
             gamma, x_next = line_search.step(
                 objective, x, d, gamma_max, k, dphi0=-local_gap
             )
-            if gamma == 0.0:
-                return x, gamma, None
+            # a zero transfer leaves the weights and the iterate as they are
             dropped = active_set.pairwise_update(local_idx, away_idx, gamma, x_next)
             step_type = "pairwise_drop" if dropped else "pairwise_descent"
         else:

@@ -261,6 +261,7 @@ def test_criterion_08_gradient_oracles():
     print(f"PASS criterion 8: central differences, worst relative error {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_09_desk_scale_efficiency(desk_scale):
     results, wall = desk_scale
     assert wall < 600.0

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -530,6 +531,15 @@ class TestPerformanceProfile:
         assert np.array_equal(curves["B"], [1 / 3, 2 / 3, 1.0])
         assert np.array_equal(curves["A"], [1.0, 1.0, 1.0])
 
+    def test_missing_pair_never_counts_as_solved(self):
+        # p3 has no B run; unlike an unsolved one it stays out of the
+        # modified profile too, so B's ratios are (2, 1, inf)
+        thetas, curves = performance_profile(
+            self._table()[:-1], "lmo", modified=True, thetas=[1.0, 1.5, 2.0]
+        )
+        assert np.array_equal(curves["A"], [1.0, 1.0, 1.0])
+        assert np.array_equal(curves["B"], [1 / 3, 1 / 3, 2 / 3])
+
     def test_default_grid_starts_at_one(self):
         thetas, curves = performance_profile(self._table(), "lmo")
         assert thetas[0] == 1.0
@@ -580,6 +590,15 @@ class TestSummarizeTable:
         assert not rows["A"]["best_time"] and rows["B"]["best_time"]
         # exact tie on the lmo metric flags both variants
         assert rows["A"]["best_lmo"] and rows["B"]["best_lmo"]
+
+    def test_variant_missing_at_one_size_has_no_row_there(self):
+        results = [
+            _result("p1", "A", 3), _result("p1", "B", 1),
+            replace(_result("q1", "A", 5), n=10),
+        ]
+        rows = summarize_table(results)
+        assert [(r["n"], r["variant"]) for r in rows] == [(5, "A"), (5, "B"), (10, "A")]
+        assert rows[2]["count"] == 1 and rows[2]["best_lmo"]
 
     def test_format_table_marks_winners(self):
         text = format_table(self._rows())

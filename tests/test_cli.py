@@ -124,6 +124,25 @@ class TestRun:
         assert len(rows) == 2
         assert {r["variant"] for r in rows} == {"DCA-BPCG-ES"}
 
+    def test_config_file_lists_take_spaces_after_commas(self, tmp_path):
+        out_dir = tmp_path / "spaced"
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(
+            "sizes = 6\n"
+            "seeds = 0\n"
+            "variants = DCA-BPCG-ES, DCA-BPCG-WS-ES\n"
+            f"out = {out_dir}\n"
+            "outer-cap = 50\n"
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        rows = _read_results(out_dir)
+        assert [r["variant"] for r in rows] == ["DCA-BPCG-ES", "DCA-BPCG-WS-ES"]
+
+    def test_variants_flag_takes_spaces_after_commas(self, tmp_path):
+        assert _run_small(tmp_path, "--variants", "DCA-BPCG-ES, DCA-BPCG-WS-ES") == 0
+        rows = _read_results(tmp_path)
+        assert [r["variant"] for r in rows] == ["DCA-BPCG-ES", "DCA-BPCG-WS-ES"]
+
     def test_explicit_flags_win_over_config(self, tmp_path):
         out_dir = tmp_path / "out"
         cfg = tmp_path / "bench.cfg"

@@ -1015,6 +1015,35 @@ class TestDcaSolve:
         ratio = gm(outer[True]) / gm(outer[False])
         assert 1.0 / 1.2 <= ratio <= 1.2
 
+    @pytest.mark.parametrize("gamma", [0.5, 0.0])
+    def test_boost_short_of_the_point_starts_the_next_subproblem_cold(
+        self, monkeypatch, gamma
+    ):
+        # no shipped problem boosts short of y, so outer step 1's boost is
+        # forced to stop at gamma; bpcg has then moved the warm start's set
+        # to y, and the next subproblem must start from one LMO vertex
+        boosts, start_sizes = Counter(dcfw.dca.boosted_step), []
+
+        def forced(problem, x_t, y, *boost):
+            point, got = boosts(problem, x_t, y, *boost)
+            if boosts.calls == 2:
+                return x_t + gamma * (y - x_t), gamma
+            return point, got
+
+        def spy(objective, lmo, active_set, *args, **kwargs):
+            start_sizes.append(len(active_set))
+            return bpcg(objective, lmo, active_set, *args, **kwargs)
+
+        monkeypatch.setattr(dcfw.dca, "boosted_step", forced)
+        monkeypatch.setattr(dcfw.dca, "bpcg", spy)
+        problem = gen_quadratic_dc(10, 0).problem()
+        _, record = dca_solve(
+            problem, initial_point(problem.lmo), variant_config("DCA-BPCG-WS-ES-BT")
+        )
+        assert boosts.calls >= 2 and start_sizes[2] == 1
+        assert record.termination == "converged"
+        assert all(np.diff([record.phi0, *record.objective]) <= 0.0)
+
     def test_warm_and_cold_both_converge(self):
         inst = gen_quadratic_dc(10, 5)
         for warm in (False, True):

@@ -19,7 +19,7 @@ from dcfw import (
     vanilla_fw,
 )
 from dcfw.dca import Oracles, linearize
-from dcfw.fw import fw_gap, grid_two_level, secant_line_search
+from dcfw.fw import _WEIGHT_DRIFT_TOL, fw_gap, grid_two_level, secant_line_search
 
 from helpers import (
     Counter,
@@ -43,6 +43,11 @@ def _last_argmin(values):
     return len(v) - 1 - int(np.argmin(v[::-1]))
 
 
+def _along(value_fn, x, d):
+    """value_fn on the line x + gamma * d, as a function of gamma."""
+    return lambda gamma: value_fn(x + gamma * d)
+
+
 def _grid_reference(value_fn, x, d, gamma_max, points=11):
     """The two-level search with every probe evaluated, the fine grid's two
     ends included: 2 * points evaluations."""
@@ -62,26 +67,26 @@ def _grid_reference(value_fn, x, d, gamma_max, points=11):
 
 class TestGridTwoLevel:
     def test_flat_objective_returns_gamma_max(self):
-        got = grid_two_level(lambda z: 0.0, np.zeros(1), np.ones(1), 0.7)
+        got = grid_two_level(lambda g: 0.0, 0.7)
         assert got == 0.7
 
     def test_decreasing_objective_returns_gamma_max(self):
-        got = grid_two_level(lambda z: -float(z[0]), np.zeros(1), np.ones(1), 1.0)
+        got = grid_two_level(lambda g: -g, 1.0)
         assert got == 1.0
 
     def test_nonpositive_interval(self):
-        assert grid_two_level(lambda z: 0.0, np.zeros(1), np.ones(1), 0.0) == 0.0
+        assert grid_two_level(lambda g: 0.0, 0.0) == 0.0
 
     def test_all_probes_non_finite_returns_zero(self):
         # no finite probe means no evidence of descent: do not step
         for bad in (np.nan, np.inf):
-            got = grid_two_level(lambda z: bad, np.zeros(1), np.ones(1), 0.7)
+            got = grid_two_level(lambda g: bad, 0.7)
             assert got == 0.0
 
     def test_non_finite_tail_is_avoided(self):
         # finite and decreasing up to gamma = 0.5, NaN beyond it
         value = lambda z: -float(z[0]) if z[0] <= 0.5 else np.nan
-        got = grid_two_level(value, np.zeros(1), np.ones(1), 1.0)
+        got = grid_two_level(_along(value, np.zeros(1), np.ones(1)), 1.0)
         assert 0.45 <= got <= 0.5
 
     def test_parabola_accuracy(self):
@@ -90,7 +95,7 @@ class TestGridTwoLevel:
             target = rng.uniform(0.05, 0.95)
             gamma_max = rng.uniform(0.5, 2.0)
             value = lambda z: (float(z[0]) - target) ** 2
-            got = grid_two_level(value, np.zeros(1), np.ones(1), gamma_max)
+            got = grid_two_level(_along(value, np.zeros(1), np.ones(1)), gamma_max)
             best = min(target, gamma_max)
             assert abs(got - best) <= 0.0101 * gamma_max
 
@@ -98,7 +103,7 @@ class TestGridTwoLevel:
     def test_fine_grid_ends_are_not_evaluated_again(self, target):
         # minimum at the first, an interior and the last coarse point
         value = Counter(lambda z: (float(z[0]) - target) ** 2)
-        grid_two_level(value, np.zeros(1), np.ones(1), 1.0)
+        grid_two_level(_along(value, np.zeros(1), np.ones(1)), 1.0)
         assert value.calls == 20
 
     def test_matches_full_evaluation_reference(self):
@@ -119,7 +124,7 @@ class TestGridTwoLevel:
                 return round(poly + c[3] * np.sin(c[4] * t), decimals)
 
             gamma_max = rng.uniform(0.01, 2.0)
-            got = grid_two_level(value, x, d, gamma_max)
+            got = grid_two_level(_along(value, x, d), gamma_max)
             assert got == _grid_reference(value, x, d, gamma_max)
 
     def test_known_value_at_zero_saves_one_evaluation(self):
@@ -129,7 +134,7 @@ class TestGridTwoLevel:
             x, d = rng.standard_normal(2), rng.standard_normal(2)
             value = Counter(lambda z: c[0] + c[1] * z[0] + c[2] * z[1] ** 2)
             gamma_max = rng.uniform(0.01, 2.0)
-            got = grid_two_level(value, x, d, gamma_max, value(x))
+            got = grid_two_level(_along(value, x, d), gamma_max, value(x))
             assert value.calls == 1 + 19
             assert got == _grid_reference(value, x, d, gamma_max)
 
@@ -204,7 +209,7 @@ class TestSecantLineSearch:
         with caplog.at_level(logging.WARNING, logger="dcfw.fw"):
             got, _ = secant_line_search(value, grad, x, d, 1.0, dphi0)
         assert "falling back to grid search" in caplog.text
-        assert got == grid_two_level(value, x, d, 1.0)
+        assert got == grid_two_level(_along(value, x, d), 1.0)
 
     def test_safeguard_rejects_fake_descent(self):
         # derivative oracle oscillates so the secant never settles; the value
@@ -286,6 +291,30 @@ class TestPointContract:
         assert 0.0 < gamma < 1e-6
         self._assert_point(x, d, gamma, point)
 
+    def test_secant_repeated_step_exit(self):
+        # phi' jumps from -1e300 to 1 at gamma = 0.5, so the secant step on
+        # the bracket [0, 1] rounds to 1 again; the search stops there and the
+        # value check accepts gamma = 1
+        grad = Counter(lambda z: np.array([-1e300 if z[0] < 0.5 else 1.0]))
+        x, d = np.zeros(1), np.ones(1)
+        gamma, point = secant_line_search(
+            lambda z: -float(z[0]), grad, x, d, 1.0, dphi0=-1e300
+        )
+        assert gamma == 1.0 and grad.calls == 2
+        self._assert_point(x, d, gamma, point)
+
+    def test_secant_bracket_collapse_exit(self):
+        # phi' is 9 past gamma = 0, so each secant step cuts the bracket
+        # [0, hi] to a tenth, until it is shorter than 1e-17 * gamma_max
+        # well before the 40-evaluation budget
+        grad = Counter(lambda z: np.array([9.0]))
+        value = Counter(lambda z: -float(z[0]))
+        x, d = np.zeros(1), np.ones(1)
+        gamma, point = secant_line_search(value, grad, x, d, 1.0, dphi0=-1.0)
+        assert grad.calls < 20 and value.calls == 2
+        assert 0.0 < gamma <= 1e-17
+        self._assert_point(x, d, gamma, point)
+
     def test_secant_grid_fallback_exit(self):
         value = lambda z: (float(z[0]) - 0.4) ** 2
         grad = lambda z: np.array([np.nan])
@@ -293,6 +322,15 @@ class TestPointContract:
         gamma, point = secant_line_search(value, grad, x, d, 1.0, dphi0=-1.0)
         assert 0.0 < gamma < 1.0
         self._assert_point(x, d, gamma, point)
+
+    def test_secant_grid_fallback_zero_step_returns_x_itself(self):
+        # every probe past gamma = 0 is worse, so the grid keeps x, whose
+        # -0.0 entry x + 0.0 * d would turn into 0.0
+        value = lambda z: float(z[0])
+        grad = lambda z: np.array([np.nan, 0.0])
+        x, d = np.array([-0.0, 0.5]), np.array([1.0, -1.0])
+        gamma, point = secant_line_search(value, grad, x, d, 0.5, dphi0=-1.0)
+        assert gamma == 0.0 and point is x
 
     def test_quadratic_step(self):
         problem = gen_quadratic_dc(8, 0).problem()
@@ -385,6 +423,23 @@ class TestActiveSet:
         s.fw_update(e[1], 1.0)
         assert len(s) == 1
         assert np.array_equal(s.iterate, e[1])
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.5, np.nan])
+    def test_fw_update_rejects_gamma_outside_unit_interval(self, gamma):
+        e = np.eye(2)
+        s = ActiveSet([e[0]], [1.0])
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            s.fw_update(e[1], gamma)
+        assert s.weights == [1.0] and np.array_equal(s.iterate, e[0])
+
+    def test_drifted_weights_are_rescaled(self):
+        e = np.eye(3)
+        near = [0.5, 0.5 + 0.5 * _WEIGHT_DRIFT_TOL]
+        assert ActiveSet([e[0], e[1]], near).weights == near
+        s = ActiveSet([e[0], e[1], e[2]], [0.5, 0.5, 1.0])
+        assert s.weights == [0.25, 0.25, 0.5]
+        assert np.array_equal(s.iterate, s.recombine())
+        assert np.array_equal(s.iterate, [0.25, 0.25, 0.5])
 
     def test_fw_update_zero_step_is_noop(self):
         e = np.eye(2)
@@ -772,6 +827,27 @@ class TestBpcg:
         assert stats.termination == "stagnation"
         # a zero step leaves the active set untouched
         assert len(out_set) == 1 and np.array_equal(x, np.eye(5)[0])
+
+    def test_zero_pairwise_step_stagnates_with_the_set_unchanged(self):
+        obj, lmo = self._projection_problem(3, np.array([0.0, 1.0, 0.0]))
+        e = np.eye(3)
+        start = ActiveSet([e[0], e[1]], [0.5, 0.5])
+        x0 = start.iterate
+        asked = []  # (d, gamma_max) of each line search
+
+        class ZeroStep:
+            def step(self, objective, x, d, gamma_max, k, dphi0):
+                asked.append((d.copy(), gamma_max))
+                return 0.0, x
+
+        x, out_set, stats = bpcg(obj, lmo, start, ZeroStep(), fw_gap_tol=1e-16)
+        # the local gap 1 beats the FW gap 0.5: a transfer from e0 to e1
+        assert len(asked) == 1
+        assert np.array_equal(asked[0][0], e[1] - e[0]) and asked[0][1] == 0.5
+        assert stats.termination == "stagnation" and stats.iterations == 0
+        assert out_set is start and np.array_equal(out_set.vertices, e[:2])
+        assert out_set.weights == [0.5, 0.5]
+        assert x is x0 and out_set.iterate is x0
 
     def test_stop_rule_threshold(self):
         y = np.array([0.3, 0.25, 0.2, 0.15, 0.1])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dcfw import (
     BirkhoffPolytope,
     KSparsePolytope,
+    LinearMinimizationOracle,
     ProbabilitySimplex,
 )
 
@@ -275,6 +276,19 @@ class TestOracleProtocol:
         bad[0] = np.inf
         with pytest.raises(ValueError):
             lmo(bad)
+
+    def test_sizes_below_one_are_refused(self):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            LinearMinimizationOracle(0)
+        with pytest.raises(ValueError, match="order must be positive"):
+            BirkhoffPolytope(0)
+
+    def test_base_class_has_no_region(self):
+        lmo = LinearMinimizationOracle(2)
+        with pytest.raises(NotImplementedError):
+            lmo(np.ones(2))
+        with pytest.raises(NotImplementedError):
+            lmo.contains(np.ones(2))
 
     @pytest.mark.parametrize("make", ORACLE_FACTORIES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
