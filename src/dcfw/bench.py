@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .dca import DcaConfig, RunRecord, dca_solve
-from .problems import gen_hard_dc, gen_quadratic_dc, initial_point, qap_dc_oracles
+from .problems import HARD_K, QUADRATIC_MIN_N, check_size, gen_hard_dc, gen_quadratic_dc
+from .problems import initial_point, qap_dc_oracles
 from .qaplib import parse_qaplib, scan_directory
 
 # variant name -> the solver features it switches on
@@ -26,15 +27,16 @@ VARIANTS = {
     "DCA-BPCG-WS-ES-BT": dict(subsolver="bpcg", stop_mode="adaptive", warm_start=True, boosted=True),
 }
 
-TRACE_FIELDS = [
-    "t",
-    "dc_gap_lb",
-    "dc_gap_ub",
-    "objective",
-    "lmo_calls_cum",
-    "inner_iters",
-    "elapsed_s",
-]
+# trace column after t, the outer step -> the RunRecord list it writes
+_TRACE_COLUMNS = {
+    "dc_gap_lb": "dc_gap_lb",
+    "dc_gap_ub": "dc_gap_ub",
+    "objective": "objective",
+    "lmo_calls_cum": "lmo_calls_cum",
+    "inner_iters": "inner_iters",
+    "elapsed_s": "elapsed_seconds",
+}
+TRACE_FIELDS = ["t", *_TRACE_COLUMNS]
 # results.csv column -> (BenchResult field, parser of the written text)
 _RESULT_COLUMNS = {
     "instance": ("instance", str),
@@ -85,13 +87,16 @@ class BenchResult:
     lmo_calls: int
     final_objective: float
     reason: str
-    trace_path: str = ""
 
 
 def _iter_instances(suite, sizes, seeds, qaplib_dir, log):
     if suite in ("quadratics", "hard"):
-        gen = gen_quadratic_dc if suite == "quadratics" else gen_hard_dc
-        tag = "quad" if suite == "quadratics" else "hard"
+        if suite == "quadratics":
+            gen, tag, least = gen_quadratic_dc, "quad", QUADRATIC_MIN_N
+        else:
+            gen, tag, least = gen_hard_dc, "hard", HARD_K
+        for n in sizes:  # before the first instance, so before any output
+            check_size(n, least)
         for n, seed in product(sizes, seeds):
             inst = gen(n, seed)
             yield f"{tag}-n{n}-s{seed}", n, seed, inst.problem
@@ -124,18 +129,9 @@ def _write_trace(path, record):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
+        columns = (getattr(record, name) for name in _TRACE_COLUMNS.values())
         # csv writes a float as its repr, which reads back to the same bits
-        writer.writerows(
-            zip(
-                range(record.outer_iters),
-                record.dc_gap_lb,
-                record.dc_gap_ub,
-                record.objective,
-                record.lmo_calls_cum,
-                record.inner_iters,
-                record.elapsed_seconds,
-            )
-        )
+        writer.writerows(zip(range(record.outer_iters), *columns))
 
 
 def _append_result(path, result):
@@ -172,9 +168,10 @@ def run_suite(
     unsolved and the suite continues.  An out_dir that already holds a
     results.csv, or a repeated size, seed or variant, is refused, since
     either would record one (instance, variant) pair twice, and so is an
-    empty list, a cap below 1 or a qap suite with no instance to run.  Each
-    file the qap suite cannot parse is passed to log with the parser's
-    message.  Returns the list of BenchResult rows.
+    empty list, a cap below 1, a size a generated suite's family is not
+    defined for, or a qap suite with no instance to run, all before any
+    output.  Each file the qap suite cannot parse is passed to log with
+    the parser's message.  Returns the list of BenchResult rows.
     """
     # built first, so that a bad variant, tolerance or time limit is refused
     # before any output
@@ -237,9 +234,7 @@ def run_suite(
                 reason=reason,
             )
             if trace_dir is not None and record.termination:
-                path = trace_dir / f"{instance_id}__{variant}.csv"
-                _write_trace(path, record)
-                result.trace_path = str(path)
+                _write_trace(trace_dir / f"{instance_id}__{variant}.csv", record)
             if results_path is not None:
                 _append_result(results_path, result)
             if log is not None:

@@ -19,8 +19,8 @@ import numpy as np
 from .fw import ActiveSet, Secant, bpcg, grid_two_level, vanilla_fw
 
 
-# vertices whose f_grad an Oracles record keeps; it then stops adding, and
-# each entry holds 2 * 8n bytes, key and gradient
+# vertex gradients an Oracles record keeps; it then stops adding, and each
+# entry holds 2 * 8n bytes, key and gradient
 VERTEX_TABLE_SIZE = 4096
 # largest relative difference Subproblem.certify accepts between the values
 # quadratic_step carried and the oracles' (measured: at most 3.1e-14 over
@@ -46,28 +46,27 @@ class OracleFailure(RuntimeError):
     a property the problem declares."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DcProblem:
-    """Oracles for phi = f - g over a polytope.
+    """Oracles for phi = f - g over a polytope, given by keyword.
 
     f_value/f_grad evaluate the smooth convex part, g_value/g_subgrad the
     convex part being linearized.  lmo is a LinearMinimizationOracle over the
-    feasible region, operating on vectors of length ``dimension``.
-    quadratic declares f_grad and g_subgrad both affine on the region (f and
-    g quadratic there).  The vanilla-FW subsolver then steps in closed form
-    without oracle calls at its iterates (see Subproblem.quadratic_step),
-    and the boosted step probes phi's closed form along its segment instead
-    of the oracles (see boosted_step).  Values either takes from the closed
-    form are checked against the oracles where the run moves to them, so a
-    false declaration raises OracleFailure or costs the boost effect, never
-    a wrong certificate.
+    feasible region, and its dimension is the problem's.  quadratic declares
+    f_grad and g_subgrad both affine on the region (f and g quadratic
+    there).  The vanilla-FW subsolver then steps in closed form without
+    oracle calls at its iterates (see Subproblem.quadratic_step), and the
+    boosted step probes phi's closed form along its segment instead of the
+    oracles (see boosted_step).  Values either takes from the closed form
+    are checked against the oracles where the run moves to them, so a false
+    declaration raises OracleFailure or costs the boost effect, never a
+    wrong certificate.
     """
 
     f_value: callable
     f_grad: callable
     g_value: callable
     g_subgrad: callable
-    dimension: int
     lmo: object
     quadratic: bool = False
 
@@ -83,29 +82,26 @@ class Oracles:
     comes back to costs no second call; the three must be pure functions of
     x.  Every value held is the oracle's own, never a closed form's.
 
-    With vertex_table, for the vanilla-FW subsolver, lmo registers each
-    vertex the problem's LMO returns, at most VERTEX_TABLE_SIZE per run, and
-    vertex_grads maps its bits to a read-only copy of f_grad there, or to
-    None until first asked; f_grad does not depend on the anchor, so entries
-    live across outer steps.  quadratic, the fast-path flag, holds for that
-    subsolver only, since BPCG's steps would round differently in closed
-    form and change its LMO counts.
+    With vertex_table, for the vanilla-FW subsolver, lmo calls the
+    problem's LMO and records the bits of the vertex it returns, and
+    vertex_grads maps the bits of a vertex to a read-only copy of f_grad
+    there, stored when f_grad is first asked at the last vertex, at most
+    VERTEX_TABLE_SIZE per run; f_grad does not depend on the anchor, so
+    entries live across outer steps.  quadratic, the fast-path flag, holds
+    for that subsolver only, since BPCG's steps would round differently in
+    closed form and change its LMO counts.
     """
 
     def __init__(self, problem, vertex_table=False):
         self.problem = problem
         self.quadratic = problem.quadratic and vertex_table
         self.vertex_grads = {} if vertex_table else None
-        self.last_vertex = None  # key of the vertex lmo returned last, if kept
+        self.last_vertex = None  # key of the vertex lmo returned last
         self._f = self._g = self._f_grad = (None, None)
 
     def lmo(self, c):
         v = self.problem.lmo(c)
-        key = v.tobytes()
-        grads = self.vertex_grads
-        if len(grads) < VERTEX_TABLE_SIZE:
-            grads.setdefault(key, None)
-        self.last_vertex = key if key in grads else None
+        self.last_vertex = v.tobytes()
         return v
 
     def f(self, x, key):
@@ -124,10 +120,10 @@ class Oracles:
             return self._f_grad[1]
         at_vertex = key == self.last_vertex
         # last_vertex has hashed already; key is a new object that has not
-        f_grad = self.vertex_grads[self.last_vertex] if at_vertex else None
+        f_grad = self.vertex_grads.get(self.last_vertex) if at_vertex else None
         if f_grad is None:
             f_grad = np.asarray(self.problem.f_grad(x), dtype=float)
-            if at_vertex:
+            if at_vertex and len(self.vertex_grads) < VERTEX_TABLE_SIZE:
                 f_grad = f_grad.copy()  # the oracle may reuse its array
                 f_grad.flags.writeable = False
                 self.vertex_grads[self.last_vertex] = f_grad
@@ -141,8 +137,9 @@ class Subproblem:
 
     f and f_grad at the anchor are the oracles' (f_grad a read-only copy),
     and grad_at_anchor is the surrogate's gradient there.  oracles is the
-    run's record, through which the surrogate evaluates f and f_grad.
-    quadratic, if set, makes Secant take quadratic_step.
+    run's record, through which the surrogate evaluates f and f_grad, and
+    whose fast-path flag, copied to quadratic, makes Secant take
+    quadratic_step.
     """
 
     anchor: np.ndarray
@@ -151,9 +148,9 @@ class Subproblem:
     f_at_anchor: float
     f_grad_at_anchor: np.ndarray
     oracles: Oracles
-    quadratic: bool = False
 
     def __post_init__(self):
+        self.quadratic = self.oracles.quadratic  # Secant.step reads it every step
         self.phi_at_anchor = self.f_at_anchor - self.g_at_anchor
         self.grad_at_anchor = self.f_grad_at_anchor - self.g_grad_at_anchor
         self.grad_at_anchor.flags.writeable = False
@@ -291,9 +288,7 @@ def linearize(oracles, x_t):
         # count_nonzero is a C call, where all() goes through Python wrappers
         if np.count_nonzero(np.isfinite(grad)) != grad.size:
             raise OracleFailure(f"{name} returned non-finite entries at the anchor")
-    return Subproblem(
-        x_t.copy(), g_val, g_grad, f_val, f_grad, oracles, oracles.quadratic
-    )
+    return Subproblem(x_t.copy(), g_val, g_grad, f_val, f_grad, oracles)
 
 
 def dc_gap_bounds(sub, x_next, fw_gap_at_x_next):
@@ -476,21 +471,20 @@ def dca_solve(problem, x0, config):
     lb), and the iterate is kept, or when the subsolver returns its anchor,
     bit for bit, without an iteration.  A time limit is passed to the
     subsolver as a deadline, so a run ends with termination time_limit
-    within about one inner iteration of it.
+    within about one inner iteration of it.  A non-finite f or g at a new
+    iterate raises OracleFailure.
 
     Returns (x_final, RunRecord).
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.dimension,):
-        raise ValueError(
-            f"x0 has shape {x0.shape}, expected ({problem.dimension},)"
-        )
+    lmo = problem.lmo
+    if x0.shape != (lmo.dimension,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({lmo.dimension},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 has non-finite entries")
-    if not problem.lmo.contains(x0):
+    if not lmo.contains(x0):
         raise ValueError("x0 is not feasible for the problem's region")
 
-    lmo = problem.lmo
     lmo_base = lmo.call_count
     line_search = Secant()
     # only vanilla FW keeps a vertex table and takes the closed-form step
@@ -556,6 +550,10 @@ def dca_solve(problem, x0, config):
                 # at y, the record holds f from the stop rule or the gap bounds
                 key = x.tobytes()
                 f_x, g_x = oracles.f(x, key), oracles.g(x, key)
+                if not (math.isfinite(f_x) and math.isfinite(g_x)):
+                    raise OracleFailure(
+                        f"f = {f_x} and g = {g_x} at the new iterate of outer step {t}"
+                    )
                 if problem.quadratic and gamma < 1.0:
                     _check_boost(boost, gamma, f_x, g_x, t)
                 _check_subgradient(sub, x, g_x, t)

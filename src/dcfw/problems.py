@@ -16,6 +16,15 @@ from .lmo import BirkhoffPolytope, KSparsePolytope, ProbabilitySimplex
 
 HARD_TAU = 10.0
 HARD_K = 10
+# least n of the quadratic family, whose simplex needs a coordinate; the
+# hard family's is HARD_K, since its polytope picks k coordinates
+QUADRATIC_MIN_N = 1
+
+
+def check_size(n, least):
+    """Raise ValueError when n is below a family's least size."""
+    if n < least:
+        raise ValueError(f"family is defined for n >= {least}, got {n}")
 
 
 def _random_curved_matrix(rng, n):
@@ -45,7 +54,6 @@ class QuadraticDcInstance:
             f_grad=lambda x: A @ x + a,
             g_value=lambda x: 0.5 * float(x @ B @ x) + float(b @ x) + d,
             g_subgrad=lambda x: B @ x + b,
-            dimension=self.n,
             lmo=ProbabilitySimplex(self.n),
             quadratic=True,
         )
@@ -56,7 +64,9 @@ class QuadraticDcInstance:
 
 
 def gen_quadratic_dc(n, seed):
-    """Random DC quadratic over the simplex with curvature floor 0.1."""
+    """Random DC quadratic over the simplex with curvature floor 0.1; needs
+    n >= 1."""
+    check_size(n, QUADRATIC_MIN_N)
     rng = np.random.default_rng(seed)
     A = _random_curved_matrix(rng, n)
     B = _random_curved_matrix(rng, n)
@@ -74,7 +84,7 @@ class HardDcInstance:
     f(x) = 1/2 x'Ax + a'x + (1/n) exp(c'x / n)
     g(x) = 1/2 x'Bx + b'x + 0.1 sum_i log(1 + exp(d_i x_i))
 
-    over the k-sparse polytope with tau = 10, k = 10.
+    over the k-sparse polytope with tau = HARD_TAU = 10 and k = HARD_K = 10.
     """
 
     n: int
@@ -85,8 +95,6 @@ class HardDcInstance:
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    tau: float = HARD_TAU
-    k: int = HARD_K
 
     def problem(self):
         # imported here, so that importing dcfw does not import scipy
@@ -118,15 +126,13 @@ class HardDcInstance:
             f_grad=f_grad,
             g_value=g_value,
             g_subgrad=g_subgrad,
-            dimension=n,
-            lmo=KSparsePolytope(n, self.tau, self.k),
+            lmo=KSparsePolytope(n, HARD_TAU, HARD_K),
         )
 
 
 def gen_hard_dc(n, seed):
     """Random instance of the exponential/logistic family; needs n >= k."""
-    if n < HARD_K:
-        raise ValueError(f"family is defined for n >= {HARD_K}, got {n}")
+    check_size(n, HARD_K)
     rng = np.random.default_rng(seed)
     A = _random_curved_matrix(rng, n)
     B = _random_curved_matrix(rng, n)
@@ -175,7 +181,6 @@ def qap_dc_oracles(inst):
         f_grad=f_grad,
         g_value=g_value,
         g_subgrad=g_subgrad,
-        dimension=n * n,
         lmo=BirkhoffPolytope(n),
         quadratic=True,
     )

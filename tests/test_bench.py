@@ -3,7 +3,6 @@
 import csv
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,8 +104,7 @@ class TestRunSuite:
         assert len(rows) == 5
 
         for r in results:
-            trace = Path(r.trace_path)
-            assert trace.parent == tmp_path / "traces"
+            trace = tmp_path / "traces" / f"{r.instance}__{r.variant}.csv"
             with open(trace, newline="") as fh:
                 trows = list(csv.reader(fh))
             assert trows[0] == TRACE_FIELDS
@@ -293,6 +291,21 @@ class TestRunSuite:
             run_suite(
                 "qap", [4], [0], ["DCA-BPCG-WS-ES"], qaplib_dir=qdir,
                 out_dir=tmp_path / "out",
+            )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("suite, sizes, least", [
+        ("hard", [20, 5], 10), ("quadratics", [10, 0], 1),
+    ])
+    def test_size_the_family_cannot_make_writes_nothing(
+        self, tmp_path, suite, sizes, least
+    ):
+        with pytest.raises(
+            ValueError, match=f"defined for n >= {least}, got {sizes[-1]}"
+        ):
+            run_suite(
+                suite, sizes, [0], ["DCA-BPCG-ES"], out_dir=tmp_path / "out",
+                outer_cap=3, inner_cap=50,
             )
         assert not (tmp_path / "out").exists()
 

@@ -84,6 +84,24 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # refused before any output
 
+    @pytest.mark.parametrize("suite, sizes, message", [
+        ("hard", "20,5", "n >= 10, got 5"), ("quadratics", "10,0", "n >= 1, got 0"),
+    ])
+    def test_size_the_family_cannot_make_exits_2(
+        self, tmp_path, capsys, suite, sizes, message
+    ):
+        out = tmp_path / "out"
+        argv = [
+            "run", "--suite", suite, "--sizes", sizes, "--seeds", "0",
+            "--variants", "DCA-BPCG-ES", "--outer-cap", "3", "--inner-cap", "50",
+            "--out", str(out),
+        ]  # fmt: skip
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # refused before any output, so a re-run works
+        argv[argv.index(sizes)] = sizes.split(",")[0]
+        assert main(argv) == 0
+
     def test_unknown_variant_exits_2(self, tmp_path, capsys):
         code = main([
             "run", "--suite", "quadratics", "--sizes", "6", "--seeds", "0",

@@ -48,7 +48,6 @@ def quadratic_problem(Q, q, n, lmo=None):
         f_grad=lambda x: Q @ x + q,
         g_value=lambda x: 0.0,
         g_subgrad=lambda x: np.zeros(n),
-        dimension=n,
         lmo=lmo if lmo is not None else ProbabilitySimplex(n),
     )
 
@@ -65,7 +64,6 @@ class TestLinearize:
             f_grad=lambda x: Q @ x + a,
             g_value=lambda x: float(b @ x),
             g_subgrad=lambda x: b,
-            dimension=n,
             lmo=ProbabilitySimplex(n),
         )
         for anchor_seed in range(3):
@@ -82,7 +80,9 @@ class TestLinearize:
         Q = random_pd_matrix(rng, n)
         fv = lambda x: 0.5 * float(x @ Q @ x)
         fg = lambda x: Q @ x
-        problem = DcProblem(fv, fg, fv, fg, n, ProbabilitySimplex(n))
+        problem = DcProblem(
+            f_value=fv, f_grad=fg, g_value=fv, g_subgrad=fg, lmo=ProbabilitySimplex(n)
+        )
         anchor = rand_simplex(rng, n)
         sub = linearize(Oracles(problem), anchor)
         assert sub.value(anchor) == pytest.approx(0.0, abs=1e-12)
@@ -109,7 +109,9 @@ class TestLinearize:
         gv = Counter(base.g_value)
         gg = Counter(base.g_subgrad)
         fv = Counter(base.f_value)
-        problem = DcProblem(fv, base.f_grad, gv, gg, 5, base.lmo)
+        problem = DcProblem(
+            f_value=fv, f_grad=base.f_grad, g_value=gv, g_subgrad=gg, lmo=base.lmo
+        )
         linearize(Oracles(problem), np.full(5, 0.2))
         assert (gv.calls, gg.calls, fv.calls) == (1, 1, 1)
 
@@ -119,15 +121,22 @@ class TestLinearize:
         goodv = lambda x: np.zeros(n)
         lmo = ProbabilitySimplex(n)
         x = np.full(n, 1.0 / 3.0)
-        bad_g = DcProblem(good, goodv, lambda x: np.nan, goodv, n, lmo)
+        bad_g = DcProblem(
+            f_value=good, f_grad=goodv, g_value=lambda x: np.nan, g_subgrad=goodv,
+            lmo=lmo,
+        )
         with pytest.raises(OracleFailure):
             linearize(Oracles(bad_g), x)
         bad_gg = DcProblem(
-            good, goodv, good, lambda x: np.array([1.0, np.inf, 0.0]), n, lmo
+            f_value=good, f_grad=goodv, g_value=good,
+            g_subgrad=lambda x: np.array([1.0, np.inf, 0.0]), lmo=lmo,
         )
         with pytest.raises(OracleFailure):
             linearize(Oracles(bad_gg), x)
-        bad_f = DcProblem(lambda x: np.inf, goodv, good, goodv, n, lmo)
+        bad_f = DcProblem(
+            f_value=lambda x: np.inf, f_grad=goodv, g_value=good, g_subgrad=goodv,
+            lmo=lmo,
+        )
         with pytest.raises(OracleFailure):
             linearize(Oracles(bad_f), x)
 
@@ -135,7 +144,10 @@ class TestLinearize:
         # f and g at the anchor come from the run's record when it holds them
         base = gen_quadratic_dc(5, 3).problem()
         fv, gv = Counter(base.f_value), Counter(base.g_value)
-        problem = DcProblem(fv, base.f_grad, gv, base.g_subgrad, 5, base.lmo)
+        problem = DcProblem(
+            f_value=fv, f_grad=base.f_grad, g_value=gv, g_subgrad=base.g_subgrad,
+            lmo=base.lmo,
+        )
         oracles = Oracles(problem)
         x = np.full(5, 0.2)
         oracles.f(x, x.tobytes()), oracles.g(x, x.tobytes())
@@ -149,7 +161,8 @@ class TestLinearize:
     def test_non_finite_carried_value_raises(self, f_val, g_val):
         base = gen_quadratic_dc(3, 0).problem()
         problem = DcProblem(
-            lambda x: f_val, base.f_grad, lambda x: g_val, base.g_subgrad, 3, base.lmo
+            f_value=lambda x: f_val, f_grad=base.f_grad, g_value=lambda x: g_val,
+            g_subgrad=base.g_subgrad, lmo=base.lmo,
         )
         oracles = Oracles(problem)
         x = np.full(3, 1.0 / 3.0)
@@ -250,6 +263,10 @@ class TestVertexTable:
         # one table for the whole run, full but not over its bound
         assert all(t is tables[0] for t in tables)
         assert len(tables[0].vertex_grads) == 8
+        assert all(
+            isinstance(grad, np.ndarray) and not grad.flags.writeable
+            for grad in tables[0].vertex_grads.values()
+        )
         assert bounded.objective == unbounded.objective
         assert bounded.lmo_calls_cum == unbounded.lmo_calls_cum
 
@@ -397,13 +414,32 @@ class TestSubgradientCheck:
         base = gen_quadratic_dc(30, 0).problem()
         b = np.random.default_rng(1).standard_normal(30)
         problem = DcProblem(
-            base.f_value, base.f_grad, lambda x: float(b @ x) + 3.0,
-            lambda x: b, 30, base.lmo,
+            f_value=base.f_value, f_grad=base.f_grad,
+            g_value=lambda x: float(b @ x) + 3.0, g_subgrad=lambda x: b, lmo=base.lmo,
         )
         _, record = dca_solve(
             problem, initial_point(problem.lmo), variant_config("DCA-BPCG-ES")
         )
         assert record.termination == "converged"
+
+    @pytest.mark.parametrize("variant", ["DCA-BPCG-ES", "DCA-BPCG-WS-ES", "DCA-FW-ES"])
+    def test_non_finite_g_at_the_last_iterate_fails_loudly(self, variant):
+        # a NaN g has no shortfall > bound, and once ended the run converged
+        # (or capped) with a NaN objective
+        config = variant_config(variant, max_outer_iters=20, max_inner_iters=500)
+        counted = gen_quadratic_dc(10, 0).problem()
+        counted.g_value = Counter(counted.g_value)
+        _, record = dca_solve(counted, initial_point(counted.lmo), config)
+        last = counted.g_value.calls
+        problem = gen_quadratic_dc(10, 0).problem()
+        g_value = Counter(problem.g_value)
+        problem.g_value = lambda x: np.nan if g_value.calls == last - 1 else g_value(x)
+        step = record.outer_iters - 1
+        with pytest.raises(
+            OracleFailure,
+            match=rf"^f = \S+ and g = nan at the new iterate of outer step {step}$",
+        ):
+            dca_solve(problem, initial_point(problem.lmo), config)
 
 
 class TestOracleRecord:
@@ -630,7 +666,6 @@ class TestBoostedStep:
             f_grad=lambda x: np.array([2.0 * x[0]]),
             g_value=lambda x: 0.0,
             g_subgrad=lambda x: np.zeros(1),
-            dimension=1,
             lmo=KSparsePolytope(1, 1.0, 1),
         )
         x_t, y = np.array([-1.0]), np.array([1.0])
@@ -644,7 +679,6 @@ class TestBoostedStep:
             f_grad=lambda x: np.array([-1.0]),
             g_value=lambda x: 0.0,
             g_subgrad=lambda x: np.zeros(1),
-            dimension=1,
             lmo=KSparsePolytope(1, 1.0, 1),
         )
         x_t, y = np.array([0.0]), np.array([1.0])
@@ -701,7 +735,6 @@ def _quadratic_pair(A, B):
             f_grad=lambda x: A @ x,
             g_value=lambda x: 0.5 * float(x @ B @ x),
             g_subgrad=lambda x: B @ x,
-            dimension=n,
             lmo=ProbabilitySimplex(n),
             quadratic=declared,
         )
@@ -760,7 +793,6 @@ class TestClosedFormBoost:
             f_grad=lambda x: np.array([4.0 * float(x[0]) ** 3, 0.0]),
             g_value=lambda x: 0.0,
             g_subgrad=lambda x: np.zeros(2),
-            dimension=2,
             lmo=ProbabilitySimplex(2),
         )
 

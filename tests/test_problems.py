@@ -65,6 +65,11 @@ class TestQuadraticFamily:
         assert p1.lmo is not p2.lmo
         assert p2.lmo.call_count == 0
 
+    def test_needs_a_coordinate(self):
+        with pytest.raises(ValueError, match="defined for n >= 1, got 0"):
+            gen_quadratic_dc(0, 0)
+        gen_quadratic_dc(1, 0)
+
 
 class TestHardFamily:
     def test_needs_at_least_k_coordinates(self):
@@ -143,7 +148,7 @@ class TestQapOracles:
     def test_region_and_dimension(self):
         inst = self._random_instance(np.random.default_rng(6), 4)
         problem = qap_dc_oracles(inst)
-        assert problem.dimension == 16
+        assert problem.lmo.dimension == 16
         assert isinstance(problem.lmo, BirkhoffPolytope)
 
 

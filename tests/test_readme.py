@@ -1,11 +1,13 @@
 """The README's library example runs against the package's public names,
-and the internal names it lists import from the modules it names."""
+the internal names it lists import from the modules it names, and the
+schemas and variants it lists are the code's."""
 
 import importlib
 import re
 from pathlib import Path
 
 import dcfw
+from dcfw.bench import RESULT_FIELDS, TRACE_FIELDS, VARIANTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,3 +44,30 @@ def test_internal_pieces_import_from_the_modules_named():
         assert found, group
         for name in found:
             assert hasattr(module, name), f"{module.__name__} has no {name}"
+
+
+def _listed(label):
+    """The comma list that follows label in the README, up to its period."""
+    text = " ".join(README.read_text().split())
+    return re.search(re.escape(label) + r" ([^.]*)\.", text).group(1).split(", ")
+
+
+def test_result_and_trace_columns_are_the_code_s():
+    assert _listed("`results.csv` columns:") == RESULT_FIELDS
+    assert _listed("Trace columns:") == TRACE_FIELDS
+
+
+def test_variants_table_is_the_code_s():
+    lines = [" ".join(line.split()) for line in README.read_text().splitlines()]
+    start = lines.index("| name | subsolver | stop | warm start | boosted |")
+    yes = {"yes": True, "no": False}
+    table = {}
+    for line in lines[start + 2 :]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        name, subsolver, stop, warm, boosted = line.strip("| ").split(" | ")
+        table[name] = dict(
+            subsolver=subsolver, stop_mode=stop,
+            warm_start=yes[warm], boosted=yes[boosted],
+        )
+    assert table == VARIANTS
