@@ -88,6 +88,11 @@ class BenchResult:
     final_objective: float
     reason: str
 
+    @property
+    def raised(self):
+        """True for a run that raised, which has no final iterate."""
+        return self.reason.startswith("error:")
+
 
 def _iter_instances(suite, sizes, seeds, qaplib_dir, log):
     if suite in ("quadratics", "hard"):
@@ -248,15 +253,23 @@ def run_suite(
 
 
 def load_results(in_dir):
-    """Read results.csv written by run_suite back into BenchResult rows; a
-    repeated (instance, variant) pair raises ValueError."""
+    """Read results.csv written by run_suite back into BenchResult rows.  A
+    header without one of RESULT_FIELDS, a row with a missing or an extra
+    field, and a repeated (instance, variant) pair raise ValueError."""
     path = Path(in_dir) / "results.csv"
     if not path.exists():
         raise FileNotFoundError(f"no results.csv under {in_dir}")
     rows = []
     seen = set()
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [col for col in RESULT_FIELDS if col not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path} line 1: the header lacks the columns {missing}")
+        for rec in reader:
+            if None in rec or None in rec.values():  # extra or missing fields
+                count = len(reader.fieldnames)
+                raise ValueError(f"{path} line {reader.line_num}: not {count} fields")
             key = (rec["instance"], rec["variant"])
             if key in seen:
                 raise ValueError(f"{path} repeats the row for {key}")
@@ -281,11 +294,11 @@ def performance_profile(results, metric, *, modified=False, thetas=None):
 
     For each instance, every variant's metric is divided by the best metric
     among variants that solved it; unsolved runs get an infinite ratio unless
-    modified is set, in which case every run counts with its recorded metric
-    (all instances treated as solved at their final iteration).  Returns
-    (thetas, curves) where curves maps each variant to the fraction of
-    instances with ratio <= theta, sampled on a log-spaced grid unless an
-    explicit theta grid is given.  metric is a key of METRICS.
+    modified is set, in which case every run that did not raise counts with
+    its recorded metric, as solved at its final iteration.  Returns (thetas,
+    curves) where curves maps each variant to the fraction of instances
+    with ratio <= theta, sampled on a log-spaced grid unless an explicit
+    theta grid is given.  metric is a key of METRICS.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, choose from {list(METRICS)}")
@@ -303,10 +316,9 @@ def performance_profile(results, metric, *, modified=False, thetas=None):
             r = by_key.get((p, s))
             if r is None:
                 continue
-            if modified or r.solved:
+            if r.solved or (modified and not r.raised):
                 vals[s] = float(getattr(r, name))
-        best = min(vals.values()) if vals else np.inf
-        best = max(best, 1e-300)
+        best = max(min(vals.values(), default=np.inf), 1e-300)
         for s in variants:
             ratios[s].append(vals[s] / best if s in vals else np.inf)
 
@@ -335,10 +347,14 @@ def write_profile(path, thetas, curves):
 def summarize_table(results):
     """Shifted-geomean summary rows per (n, variant), with shift 1.
 
-    Every run counts, solved or not, so capped runs enter at their caps.  The
+    Every run that did not raise counts, solved or not, so capped runs enter
+    at their caps; count is their number, and none raises ValueError.  The
     per-size winner of each metric is flagged.  Returns a list of dicts with
     keys n, count, variant, iters, time, lmo, best_iters, best_time, best_lmo.
     """
+    results = [r for r in results if not r.raised]
+    if not results:
+        raise ValueError("no result rows to summarize; runs that raised are left out")
     variants = list(dict.fromkeys(r.variant for r in results))
     rows = []
     for n in sorted({r.n for r in results}):

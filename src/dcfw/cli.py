@@ -44,7 +44,7 @@ RUN_OPTIONS = {
 
 
 def _read_config_file(path):
-    """Typed run options from a key=value file; unknown keys raise."""
+    """Typed run options from a key=value file; unknown or repeated keys raise."""
     opts = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -57,6 +57,8 @@ def _read_config_file(path):
         option = RUN_OPTIONS.get(key)
         if option is None:
             raise ValueError(f"unknown config key {key!r} in {path}")
+        if key in opts:
+            raise ValueError(f"config key {key!r} is set twice in {path}")
         opts[key] = option.get("type", str)(value.strip())
     return opts
 
@@ -95,10 +97,7 @@ def cmd_profile(args):
 
 
 def cmd_table(args):
-    results = bench.load_results(args.in_dir)
-    if not results:
-        raise ValueError(f"{Path(args.in_dir) / 'results.csv'} has no result rows")
-    rows = bench.summarize_table(results)
+    rows = bench.summarize_table(bench.load_results(args.in_dir))
     print(bench.format_table(rows))
     path = Path(args.in_dir) / "summary.csv"
     with open(path, "w", newline="") as fh:

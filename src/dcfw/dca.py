@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fw import ActiveSet, Secant, bpcg, grid_two_level, vanilla_fw
+from .fw import ActiveSet, Secant, bpcg, vanilla_fw
 
 
 # vertex gradients an Oracles record keeps; it then stops adding, and each
@@ -39,6 +39,8 @@ SUBGRAD_RTOL = 1e-9
 # |f| of the two (measured: no shortfall over 10,872 checks on the three
 # families, the least relative slack being +2.9e-13)
 F_GRAD_RTOL = 1e-9
+# probes per level of the boosted step's two-level grid search
+_GRID_POINTS = 11
 
 
 class OracleFailure(RuntimeError):
@@ -374,6 +376,38 @@ def _phi_on_segment(phi_t, phi_y, slope):
     return value
 
 
+def _last_argmin(values):
+    # prefer the largest index among ties
+    return len(values) - 1 - int(np.argmin(values[::-1]))
+
+
+def grid_two_level(value_fn, value0):
+    """Two-level grid search for min of value_fn(gamma) on [0, 1], value0
+    being its value at 0.  A coarse equispaced grid locates the best cell,
+    a fine grid of the same size refines it between the best point's
+    neighbors, so a search makes 2 * _GRID_POINTS - 3 evaluations.  Ties
+    prefer larger gamma, so a flat objective returns 1.  A non-finite probe
+    raises OracleFailure: the segment lies in the region, where phi is
+    finite."""
+
+    def probe(gamma):
+        value = float(value_fn(gamma))
+        if not math.isfinite(value):
+            raise OracleFailure(f"phi is {value} at gamma = {gamma} of a boosted step")
+        return value
+
+    coarse = np.linspace(0.0, 1.0, _GRID_POINTS)
+    vals = np.array([float(value0), *map(probe, coarse[1:])])
+    i = _last_argmin(vals)
+    lo, hi = max(i - 1, 0), min(i + 1, _GRID_POINTS - 1)
+    # linspace returns its endpoints exactly, so the fine grid's two ends are
+    # coarse points whose values are already known
+    fine = np.linspace(coarse[lo], coarse[hi], _GRID_POINTS)
+    fine_vals = [vals[lo], *map(probe, fine[1:-1]), vals[hi]]
+    candidates = np.concatenate([coarse, fine])
+    return float(candidates[_last_argmin(np.concatenate([vals, fine_vals]))])
+
+
 def boosted_step(problem, x_t, y, phi_t, phi_y, slope):
     """Line search the true objective along [x_t, y].
 
@@ -385,12 +419,13 @@ def boosted_step(problem, x_t, y, phi_t, phi_y, slope):
 
     On a problem that declares quadratic the grid probes phi's closed form
     through phi_t, phi_y and slope (_phi_on_segment), with the same tie
-    rule, and otherwise phi(x_t + gamma * (y - x_t)) from the oracles.  Only
-    an interior gamma rests on interpolated values, and dca_solve checks phi
-    at the point it then moves to.  gamma = 1 and gamma = 0 rest only on the
-    exact values at the two ends, and the step to y stays certified by lb
-    >= 0, so a false declaration can make the boost less effective but
-    cannot make a certificate wrong.
+    rule, and otherwise phi(x_t + gamma * (y - x_t)) from the oracles, where
+    a non-finite value raises OracleFailure.  Only an interior gamma rests
+    on interpolated values, and dca_solve checks phi at the point it then
+    moves to.  gamma = 1 and gamma = 0 rest only on the exact values at the
+    two ends, and the step to y stays certified by lb >= 0, so a false
+    declaration can make the boost less effective but cannot make a
+    certificate wrong.
     """
     d = y - x_t
     if problem.quadratic:
@@ -400,7 +435,7 @@ def boosted_step(problem, x_t, y, phi_t, phi_y, slope):
         def value(gamma):
             return problem.phi(x_t + gamma * d)
 
-    gamma = grid_two_level(value, 1.0, phi_t)
+    gamma = grid_two_level(value, phi_t)
     if gamma >= 1.0:
         return y, 1.0
     if gamma <= 0.0:
@@ -535,7 +570,7 @@ def dca_solve(problem, x0, config):
                 key = y.tobytes()
                 phi_y = oracles.f(y, key) - oracles.g(y, key)
                 if not math.isfinite(phi_y):
-                    # the grid would keep x_t and repeat this subproblem
+                    # at y itself, before the grid probes, to name the step
                     raise OracleFailure(
                         f"phi is {phi_y} at the subsolver's point in outer step {t}"
                     )

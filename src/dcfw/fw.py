@@ -6,19 +6,14 @@ vertices, and the step-size rules shared by both solvers.  Objectives are any
 objects exposing ``value(x)`` and ``grad(x)``.
 """
 
-import logging
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
 # weight drift beyond this triggers renormalization of an active set
 _WEIGHT_DRIFT_TOL = 1e-12
-# probes per level of the two-level grid search
-_GRID_POINTS = 11
 # the secant search's derivative tolerance (relative to ||d||) and budget
 _SECANT_TOL = 1e-10
 _SECANT_MAX_EVAL = 40
@@ -50,8 +45,8 @@ class ActiveSet:
         self.weights = []
         for v, w in zip(vertices, weights):
             w = float(w)
-            if w <= 0:
-                raise ValueError(f"weights must be positive, got {w}")
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"weights must be positive and finite, got {w}")
             self._add(np.asarray(v, dtype=float), w)
         self._x = self.recombine()
         self._renormalize_if_drifted()
@@ -188,48 +183,6 @@ class FwStats:
     pairwise_drop_steps: int = 0
 
 
-def _last_argmin(values):
-    # prefer the largest index among ties
-    v = np.where(np.isfinite(values), values, np.inf)
-    return len(v) - 1 - int(np.argmin(v[::-1]))
-
-
-def grid_two_level(value_fn, gamma_max, value0=None):
-    """Two-level grid search for min of value_fn(gamma) on [0, gamma_max].
-
-    A coarse equispaced grid locates the best cell, a second grid of the same
-    size refines between that point's neighbors; its two ends are coarse
-    points, so a search makes 2 * _GRID_POINTS - 2 evaluations, one fewer
-    when value0, the value at gamma = 0, is given.  Ties prefer larger
-    gamma, so a flat objective returns gamma_max.  When no probe is finite
-    there is nothing to prefer and the search returns 0, no step.
-    """
-    if gamma_max <= 0:
-        return 0.0
-    coarse = np.linspace(0.0, gamma_max, _GRID_POINTS)
-    known = [] if value0 is None else [float(value0)]
-    vals = np.array(known + [float(value_fn(g)) for g in coarse[len(known) :]])
-    if not np.any(np.isfinite(vals)):
-        return 0.0
-    i = _last_argmin(vals)
-    lo, hi = max(i - 1, 0), min(i + 1, _GRID_POINTS - 1)
-    # linspace returns its endpoints exactly, so the fine grid's two ends are
-    # coarse points whose values are already known
-    fine = np.linspace(coarse[lo], coarse[hi], _GRID_POINTS)
-    inner = [float(value_fn(g)) for g in fine[1:-1]]
-    fine_vals = np.array([vals[lo], *inner, vals[hi]])
-    candidates = np.concatenate([coarse, fine])
-    all_vals = np.concatenate([vals, fine_vals])
-    return float(candidates[_last_argmin(all_vals)])
-
-
-def _grid_fallback(value_fn, x, d, gamma_max):
-    logger.warning("non-finite directional derivative, falling back to grid search")
-    gamma = grid_two_level(lambda g: value_fn(x + g * d), gamma_max)
-    # x + 0.0 * d would turn -0.0 into 0.0, so no step returns x itself
-    return (gamma, x + gamma * d) if gamma else (0.0, x)
-
-
 def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0):
     """Approximately minimize phi(gamma) = value(x + gamma * d) on [0, gamma_max].
 
@@ -238,9 +191,9 @@ def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0):
     _SECANT_TOL * ||d|| or after _SECANT_MAX_EVAL gradient evaluations; a
     final value comparison guarantees value(x + gamma*d) <= value(x).
     dphi0 is phi'(0) = <grad(x), d>, which the solvers have from their
-    gaps.  A non-finite phi' anywhere falls back, with a warning, to
-    grid_two_level.  On a quadratic the first secant step is exact, so the
-    interior minimizer is found with two gradient evaluations.
+    gaps.  A non-finite phi' raises ValueError naming its gamma.  On a
+    quadratic the first secant step is exact, so the interior minimizer is
+    found with two gradient evaluations.
 
     Returns (gamma, x + gamma * d).  The point is the array the search last
     probed when gamma is that probe's, and x itself when gamma is 0.
@@ -248,13 +201,13 @@ def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0):
     if gamma_max <= 0:
         return 0.0, x
     if not math.isfinite(dphi0):
-        return _grid_fallback(value_fn, x, d, gamma_max)
+        raise ValueError(f"non-finite slope {dphi0} at gamma = 0")
     if dphi0 >= 0:
         return 0.0, x
     y = x + gamma_max * d
     d_hi = float(d.dot(grad_fn(y)))
     if not math.isfinite(d_hi):
-        return _grid_fallback(value_fn, x, d, gamma_max)
+        raise ValueError(f"non-finite slope {d_hi} at gamma = {gamma_max}")
     if d_hi <= 0:
         return float(gamma_max), y  # still descending at the cap
 
@@ -270,7 +223,7 @@ def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0):
         dg = float(d.dot(grad_fn(y)))
         evals += 1
         if not math.isfinite(dg):
-            return _grid_fallback(value_fn, x, d, gamma_max)
+            raise ValueError(f"non-finite slope {dg} at gamma = {gamma}")
         # a converged exit cannot ascend by more than
         # (_SECANT_TOL*||d||)^2 / curvature, far below roundoff for the
         # objectives here; the other exits check values

@@ -62,14 +62,10 @@ def parse_qaplib(text, name=""):
         raise QaplibParseError(f"size must be positive, got {n}", size_off)
 
     expected = 1 + 2 * n * n
-    if len(tokens) < expected:
+    if len(tokens) != expected:
+        offset = len(data) if len(tokens) < expected else tokens[expected][1]
         raise QaplibParseError(
-            f"expected {expected} tokens for n={n}, found {len(tokens)}", len(data)
-        )
-    if len(tokens) > expected:
-        raise QaplibParseError(
-            f"expected {expected} tokens for n={n}, found {len(tokens)}",
-            tokens[expected][1],
+            f"expected {expected} tokens for n={n}, found {len(tokens)}", offset
         )
 
     values = np.empty(2 * n * n)

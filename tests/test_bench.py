@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -337,6 +338,26 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="repeats"):
             load_results(tmp_path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda header, row: ("instance,variant,n", row), "line 1: the header lacks"),
+            (lambda header, row: (header, row.rsplit(",", 2)[0]), "line 2: not 10 fields"),
+            (lambda header, row: (header, row + ",extra"), "line 2: not 10 fields"),
+        ],
+        ids=["header", "missing-field", "extra-field"],
+    )
+    def test_load_results_rejects_malformed_file(self, tmp_path, edit, message):
+        run_suite(
+            "quadratics", [6], [0], ["DCA-BPCG-WS-ES"], out_dir=tmp_path,
+            outer_cap=50, inner_cap=2000,
+        )
+        path = tmp_path / "results.csv"
+        header, row = edit(*path.read_text().splitlines())
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} {message}"):
+            load_results(tmp_path)
+
     # (outer_iters, lmo_calls, final objective) of every variant at outer cap
     # 20, inner cap 500; a refactor of the solvers must leave them exactly as
     # they are, down to the last bit of the objective.  The quadratic FW rows
@@ -519,6 +540,15 @@ def _result(instance, variant, lmo, solved=True, outer=1, wall=1.0):
     )
 
 
+def _raised(instance, variant):
+    """A run that raised at once: no steps and no final iterate."""
+    return BenchResult(
+        instance=instance, variant=variant, n=5, seed=0, solved=False,
+        outer_iters=0, wall_seconds=0.01, lmo_calls=0,
+        final_objective=math.nan, reason="error:OracleFailure: boom",
+    )
+
+
 class TestPerformanceProfile:
     def _table(self):
         return [
@@ -552,6 +582,18 @@ class TestPerformanceProfile:
         )
         assert np.array_equal(curves["A"], [1.0, 1.0, 1.0])
         assert np.array_equal(curves["B"], [1 / 3, 1 / 3, 2 / 3])
+
+    @pytest.mark.parametrize("modified", [False, True])
+    def test_run_that_raised_gets_infinite_ratio(self, modified):
+        results = [
+            _result("p1", "GOOD", 5, outer=12), _raised("p1", "CRASH"),
+            _result("p2", "GOOD", 5, outer=12), _raised("p2", "CRASH"),
+        ]
+        _, curves = performance_profile(
+            results, "iters", modified=modified, thetas=[1.0, 1e300]
+        )
+        assert np.array_equal(curves["GOOD"], [1.0, 1.0])
+        assert np.array_equal(curves["CRASH"], [0.0, 0.0])
 
     def test_default_grid_starts_at_one(self):
         thetas, curves = performance_profile(self._table(), "lmo")
@@ -612,6 +654,25 @@ class TestSummarizeTable:
         rows = summarize_table(results)
         assert [(r["n"], r["variant"]) for r in rows] == [(5, "A"), (5, "B"), (10, "A")]
         assert rows[2]["count"] == 1 and rows[2]["best_lmo"]
+
+    def test_run_that_raised_is_left_out(self):
+        results = [
+            _result("p1", "GOOD", 5, outer=12, wall=2.0),
+            _result("p2", "GOOD", 5, outer=12, wall=2.0),
+            _raised("p1", "CRASH"),
+            _result("p2", "CRASH", 9, outer=30, wall=4.0, solved=False),
+        ]
+        rows = {row["variant"]: row for row in summarize_table(results)}
+        assert rows["GOOD"]["count"] == 2 and rows["CRASH"]["count"] == 1
+        assert rows["CRASH"]["iters"] == pytest.approx(30.0, abs=1e-12)
+        assert rows["CRASH"]["lmo"] == pytest.approx(9.0, abs=1e-12)
+        for metric in METRICS:
+            assert rows["GOOD"][f"best_{metric}"]
+            assert not rows["CRASH"][f"best_{metric}"]
+
+    def test_only_runs_that_raised_is_refused(self):
+        with pytest.raises(ValueError, match="no result rows"):
+            summarize_table([_raised("p1", "CRASH")])
 
     def test_format_table_marks_winners(self):
         text = format_table(self._rows())

@@ -195,6 +195,20 @@ class TestRun:
         assert "sizez" in capsys.readouterr().err
         assert not out_dir.exists()  # nothing ran
 
+    @pytest.mark.parametrize("second", ["sizes = 20", "outer_cap = 20"])
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys, second):
+        # outer-cap and outer_cap name the same option
+        out_dir = tmp_path / "out"
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(
+            "sizes = 6\nseeds = 0\nvariants = DCA-BPCG-WS-ES\n"
+            f"out = {out_dir}\nouter-cap = 50\n{second}\n"
+        )
+        assert main(["run", "--config", str(cfg)]) == 2
+        key = second.split()[0]
+        assert f"config key {key!r} is set twice in {cfg}" in capsys.readouterr().err
+        assert not out_dir.exists()  # nothing ran
+
     def test_bad_config_value_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("outer-cap = fifty\n")
@@ -286,6 +300,28 @@ class TestProfileAndTable:
         assert main(["table", "--in", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no result rows" in err
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("command", [["table"], ["profile", "--metric", "lmo"]])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("instance,variant,n\np1,A,5\n", "line 1: the header lacks"),
+            (",".join(RESULT_FIELDS) + "\np1,A,5,0,1,3,0.5,7\n", "line 2: not 10 fields"),
+        ],
+        ids=["header", "short-row"],
+    )
+    def test_malformed_results_exit_2(self, tmp_path, capsys, command, text, message):
+        (tmp_path / "results.csv").write_text(text)
+        assert main([command[0], "--in", str(tmp_path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_table_of_runs_that_all_raised_exits_2(self, tmp_path, capsys):
+        row = "p1,A,5,0,0,0,0.5,0,nan,error:OracleFailure: boom"
+        (tmp_path / "results.csv").write_text(",".join(RESULT_FIELDS) + f"\n{row}\n")
+        assert main(["table", "--in", str(tmp_path)]) == 2
+        assert "no result rows" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
 
     def test_missing_results_dir_exits_2(self, tmp_path, capsys):

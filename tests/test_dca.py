@@ -710,6 +710,21 @@ class TestBoostedStep:
             point, _ = boosted_step(problem, x_t, cand, *boost)
             assert problem.phi(point) <= problem.phi(cand) + 1e-12
 
+    def test_non_finite_phi_inside_the_segment_fails_loudly(self):
+        # undeclared, the grid probes the oracles inside [x_t, y], which lies
+        # in the region, so a NaN there is a broken oracle, not a probe to skip
+        problem = DcProblem(
+            f_value=lambda x: np.nan if 0.1 < x[0] < 0.3 else float(x[0]) ** 2,
+            f_grad=lambda x: np.array([2.0 * x[0]]),
+            g_value=lambda x: 0.0,
+            g_subgrad=lambda x: np.zeros(1),
+            lmo=KSparsePolytope(1, 1.0, 1),
+        )
+        x_t, y = np.array([-1.0]), np.array([1.0])
+        boost = (1.0, 1.0, -4.0)  # phi, phi and slope at x_t, y and x_t
+        with pytest.raises(OracleFailure, match="^phi is nan at gamma = 0.6"):
+            boosted_step(problem, x_t, y, *boost)
+
     def test_non_finite_phi_at_the_point_fails_loudly_on_the_oracle_grid(self):
         # undeclared, the grid probes the oracles; a NaN at the subsolver's
         # point would make it keep x_t and repeat the subproblem to the cap

@@ -1,7 +1,6 @@
 """Frank-Wolfe machinery: gap, line searches, active sets, both solvers."""
 
 import itertools
-import logging
 import time
 
 import numpy as np
@@ -18,8 +17,8 @@ from dcfw import (
     gen_quadratic_dc,
     vanilla_fw,
 )
-from dcfw.dca import Oracles, linearize
-from dcfw.fw import _WEIGHT_DRIFT_TOL, fw_gap, grid_two_level, secant_line_search
+from dcfw.dca import OracleFailure, Oracles, grid_two_level, linearize
+from dcfw.fw import _WEIGHT_DRIFT_TOL, fw_gap, secant_line_search
 
 from helpers import (
     Counter,
@@ -39,104 +38,78 @@ def test_fw_gap_worked_example():
 
 
 def _last_argmin(values):
-    v = np.where(np.isfinite(values), values, np.inf)
-    return len(v) - 1 - int(np.argmin(v[::-1]))
+    return len(values) - 1 - int(np.argmin(values[::-1]))
 
 
-def _along(value_fn, x, d):
-    """value_fn on the line x + gamma * d, as a function of gamma."""
-    return lambda gamma: value_fn(x + gamma * d)
-
-
-def _grid_reference(value_fn, x, d, gamma_max, points=11):
-    """The two-level search with every probe evaluated, the fine grid's two
-    ends included: 2 * points evaluations."""
-    if gamma_max <= 0:
-        return 0.0
-    coarse = np.linspace(0.0, gamma_max, points)
-    vals = np.array([float(value_fn(x + g * d)) for g in coarse])
-    if not np.any(np.isfinite(vals)):
-        return 0.0
+def _grid_reference(value_fn, points=11):
+    """The two-level search on [0, 1] with every probe evaluated, gamma = 0
+    and the fine grid's two ends included: 2 * points evaluations."""
+    coarse = np.linspace(0.0, 1.0, points)
+    vals = np.array([float(value_fn(g)) for g in coarse])
     i = _last_argmin(vals)
     lo, hi = coarse[max(i - 1, 0)], coarse[min(i + 1, points - 1)]
     fine = np.linspace(lo, hi, points)
-    fine_vals = np.array([float(value_fn(x + g * d)) for g in fine])
+    fine_vals = np.array([float(value_fn(g)) for g in fine])
     candidates = np.concatenate([coarse, fine])
     return float(candidates[_last_argmin(np.concatenate([vals, fine_vals]))])
 
 
 class TestGridTwoLevel:
+    """The boosted step's grid search on [0, 1], given the value at 0."""
+
     def test_flat_objective_returns_gamma_max(self):
-        got = grid_two_level(lambda g: 0.0, 0.7)
-        assert got == 0.7
+        assert grid_two_level(lambda g: 0.0, 0.0) == 1.0
 
     def test_decreasing_objective_returns_gamma_max(self):
-        got = grid_two_level(lambda g: -g, 1.0)
-        assert got == 1.0
-
-    def test_nonpositive_interval(self):
-        assert grid_two_level(lambda g: 0.0, 0.0) == 0.0
-
-    def test_all_probes_non_finite_returns_zero(self):
-        # no finite probe means no evidence of descent: do not step
-        for bad in (np.nan, np.inf):
-            got = grid_two_level(lambda g: bad, 0.7)
-            assert got == 0.0
-
-    def test_non_finite_tail_is_avoided(self):
-        # finite and decreasing up to gamma = 0.5, NaN beyond it
-        value = lambda z: -float(z[0]) if z[0] <= 0.5 else np.nan
-        got = grid_two_level(_along(value, np.zeros(1), np.ones(1)), 1.0)
-        assert 0.45 <= got <= 0.5
+        assert grid_two_level(lambda g: -g, 0.0) == 1.0
 
     def test_parabola_accuracy(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             target = rng.uniform(0.05, 0.95)
-            gamma_max = rng.uniform(0.5, 2.0)
-            value = lambda z: (float(z[0]) - target) ** 2
-            got = grid_two_level(_along(value, np.zeros(1), np.ones(1)), gamma_max)
-            best = min(target, gamma_max)
-            assert abs(got - best) <= 0.0101 * gamma_max
+            value = lambda g: (g - target) ** 2
+            got = grid_two_level(value, value(0.0))
+            assert abs(got - target) <= 0.0101
 
     @pytest.mark.parametrize("target", [-1.0, 0.37, 2.0])
     def test_fine_grid_ends_are_not_evaluated_again(self, target):
         # minimum at the first, an interior and the last coarse point
-        value = Counter(lambda z: (float(z[0]) - target) ** 2)
-        grid_two_level(_along(value, np.zeros(1), np.ones(1)), 1.0)
-        assert value.calls == 20
+        value = Counter(lambda g: (g - target) ** 2)
+        grid_two_level(value, target**2)
+        assert value.calls == 19
 
     def test_matches_full_evaluation_reference(self):
-        # rounded profiles tie often; some turn NaN past a cutoff
+        # rounded profiles tie often
         rng = np.random.default_rng(5)
         for _ in range(300):
             c = rng.standard_normal(5)
             decimals = int(rng.integers(0, 4))
-            cutoff = rng.uniform(-1.0, 3.0) if rng.random() < 0.3 else np.inf
-            x, d = rng.standard_normal(3), rng.standard_normal(3)
-            w = rng.standard_normal(3)
 
-            def value(z):
-                t = float(w @ z)
-                if t > cutoff:
-                    return np.nan
-                poly = c[0] + c[1] * t + c[2] * t * t
-                return round(poly + c[3] * np.sin(c[4] * t), decimals)
+            def value(g):
+                poly = c[0] + c[1] * g + c[2] * g * g
+                return round(poly + c[3] * np.sin(c[4] * g), decimals)
 
-            gamma_max = rng.uniform(0.01, 2.0)
-            got = grid_two_level(_along(value, x, d), gamma_max)
-            assert got == _grid_reference(value, x, d, gamma_max)
+            assert grid_two_level(value, value(0.0)) == _grid_reference(value)
 
     def test_known_value_at_zero_saves_one_evaluation(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             c = rng.standard_normal(3)
-            x, d = rng.standard_normal(2), rng.standard_normal(2)
-            value = Counter(lambda z: c[0] + c[1] * z[0] + c[2] * z[1] ** 2)
-            gamma_max = rng.uniform(0.01, 2.0)
-            got = grid_two_level(_along(value, x, d), gamma_max, value(x))
+            value = Counter(lambda g: c[0] + c[1] * g + c[2] * g**2)
+            got = grid_two_level(value, value(0.0))
             assert value.calls == 1 + 19
-            assert got == _grid_reference(value, x, d, gamma_max)
+            assert got == _grid_reference(value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [0.6, 0.36], ids=["coarse", "fine"])
+    def test_non_finite_probe_raises(self, at, bad):
+        # (gamma - 0.37)^2 is least in the coarse cell around 0.4, whose fine
+        # grid probes 0.36; a non-finite probe at either raises
+        def value(g):
+            return bad if abs(g - at) < 1e-12 else (g - 0.37) ** 2
+
+        with pytest.raises(OracleFailure, match=f"^phi is {bad} at gamma = {at}"):
+            grid_two_level(value, 0.37**2)
 
 
 class TestSecantLineSearch:
@@ -182,34 +155,28 @@ class TestSecantLineSearch:
         dphi0 = float(grad(x) @ d)
         assert secant_line_search(value, grad, x, d, 1.0, dphi0)[0] == 0.0
 
-    def test_non_finite_derivative_falls_back_to_grid(self):
-        target = 0.4
-        value = lambda z: (float(z[0]) - target) ** 2
-        grad = lambda z: np.array([np.nan])
-        got, _ = secant_line_search(
-            value, grad, np.zeros(1), np.ones(1), 1.0, dphi0=-1.0
-        )
-        assert np.isfinite(got)
-        assert abs(got - target) <= 0.0101
-        assert value(np.array([got])) <= value(np.zeros(1))
-
-    @pytest.mark.parametrize("where", ["dphi0", "interior"])
-    def test_each_non_finite_derivative_falls_back_to_grid(self, where, caplog):
+    @pytest.mark.parametrize(
+        "bad, gamma",
+        [
+            (lambda g: g == 0.0, "0"),
+            (lambda g: g == 1.0, "1.0"),
+            (lambda g: 0.0 < g < 1.0, "0.4"),
+        ],
+        ids=["zero", "gamma_max", "inside"],
+    )
+    def test_non_finite_slope_raises(self, bad, gamma):
         # phi(gamma) = (gamma - 0.4)^2 along d = 1 from x = 0, with a NaN
-        # gradient only at gamma = 0 or only strictly inside (0, 1); the
-        # test above puts it at gamma_max
+        # gradient only at gamma = 0, only at gamma_max = 1, or only strictly
+        # inside (0, 1), where the first probe is the secant step to 0.4
         def grad(z):
             g = float(z[0])
-            bad = g == 0.0 if where == "dphi0" else 0.0 < g < 1.0
-            return np.array([np.nan if bad else 2.0 * (g - 0.4)])
+            return np.array([np.nan if bad(g) else 2.0 * (g - 0.4)])
 
         value = lambda z: (float(z[0]) - 0.4) ** 2
         x, d = np.zeros(1), np.ones(1)
-        dphi0 = float(grad(x) @ d)  # nan in the dphi0 case
-        with caplog.at_level(logging.WARNING, logger="dcfw.fw"):
-            got, _ = secant_line_search(value, grad, x, d, 1.0, dphi0)
-        assert "falling back to grid search" in caplog.text
-        assert got == grid_two_level(_along(value, x, d), 1.0)
+        dphi0 = float(grad(x) @ d)  # nan in the zero case
+        with pytest.raises(ValueError, match=f"^non-finite slope nan at gamma = {gamma}$"):
+            secant_line_search(value, grad, x, d, 1.0, dphi0)
 
     def test_safeguard_rejects_fake_descent(self):
         # derivative oracle oscillates so the secant never settles; the value
@@ -315,23 +282,6 @@ class TestPointContract:
         assert 0.0 < gamma <= 1e-17
         self._assert_point(x, d, gamma, point)
 
-    def test_secant_grid_fallback_exit(self):
-        value = lambda z: (float(z[0]) - 0.4) ** 2
-        grad = lambda z: np.array([np.nan])
-        x, d = np.full(1, 0.05), np.full(1, 0.9)
-        gamma, point = secant_line_search(value, grad, x, d, 1.0, dphi0=-1.0)
-        assert 0.0 < gamma < 1.0
-        self._assert_point(x, d, gamma, point)
-
-    def test_secant_grid_fallback_zero_step_returns_x_itself(self):
-        # every probe past gamma = 0 is worse, so the grid keeps x, whose
-        # -0.0 entry x + 0.0 * d would turn into 0.0
-        value = lambda z: float(z[0])
-        grad = lambda z: np.array([np.nan, 0.0])
-        x, d = np.array([-0.0, 0.5]), np.array([1.0, -1.0])
-        gamma, point = secant_line_search(value, grad, x, d, 0.5, dphi0=-1.0)
-        assert gamma == 0.0 and point is x
-
     def test_quadratic_step(self):
         problem = gen_quadratic_dc(8, 0).problem()
         exits = set()
@@ -383,6 +333,10 @@ class TestActiveSet:
             ActiveSet([], [])
         with pytest.raises(ValueError):
             ActiveSet([np.ones(2)], [0.0])
+        # NaN fails w <= 0 too, and inf would give weights [nan, 0.0]
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ActiveSet([np.eye(2)[0], np.eye(2)[1]], [bad, 1.0])
 
     def test_duplicate_atoms_merge(self):
         e0 = np.array([1.0, 0.0])
