@@ -178,6 +178,15 @@ class TestSecantLineSearch:
         with pytest.raises(ValueError, match=f"^non-finite slope nan at gamma = {gamma}$"):
             secant_line_search(value, grad, x, d, 1.0, dphi0)
 
+    def test_non_finite_derivative_falls_back_to_grid(self):
+        # the search once fell back to a grid search on a NaN slope; now it
+        # raises at the gamma_max probe without evaluating a single value
+        value = Counter(lambda z: (float(z[0]) - 0.4) ** 2)
+        grad = Counter(lambda z: np.array([np.nan]))
+        with pytest.raises(ValueError, match=r"^non-finite slope nan at gamma = 1\.0$"):
+            secant_line_search(value, grad, np.zeros(1), np.ones(1), 1.0, dphi0=-1.0)
+        assert grad.calls == 1 and value.calls == 0
+
     def test_safeguard_rejects_fake_descent(self):
         # derivative oracle oscillates so the secant never settles; the value
         # oracle only increases, so the safeguard must refuse to move
@@ -281,6 +290,26 @@ class TestPointContract:
         assert grad.calls < 20 and value.calls == 2
         assert 0.0 < gamma <= 1e-17
         self._assert_point(x, d, gamma, point)
+
+    def test_secant_grid_fallback_exit(self):
+        # where a NaN slope once left through a grid search, no point is
+        # returned: the search raises at its first probe, x + gamma_max * d
+        value = lambda z: (float(z[0]) - 0.4) ** 2
+        grad = Counter(lambda z: np.array([np.nan]))
+        x, d = np.full(1, 0.05), np.full(1, 0.9)
+        with pytest.raises(ValueError, match=r"^non-finite slope nan at gamma = 1\.0$"):
+            secant_line_search(value, grad, x, d, 1.0, dphi0=-1.0)
+        assert grad.calls == 1
+
+    def test_secant_grid_fallback_zero_step_returns_x_itself(self):
+        # every probe past gamma = 0 is worse, so the backtracking exit, which
+        # replaced the grid fallback, keeps x, whose -0.0 entry x + 0.0 * d
+        # would turn into 0.0
+        value = lambda z: float(z[0])
+        flip = Counter(lambda z: np.array([1.0 if flip.calls % 2 else -1.0, 0.0]))
+        x, d = np.array([-0.0, 0.5]), np.array([1.0, -1.0])
+        gamma, point = secant_line_search(value, flip, x, d, 0.5, dphi0=-1.0)
+        assert gamma == 0.0 and point is x
 
     def test_quadratic_step(self):
         problem = gen_quadratic_dc(8, 0).problem()
