@@ -255,7 +255,8 @@ def run_suite(
 def load_results(in_dir):
     """Read results.csv written by run_suite back into BenchResult rows.  A
     header without one of RESULT_FIELDS, a row with a missing or an extra
-    field, and a repeated (instance, variant) pair raise ValueError."""
+    field or a field that does not parse, and a repeated (instance, variant)
+    pair raise ValueError."""
     path = Path(in_dir) / "results.csv"
     if not path.exists():
         raise FileNotFoundError(f"no results.csv under {in_dir}")
@@ -274,7 +275,13 @@ def load_results(in_dir):
             if key in seen:
                 raise ValueError(f"{path} repeats the row for {key}")
             seen.add(key)
-            fields = {f: parse(rec[col]) for col, (f, parse) in _RESULT_COLUMNS.items()}
+            fields = {}
+            for col, (f, parse) in _RESULT_COLUMNS.items():
+                try:
+                    fields[f] = parse(rec[col])
+                except ValueError as err:
+                    where = f"{path} line {reader.line_num}: column {col}"
+                    raise ValueError(f"{where}: {err}") from err
             rows.append(BenchResult(**fields))
     return rows
 

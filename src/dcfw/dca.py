@@ -156,10 +156,9 @@ class Subproblem:
         self.phi_at_anchor = self.f_at_anchor - self.g_at_anchor
         self.grad_at_anchor = self.f_grad_at_anchor - self.g_grad_at_anchor
         self.grad_at_anchor.flags.writeable = False
-        # (key, value) of the last grad call and of the last h descent needed
-        self._grad_memo = (self.anchor.tobytes(), self.grad_at_anchor)
-        self._h_memo = (None, None)
-        self._carried = None  # key of the point quadratic_step carried to last
+        self._h_memo = (None, None)  # (key, value) of the last h descent needed
+        # (key, gradient) of the point quadratic_step carried to last
+        self._carried = (None, None)
 
     def _lin(self, x):
         return self.g_at_anchor + float(self.g_grad_at_anchor.dot(x - self.anchor))
@@ -168,20 +167,8 @@ class Subproblem:
         return self._h(x, x.tobytes())
 
     def grad(self, x):
-        """Gradient of the surrogate at x, as a read-only array.
-
-        The last result is kept for an x with the same bits.  The secant
-        search's last probe is bit for bit the solver's next iterate, so the
-        loop gets that gradient without a second f_grad call; its probe at
-        gamma = 1 is bit for bit the LMO vertex, whose f_grad the record's
-        vertex table keeps."""
-        key = x.tobytes()
-        if key == self._grad_memo[0]:
-            return self._grad_memo[1]
-        grad = self.oracles.f_grad(x, key) - self.g_grad_at_anchor
-        grad.flags.writeable = False
-        self._grad_memo = (key, grad)
-        return grad
+        """Gradient of the surrogate at x, through the record's f_grad."""
+        return self.oracles.f_grad(x, x.tobytes()) - self.g_grad_at_anchor
 
     def _h(self, y, key):
         # the surrogate's value h(y) = f(y) - lin(y), kept for the last y
@@ -199,24 +186,22 @@ class Subproblem:
         stop rule's evaluation."""
         return self.phi_at_anchor - self._h(y, y.tobytes())
 
-    def quadratic_step(self, x, d, gamma_max, dphi0):
+    def quadratic_step(self, x, grad, d, gamma_max, dphi0):
         """Exact line search along d on [0, gamma_max] for a quadratic f.
 
-        With f_grad at the end point x + gamma_max * d from the record (its
-        vertex table at the last LMO vertex), slope dphi0 = <grad(x), d> and
-        curvature <d, grad(end) - grad(x)>, returns the minimizing gamma,
-        gamma_max when the end point still descends.  The surrogate's
-        gradient is affine, so its gradient and h at x + gamma * d follow
-        from those at x and the end point, and are kept as grad's and
-        descent's values there; certify checks them at the last one.
-        Returns (gamma, x + gamma * d), the point the memos are keyed on.
+        With grad the surrogate's gradient at x, f_grad at the end point
+        x + gamma_max * d from the record (its vertex table at the last LMO
+        vertex), slope dphi0 = <grad, d> and curvature <d, grad(end) -
+        grad>, returns the minimizing gamma, gamma_max when the end point
+        still descends.  The surrogate's gradient is affine, so its gradient
+        and h at x + gamma * d follow from those at x and the end point; h
+        is kept as descent's value there, and certify checks both at the
+        last point.  Returns (gamma, x + gamma * d, the gradient there), or
+        (0.0, x, None) when d does not descend.
         """
         if not dphi0 < 0:
-            return 0.0, x
-        key = x.tobytes()
-        # the solver's loop has just asked grad for x
-        grad = self._grad_memo[1] if key == self._grad_memo[0] else self.grad(x)
-        h = self._h(x, key)
+            return 0.0, x, None
+        h = self._h(x, x.tobytes())
         end = x + gamma_max * d
         end_key = end.tobytes()
         grad_end = self.oracles.f_grad(end, end_key) - self.g_grad_at_anchor
@@ -233,23 +218,22 @@ class Subproblem:
             diff *= gamma / gamma_max
             diff += grad
             grad = diff
-        grad.flags.writeable = False
         h += gamma * dphi0 + 0.5 * gamma * gamma * curv / gamma_max
-        self._grad_memo = (key, grad)
         self._h_memo = (key, h)
-        self._carried = key
-        return gamma, y
+        self._carried = (key, grad)
+        return gamma, y, grad
 
     def certify(self, y):
-        """Replace the gradient and h that quadratic_step carried to y by the
-        oracles' values, taken through the record, after checking that the
-        two agree to CARRY_RTOL; a larger difference means f is not
-        quadratic on the region and raises OracleFailure.  Does nothing when
-        no carried value reached y."""
+        """Check the gradient and h that quadratic_step carried to y against
+        the oracles' values, taken through the record, and put the oracles'
+        h in the carried one's place; a difference above CARRY_RTOL means f
+        is not quadratic on the region and raises OracleFailure.  Does
+        nothing when no carried value reached y."""
         key = y.tobytes()
-        if key != self._carried:
+        carried_key, grad_c = self._carried
+        if key != carried_key:
             return
-        grad_c, h_c = self.grad(y), self._h(y, key)
+        h_c = self._h(y, key)
         f_grad = self.oracles.f_grad(y, key)
         grad = f_grad - self.g_grad_at_anchor
         h = self.oracles.f(y, key) - self._lin(y)
@@ -265,10 +249,7 @@ class Subproblem:
                 f"{grad_drift:.3g}, f by {h_drift:.3g} (relative, allowed "
                 f"{CARRY_RTOL:g})"
             )
-        grad.flags.writeable = False
-        self._grad_memo = (key, grad)
         self._h_memo = (key, h)
-        self._carried = None
 
 
 def linearize(oracles, x_t):

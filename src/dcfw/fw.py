@@ -195,21 +195,24 @@ def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0):
     quadratic the first secant step is exact, so the interior minimizer is
     found with two gradient evaluations.
 
-    Returns (gamma, x + gamma * d).  The point is the array the search last
-    probed when gamma is that probe's, and x itself when gamma is 0.
+    Returns (gamma, x + gamma * d, grad_fn's gradient there or None).  On
+    the exits at gamma_max and on convergence the point is the array the
+    search last probed, with that probe's gradient; the backtracking exit
+    returns None for the gradient, and gamma = 0 returns x itself and None.
     """
     if gamma_max <= 0:
-        return 0.0, x
+        return 0.0, x, None
     if not math.isfinite(dphi0):
         raise ValueError(f"non-finite slope {dphi0} at gamma = 0")
     if dphi0 >= 0:
-        return 0.0, x
+        return 0.0, x, None
     y = x + gamma_max * d
-    d_hi = float(d.dot(grad_fn(y)))
+    grad = grad_fn(y)
+    d_hi = float(d.dot(grad))
     if not math.isfinite(d_hi):
         raise ValueError(f"non-finite slope {d_hi} at gamma = {gamma_max}")
     if d_hi <= 0:
-        return float(gamma_max), y  # still descending at the cap
+        return float(gamma_max), y, grad  # still descending at the cap
 
     # numpy's own formula for the 2-norm of a 1-D array, without its overhead
     d_scale = _SECANT_TOL * math.sqrt(d.dot(d))
@@ -220,7 +223,8 @@ def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0):
     while evals < _SECANT_MAX_EVAL:
         gamma = min(max(gamma, lo), hi)
         y = x + gamma * d
-        dg = float(d.dot(grad_fn(y)))
+        grad = grad_fn(y)
+        dg = float(d.dot(grad))
         evals += 1
         if not math.isfinite(dg):
             raise ValueError(f"non-finite slope {dg} at gamma = {gamma}")
@@ -228,7 +232,7 @@ def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0):
         # (_SECANT_TOL*||d||)^2 / curvature, far below roundoff for the
         # objectives here; the other exits check values
         if abs(dg) <= d_scale:
-            return float(gamma), y
+            return float(gamma), y, grad
         if dg > 0:
             hi, d_hi = gamma, dg
         else:
@@ -245,18 +249,19 @@ def secant_line_search(value_fn, grad_fn, x, d, gamma_max, dphi0):
     for _ in range(60):
         y = x + g * d
         if float(value_fn(y)) <= phi0:
-            return g, y
+            return g, y, None
         g *= 0.5
-    return 0.0, x
+    return 0.0, x, None
 
 
 @dataclass(frozen=True)
 class Agnostic:
-    """Open-loop step size 2 / (k + 2); step returns (gamma, x + gamma * d)."""
+    """Open-loop step size 2 / (k + 2); step returns (gamma, x + gamma * d,
+    None), computing no gradient."""
 
-    def step(self, objective, x, d, gamma_max, k, dphi0):
+    def step(self, objective, x, grad, d, gamma_max, k, dphi0):
         gamma = min(2.0 / (k + 2.0), gamma_max)
-        return gamma, x + gamma * d
+        return gamma, x + gamma * d, None
 
 
 @dataclass(frozen=True)
@@ -264,13 +269,14 @@ class Secant:
     """Secant line search on the directional derivative (secant_line_search).
 
     An objective whose ``quadratic`` attribute is true is minimized along d
-    in closed form by its ``quadratic_step(x, d, gamma_max, dphi0)`` instead.
-    Either way step returns (gamma, x + gamma * d).
+    in closed form by its ``quadratic_step(x, grad, d, gamma_max, dphi0)``
+    instead, grad being the objective's gradient at x.  Either way step
+    returns (gamma, x + gamma * d, the gradient there or None).
     """
 
-    def step(self, objective, x, d, gamma_max, k, dphi0):
+    def step(self, objective, x, grad, d, gamma_max, k, dphi0):
         if getattr(objective, "quadratic", False):
-            return objective.quadratic_step(x, d, gamma_max, dphi0)
+            return objective.quadratic_step(x, grad, d, gamma_max, dphi0)
         return secant_line_search(
             objective.value, objective.grad, x, d, gamma_max, dphi0=dphi0
         )
@@ -281,12 +287,16 @@ def _inner_loop(
     callback, extra,
 ):
     """The iteration both solvers share; step(k, x, grad, v, gap) returns
-    (x_next, gamma, step_type) and must leave its state untouched when
-    gamma is 0.  extra holds additional callback entries."""
+    (x_next, gamma, step_type, the gradient at x_next or None) and must
+    leave its state untouched when gamma is 0.  The loop asks the objective
+    for a gradient only when the step handed back None.  extra holds
+    additional callback entries."""
     stats = FwStats()
     steps = {"fw": 0, "pairwise_descent": 0, "pairwise_drop": 0}
+    grad = None
     for k in range(max_iters + 1):
-        grad = objective.grad(x)
+        if grad is None:
+            grad = objective.grad(x)
         v = lmo(grad)
         gap = fw_gap(grad, x, v)
         stats.final_fw_gap = gap
@@ -302,7 +312,7 @@ def _inner_loop(
         if deadline is not None and time.perf_counter() > deadline:
             stats.termination = "time_limit"
             break
-        x_next, gamma, step_type = step(k, x, grad, v, gap)
+        x_next, gamma, step_type, grad = step(k, x, grad, v, gap)
         if gamma == 0.0:
             stats.termination = "stagnation"
             break
@@ -351,8 +361,8 @@ def vanilla_fw(
     """
 
     def step(k, x, grad, v, gap):
-        gamma, x_next = line_search.step(objective, x, v - x, 1.0, k, dphi0=-gap)
-        return x_next, gamma, "fw"
+        gamma, x_next, grad = line_search.step(objective, x, grad, v - x, 1.0, k, -gap)
+        return x_next, gamma, "fw", grad
 
     x = np.array(x0, dtype=float)
     return _inner_loop(
@@ -400,17 +410,19 @@ def bpcg(
         if local_gap >= gap and away_idx != local_idx:
             # transfer weight from the away atom toward the local atom
             gamma_max = active_set.weights[away_idx]
-            gamma, x_next = line_search.step(
-                objective, x, d, gamma_max, k, dphi0=-local_gap
+            gamma, x_next, grad_next = line_search.step(
+                objective, x, grad, d, gamma_max, k, dphi0=-local_gap
             )
             # a zero transfer leaves the weights and the iterate as they are
             dropped = active_set.pairwise_update(local_idx, away_idx, gamma, x_next)
             step_type = "pairwise_drop" if dropped else "pairwise_descent"
-        else:
-            gamma, _ = line_search.step(objective, x, w - x, 1.0, k, dphi0=-gap)
-            active_set.fw_update(w, gamma)  # a zero step leaves the set as is
-            step_type = "fw"
-        return active_set.iterate, gamma, step_type
+            x = active_set.iterate  # not x_next once the set renormalized
+            return x, gamma, step_type, grad_next if x is x_next else None
+        gamma = line_search.step(objective, x, grad, w - x, 1.0, k, dphi0=-gap)[0]
+        # a zero step leaves the set as is; any other rebuilds the iterate as
+        # (1 - gamma) x + gamma w, with other bits than the search's point
+        active_set.fw_update(w, gamma)
+        return active_set.iterate, gamma, "fw", None
 
     extra = {"active_set": active_set}
     x, stats = _inner_loop(

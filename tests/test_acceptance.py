@@ -188,12 +188,15 @@ def test_criterion_05_secant_on_quadratics():
         expected = min(max(gamma_star, 0.0), gamma_max)
         value = Counter(lambda y, Q=Q, q=q: 0.5 * float(y @ Q @ y) + float(q @ y))
         grad = Counter(lambda y, Q=Q, q=q: Q @ y + q)
-        got, _ = secant_line_search(value, grad, x, d, gamma_max, dphi0=dphi0)
+        got, point, g = secant_line_search(value, grad, x, d, gamma_max, dphi0=dphi0)
         assert abs(got - expected) <= 1e-10
         if dphi0 >= 0:
-            assert grad.calls == 0
+            assert grad.calls == 0 and g is None
             ascent += 1
-        elif gamma_star >= gamma_max:
+            continue
+        # the gamma_max or the converged exit hands back its probe's gradient
+        assert g.tobytes() == grad.fn(point).tobytes()
+        if gamma_star >= gamma_max:
             assert grad.calls == 1
             clamped += 1
         else:

@@ -83,6 +83,12 @@ class TestVariantConfig:
         assert default_caps("qap", 5) == (500, 50000)
 
 
+def _with_n(row, text):
+    """A results.csv row with its n field, the third, replaced by text."""
+    instance, variant, _, rest = row.split(",", 3)
+    return f"{instance},{variant},{text},{rest}"
+
+
 class TestRunSuite:
     VARIANT_PAIR = ["DCA-BPCG-ES", "DCA-BPCG-WS-ES"]
 
@@ -344,8 +350,12 @@ class TestRunSuite:
             (lambda header, row: ("instance,variant,n", row), "line 1: the header lacks"),
             (lambda header, row: (header, row.rsplit(",", 2)[0]), "line 2: not 10 fields"),
             (lambda header, row: (header, row + ",extra"), "line 2: not 10 fields"),
+            (
+                lambda header, row: (header, _with_n(row, "five")),
+                "line 2: column n: invalid literal for int",
+            ),
         ],
-        ids=["header", "missing-field", "extra-field"],
+        ids=["header", "missing-field", "extra-field", "unparsed-field"],
     )
     def test_load_results_rejects_malformed_file(self, tmp_path, edit, message):
         run_suite(

@@ -29,6 +29,10 @@ from helpers import (
 )
 
 
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_fw_gap_worked_example():
     grad = np.array([1.0, 2.0, 3.0])
     x = np.full(3, 1.0 / 3.0)
@@ -129,11 +133,14 @@ class TestSecantLineSearch:
             dphi0 = float(grad(x) @ d)
             exact = min(max(-dphi0 / denom, 0.0), 1.0)
             counted = Counter(grad)
-            got, _ = secant_line_search(value, counted, x, d, 1.0, dphi0=dphi0)
+            got, point, g = secant_line_search(value, counted, x, d, 1.0, dphi0=dphi0)
             assert got == pytest.approx(exact, abs=1e-10)
             if dphi0 >= 0:
-                assert counted.calls == 0
-            elif exact == 1.0:
+                assert counted.calls == 0 and g is None
+                continue
+            # the gamma_max exit or, on the secant step, the converged one
+            assert _same_bits(g, grad(point))
+            if exact == 1.0:
                 assert counted.calls == 1
             else:
                 interior += 1
@@ -145,8 +152,8 @@ class TestSecantLineSearch:
         value = lambda z: (float(z[0]) - 2.0) ** 2
         grad = lambda z: np.array([2.0 * (float(z[0]) - 2.0)])
         x, d = np.zeros(1), np.ones(1)
-        got, _ = secant_line_search(value, grad, x, d, 1.0, float(grad(x) @ d))
-        assert got == 1.0
+        got, point, g = secant_line_search(value, grad, x, d, 1.0, float(grad(x) @ d))
+        assert got == 1.0 and _same_bits(g, grad(point))
 
     def test_ascent_direction_returns_zero(self):
         value, grad = quad_value_grad(np.eye(2), np.zeros(2))
@@ -192,10 +199,10 @@ class TestSecantLineSearch:
         # oracle only increases, so the safeguard must refuse to move
         value = lambda z: float(z[0])
         flip = Counter(lambda z: np.array([1.0 if flip.calls % 2 else -1.0]))
-        got, _ = secant_line_search(
+        got, _, g = secant_line_search(
             value, flip, np.zeros(1), np.ones(1), 1.0, dphi0=-1.0
         )
-        assert got == 0.0
+        assert got == 0.0 and g is None
 
     def test_nonpositive_interval(self):
         value, grad = quad_value_grad(np.eye(1), np.zeros(1))
@@ -208,25 +215,31 @@ class TestStepRules:
         rule = Agnostic()
         obj = make_objective(lambda x: 0.0, lambda x: x)
         x, d = np.zeros(1), np.ones(1)
-        dphi0 = float(obj.grad(x) @ d)
-        assert rule.step(obj, x, d, 1.0, 0, dphi0)[0] == 1.0
-        assert rule.step(obj, x, d, 1.0, 2, dphi0)[0] == 0.5
-        assert rule.step(obj, x, d, 0.3, 0, dphi0)[0] == 0.3
+        grad = obj.grad(x)
+        dphi0 = float(grad @ d)
+        assert rule.step(obj, x, grad, d, 1.0, 0, dphi0)[::2] == (1.0, None)
+        assert rule.step(obj, x, grad, d, 1.0, 2, dphi0)[::2] == (0.5, None)
+        assert rule.step(obj, x, grad, d, 0.3, 0, dphi0)[::2] == (0.3, None)
 
     def test_secant_rule_delegates(self):
         value, grad = quad_value_grad(np.diag([2.0, 1.0]), np.array([-1.0, 0.0]))
         obj = make_objective(value, grad)
         x, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
         dphi0 = float(grad(x) @ d)
-        got, point = Secant().step(obj, x, d, 1.0, 0, dphi0=dphi0)
-        want, want_point = secant_line_search(value, grad, x, d, 1.0, dphi0=dphi0)
+        got, point, g = Secant().step(obj, x, grad(x), d, 1.0, 0, dphi0=dphi0)
+        want, want_point, want_g = secant_line_search(
+            value, grad, x, d, 1.0, dphi0=dphi0
+        )
         assert got == want
         assert np.array_equal(point, want_point)
         assert 0.0 < got < 1.0
+        assert _same_bits(g, want_g) and _same_bits(g, grad(point))
 
 
 class TestPointContract:
-    """A line search returns (gamma, x + gamma * d), the point bit for bit."""
+    """A line search returns (gamma, x + gamma * d, the gradient there or
+    None), the point bit for bit, and the gradient bit for bit the
+    objective's where it is handed back."""
 
     @staticmethod
     def _assert_point(x, d, gamma, point):
@@ -237,23 +250,26 @@ class TestPointContract:
         obj = make_objective(lambda x: 0.0, lambda x: x)
         for k in range(20):
             x, d = rng.standard_normal(7), rng.standard_normal(7)
-            gamma, point = Agnostic().step(obj, x, d, 0.4, k, float(x @ d))
+            gamma, point, g = Agnostic().step(obj, x, x, d, 0.4, k, float(x @ d))
             self._assert_point(x, d, gamma, point)
+            assert g is None
 
     def test_secant_interior_exit(self):
         value, grad = quad_value_grad(np.diag([2.0, 1.0]), np.array([-1.0, 0.0]))
         x, d = np.array([0.0, 1.0]), np.array([1.0, -1.0])
-        gamma, point = secant_line_search(value, grad, x, d, 1.0, float(grad(x) @ d))
+        gamma, point, g = secant_line_search(value, grad, x, d, 1.0, float(grad(x) @ d))
         assert 0.0 < gamma < 1.0
         self._assert_point(x, d, gamma, point)
+        assert _same_bits(g, grad(point))
 
     def test_secant_cap_exit(self):
         value = lambda z: (float(z[0]) - 2.0) ** 2
         grad = lambda z: np.array([2.0 * (float(z[0]) - 2.0)])
         x, d = np.full(1, 0.1), np.full(1, 0.7)
-        gamma, point = secant_line_search(value, grad, x, d, 1.0, float(grad(x) @ d))
+        gamma, point, g = secant_line_search(value, grad, x, d, 1.0, float(grad(x) @ d))
         assert gamma == 1.0
         self._assert_point(x, d, gamma, point)
+        assert _same_bits(g, grad(point))
 
     def test_secant_backtracking_exit(self):
         # phi' is positive past gamma = 0, so the secant shrinks its bracket
@@ -262,10 +278,11 @@ class TestPointContract:
         value = Counter(lambda z: -float(z[0]))
         grad = Counter(lambda z: np.array([1.0]))
         x, d = np.full(1, 0.3), np.full(1, 0.5)
-        gamma, point = secant_line_search(value, grad, x, d, 1.0, dphi0=-1.0)
+        gamma, point, g = secant_line_search(value, grad, x, d, 1.0, dphi0=-1.0)
         assert grad.calls == 40 and value.calls == 2
         assert 0.0 < gamma < 1e-6
         self._assert_point(x, d, gamma, point)
+        assert g is None
 
     def test_secant_repeated_step_exit(self):
         # phi' jumps from -1e300 to 1 at gamma = 0.5, so the secant step on
@@ -273,11 +290,12 @@ class TestPointContract:
         # value check accepts gamma = 1
         grad = Counter(lambda z: np.array([-1e300 if z[0] < 0.5 else 1.0]))
         x, d = np.zeros(1), np.ones(1)
-        gamma, point = secant_line_search(
+        gamma, point, g = secant_line_search(
             lambda z: -float(z[0]), grad, x, d, 1.0, dphi0=-1e300
         )
         assert gamma == 1.0 and grad.calls == 2
         self._assert_point(x, d, gamma, point)
+        assert g is None  # the value check's exit, though at a probed point
 
     def test_secant_bracket_collapse_exit(self):
         # phi' is 9 past gamma = 0, so each secant step cuts the bracket
@@ -286,10 +304,11 @@ class TestPointContract:
         grad = Counter(lambda z: np.array([9.0]))
         value = Counter(lambda z: -float(z[0]))
         x, d = np.zeros(1), np.ones(1)
-        gamma, point = secant_line_search(value, grad, x, d, 1.0, dphi0=-1.0)
+        gamma, point, g = secant_line_search(value, grad, x, d, 1.0, dphi0=-1.0)
         assert grad.calls < 20 and value.calls == 2
         assert 0.0 < gamma <= 1e-17
         self._assert_point(x, d, gamma, point)
+        assert g is None
 
     def test_secant_grid_fallback_exit(self):
         # where a NaN slope once left through a grid search, no point is
@@ -308,8 +327,8 @@ class TestPointContract:
         value = lambda z: float(z[0])
         flip = Counter(lambda z: np.array([1.0 if flip.calls % 2 else -1.0, 0.0]))
         x, d = np.array([-0.0, 0.5]), np.array([1.0, -1.0])
-        gamma, point = secant_line_search(value, flip, x, d, 0.5, dphi0=-1.0)
-        assert gamma == 0.0 and point is x
+        gamma, point, g = secant_line_search(value, flip, x, d, 0.5, dphi0=-1.0)
+        assert gamma == 0.0 and point is x and g is None
 
     def test_quadratic_step(self):
         problem = gen_quadratic_dc(8, 0).problem()
@@ -318,13 +337,19 @@ class TestPointContract:
         for i, gamma_max in itertools.product(range(8), (1.0, 0.05)):
             sub = linearize(Oracles(problem), x)
             d = np.eye(8)[i] - x
-            dphi0 = float(sub.grad(x) @ d)
-            gamma, point = sub.quadratic_step(x, d, gamma_max, dphi0)
+            grad = sub.grad(x)
+            dphi0 = float(grad @ d)
+            gamma, point, g = sub.quadratic_step(x, grad, d, gamma_max, dphi0)
             if gamma == 0.0:
-                assert dphi0 >= 0 and point is x
+                assert dphi0 >= 0 and point is x and g is None
                 continue
             exits.add(gamma == gamma_max)
             self._assert_point(x, d, gamma, point)
+            want = sub.grad(point)
+            if gamma == gamma_max:  # the oracle's gradient at the end point
+                assert _same_bits(g, want)
+            else:  # carried along the affine gradient
+                assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
         assert exits == {False, True}  # both the interior and the cap exit
 
     @settings(max_examples=200, deadline=None)
@@ -340,7 +365,9 @@ class TestPointContract:
                 to += to >= frm
                 d = s.vertices[to] - s.vertices[frm]
                 # Agnostic ignores the slope
-                gamma, x = Agnostic().step(None, s.iterate, d, s.weights[frm], k, -1.0)
+                gamma, x, _ = Agnostic().step(
+                    None, s.iterate, None, d, s.weights[frm], k, -1.0
+                )
                 s.pairwise_update(to, frm, gamma, x)
             else:
                 v = e[data.draw(st.integers(0, n - 1))]
@@ -556,8 +583,14 @@ class TestActiveSet:
 
 
 class _ZeroStep:
-    def step(self, objective, x, d, gamma_max, k, dphi0):
-        return 0.0, x
+    """A line search that never moves; it keeps the gradients it is handed."""
+
+    def __init__(self):
+        self.grads = []
+
+    def step(self, objective, x, grad, d, gamma_max, k, dphi0):
+        self.grads.append(grad)
+        return 0.0, x, None
 
 
 class TestVanillaFw:
@@ -676,12 +709,12 @@ class TestVanillaFw:
         Q = random_pd_matrix(rng, 4)
         value, grad = quad_value_grad(Q, rng.standard_normal(4))
         obj = make_objective(value, grad)
-        _, stats = vanilla_fw(
-            obj, ProbabilitySimplex(4), np.full(4, 0.25), _ZeroStep(),
-            fw_gap_tol=1e-16,
-        )
+        zero = _ZeroStep()
+        x0 = np.full(4, 0.25)
+        _, stats = vanilla_fw(obj, ProbabilitySimplex(4), x0, zero, fw_gap_tol=1e-16)
         assert stats.termination == "stagnation"
         assert stats.iterations == 0
+        assert len(zero.grads) == 1 and _same_bits(zero.grads[0], grad(x0))
 
     def test_stop_rule_fires(self):
         rng = np.random.default_rng(11)
@@ -767,6 +800,40 @@ class TestBpcg:
         assert stats.fw_steps == steps.count("fw")
         assert stats.pairwise_drop_steps == steps.count("pairwise_drop")
 
+    @pytest.mark.parametrize("recombine", [False, True])
+    def test_loop_gradient_is_the_objectives_at_each_iterate(
+        self, recombine, monkeypatch
+    ):
+        # a pairwise step hands the line search's gradient back only while
+        # the set keeps the search's point as its iterate; renormalizing,
+        # here on every update, rebuilds the iterate with other bits
+        if recombine:
+            monkeypatch.setattr("dcfw.fw._WEIGHT_DRIFT_TOL", -1.0)
+        rng = np.random.default_rng(13)
+        Q = random_pd_matrix(rng, 6)
+        value, grad = quad_value_grad(Q, rng.standard_normal(6))
+        simplex = ProbabilitySimplex(6)
+        used = []  # the loop's gradient at each iteration, as the LMO gets it
+
+        def lmo(c):
+            used.append(c)
+            return simplex(c)
+
+        start = ActiveSet.from_vertex(np.eye(6)[0])
+        iterates, steps = [start.iterate], []
+
+        def callback(info):
+            iterates.append(info["x"])
+            steps.append(info["step_type"])
+
+        bpcg(
+            make_objective(value, grad), lmo, start, Secant(), fw_gap_tol=1e-9,
+            callback=callback,
+        )
+        assert steps.count("pairwise_descent") + steps.count("pairwise_drop") >= 5
+        assert len(used) == len(iterates)
+        assert all(_same_bits(g, grad(x)) for g, x in zip(used, iterates))
+
     def test_warm_restart_is_instant(self):
         y = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
         obj, lmo = self._projection_problem(5, y)
@@ -806,8 +873,11 @@ class TestBpcg:
         y = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
         obj, lmo = self._projection_problem(5, y)
         start = ActiveSet.from_vertex(np.eye(5)[0])
-        x, out_set, stats = bpcg(obj, lmo, start, _ZeroStep(), fw_gap_tol=1e-16)
+        zero = _ZeroStep()
+        x, out_set, stats = bpcg(obj, lmo, start, zero, fw_gap_tol=1e-16)
         assert stats.termination == "stagnation"
+        assert len(zero.grads) == 1
+        assert _same_bits(zero.grads[0], obj.grad(np.eye(5)[0]))
         # a zero step leaves the active set untouched
         assert len(out_set) == 1 and np.array_equal(x, np.eye(5)[0])
 
@@ -816,17 +886,18 @@ class TestBpcg:
         e = np.eye(3)
         start = ActiveSet([e[0], e[1]], [0.5, 0.5])
         x0 = start.iterate
-        asked = []  # (d, gamma_max) of each line search
+        asked = []  # (d, gamma_max, grad) of each line search
 
         class ZeroStep:
-            def step(self, objective, x, d, gamma_max, k, dphi0):
-                asked.append((d.copy(), gamma_max))
-                return 0.0, x
+            def step(self, objective, x, grad, d, gamma_max, k, dphi0):
+                asked.append((d.copy(), gamma_max, grad))
+                return 0.0, x, None
 
         x, out_set, stats = bpcg(obj, lmo, start, ZeroStep(), fw_gap_tol=1e-16)
         # the local gap 1 beats the FW gap 0.5: a transfer from e0 to e1
         assert len(asked) == 1
         assert np.array_equal(asked[0][0], e[1] - e[0]) and asked[0][1] == 0.5
+        assert _same_bits(asked[0][2], obj.grad(x0))
         assert stats.termination == "stagnation" and stats.iterations == 0
         assert out_set is start and np.array_equal(out_set.vertices, e[:2])
         assert out_set.weights == [0.5, 0.5]
