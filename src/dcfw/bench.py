@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dca import DcaConfig, RunRecord, dca_solve
+from .dca import DcaConfig, RunRecord, check_iter_cap, dca_solve
 from .problems import HARD_K, QUADRATIC_MIN_N, check_size, gen_hard_dc, gen_quadratic_dc
 from .problems import initial_point, qap_dc_oracles
 from .qaplib import parse_qaplib, scan_directory
@@ -37,13 +37,22 @@ _TRACE_COLUMNS = {
     "elapsed_s": "elapsed_seconds",
 }
 TRACE_FIELDS = ["t", *_TRACE_COLUMNS]
+
+
+def _parse_flag(text):
+    # run_suite writes a bool as 0 or 1
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
 # results.csv column -> (BenchResult field, parser of the written text)
 _RESULT_COLUMNS = {
     "instance": ("instance", str),
     "variant": ("variant", str),
     "n": ("n", int),
     "seed": ("seed", int),
-    "solved": ("solved", lambda text: bool(int(text))),  # written as 0 or 1
+    "solved": ("solved", _parse_flag),
     "outer_iters": ("outer_iters", int),
     "wall_s": ("wall_seconds", float),
     "lmo_calls": ("lmo_calls", int),
@@ -173,10 +182,11 @@ def run_suite(
     unsolved and the suite continues.  An out_dir that already holds a
     results.csv, or a repeated size, seed or variant, is refused, since
     either would record one (instance, variant) pair twice, and so is an
-    empty list, a cap below 1, a size a generated suite's family is not
-    defined for, or a qap suite with no instance to run, all before any
-    output.  Each file the qap suite cannot parse is passed to log with
-    the parser's message.  Returns the list of BenchResult rows.
+    empty list, a cap that is not an integer of at least 1, a size a
+    generated suite's family is not defined for, or a qap suite with no
+    instance to run, all before any output.  Each file the qap suite cannot
+    parse is passed to log with the parser's message.  Returns the list of
+    BenchResult rows.
     """
     # built first, so that a bad variant, tolerance or time limit is refused
     # before any output
@@ -192,8 +202,8 @@ def run_suite(
         if len(set(values)) != len(values):
             raise ValueError(f"{name} {list(values)} repeat an entry")
     for name, cap in (("outer_cap", outer_cap), ("inner_cap", inner_cap)):
-        if cap is not None and cap < 1:
-            raise ValueError(f"{name} must be at least 1, got {cap}")
+        if cap is not None:
+            check_iter_cap(name, cap)  # DcaConfig's rule, before any output
     # only the first instance is made before any output, the rest one by one
     instances = _iter_instances(suite, sizes, seeds, qaplib_dir, log)
     first = next(instances, None)

@@ -80,9 +80,9 @@ class Oracles:
     """The oracle values of one dca_solve run.
 
     f, g and f_grad each keep their value at the last point they were asked
-    for, keyed on the point's bits (key is x.tobytes()), so a point the run
-    comes back to costs no second call; the three must be pure functions of
-    x.  Every value held is the oracle's own, never a closed form's.
+    for, keyed on the bits they take from it, so a point the run comes back
+    to costs no second call; the three must be pure functions of x.  Every
+    value held is the oracle's own, never a closed form's.
 
     With vertex_table, for the vanilla-FW subsolver, lmo calls the
     problem's LMO and records the bits of the vertex it returns, and
@@ -98,7 +98,7 @@ class Oracles:
         self.problem = problem
         self.quadratic = problem.quadratic and vertex_table
         self.vertex_grads = {} if vertex_table else None
-        self.last_vertex = None  # key of the vertex lmo returned last
+        self.last_vertex = None  # bits of the vertex lmo returned last
         self._f = self._g = self._f_grad = (None, None)
 
     def lmo(self, c):
@@ -106,18 +106,21 @@ class Oracles:
         self.last_vertex = v.tobytes()
         return v
 
-    def f(self, x, key):
+    def f(self, x):
+        key = x.tobytes()
         if key != self._f[0]:
             self._f = (key, float(self.problem.f_value(x)))
         return self._f[1]
 
-    def g(self, x, key):
+    def g(self, x):
+        key = x.tobytes()
         if key != self._g[0]:
             self._g = (key, float(self.problem.g_value(x)))
         return self._g[1]
 
-    def f_grad(self, x, key):
+    def f_grad(self, x):
         """f_grad at x, kept in vertex_grads when x is the last vertex."""
+        key = x.tobytes()
         if key == self._f_grad[0]:
             return self._f_grad[1]
         at_vertex = key == self.last_vertex
@@ -141,7 +144,7 @@ class Subproblem:
     and grad_at_anchor is the surrogate's gradient there.  oracles is the
     run's record, through which the surrogate evaluates f and f_grad, and
     whose fast-path flag, copied to quadratic, makes Secant take
-    quadratic_step.
+    quadratic_step, the one step whose values it keeps (see value).
     """
 
     anchor: np.ndarray
@@ -156,35 +159,32 @@ class Subproblem:
         self.phi_at_anchor = self.f_at_anchor - self.g_at_anchor
         self.grad_at_anchor = self.f_grad_at_anchor - self.g_grad_at_anchor
         self.grad_at_anchor.flags.writeable = False
-        self._h_memo = (None, None)  # (key, value) of the last h descent needed
-        # (key, gradient) of the point quadratic_step carried to last
-        self._carried = (None, None)
+        self._carried = (None, None, None)  # quadratic_step's (point, grad, h)
 
     def _lin(self, x):
         return self.g_at_anchor + float(self.g_grad_at_anchor.dot(x - self.anchor))
 
     def value(self, x):
-        return self._h(x, x.tobytes())
+        """h(x) = f(x) - lin(x), f from the record, or the h quadratic_step
+        carried when x is the array it returned, which the solver iterates on
+        and never writes into; a copy of it gets the oracles' h, never a wrong one."""
+        point, _, h = self._carried
+        if x is point:
+            return h
+        return self.oracles.f(x) - self._lin(x)
 
     def grad(self, x):
         """Gradient of the surrogate at x, through the record's f_grad."""
-        return self.oracles.f_grad(x, x.tobytes()) - self.g_grad_at_anchor
-
-    def _h(self, y, key):
-        # the surrogate's value h(y) = f(y) - lin(y), kept for the last y
-        if key != self._h_memo[0]:
-            lin = self._lin(y)
-            self._h_memo = (key, self.oracles.f(y, key) - lin)
-        return self._h_memo[1]
+        return self.oracles.f_grad(x) - self.g_grad_at_anchor
 
     def descent(self, y):
         """phi(anchor) - h(y): the descent y secures, and the threshold of the
         adaptive inner stop rule.  A Frank-Wolfe gap at y at most this value
         certifies that half the stationarity gap bound is realized as
-        progress.  h(y) is kept, and f(y) stays in the record, so the gap
-        bounds and the objective at the subsolver's last iterate reuse the
-        stop rule's evaluation."""
-        return self.phi_at_anchor - self._h(y, y.tobytes())
+        progress.  f(y) stays in the record, so the gap bounds and the
+        objective at the subsolver's last iterate reuse the stop rule's
+        evaluation."""
+        return self.phi_at_anchor - self.value(y)
 
     def quadratic_step(self, x, grad, d, gamma_max, dphi0):
         """Exact line search along d on [0, gamma_max] for a quadratic f.
@@ -194,49 +194,45 @@ class Subproblem:
         vertex), slope dphi0 = <grad, d> and curvature <d, grad(end) -
         grad>, returns the minimizing gamma, gamma_max when the end point
         still descends.  The surrogate's gradient is affine, so its gradient
-        and h at x + gamma * d follow from those at x and the end point; h
-        is kept as descent's value there, and certify checks both at the
-        last point.  Returns (gamma, x + gamma * d, the gradient there), or
-        (0.0, x, None) when d does not descend.
+        and h at x + gamma * d follow from those at x (h from value) and the
+        end point; both are carried to the point returned, where value
+        reads h, and certify checks both.  Returns (gamma, x + gamma * d,
+        the gradient there), or (0.0, x, None) when d does not descend.
         """
         if not dphi0 < 0:
             return 0.0, x, None
-        h = self._h(x, x.tobytes())
+        h = self.value(x)
         end = x + gamma_max * d
-        end_key = end.tobytes()
-        grad_end = self.oracles.f_grad(end, end_key) - self.g_grad_at_anchor
+        grad_end = self.oracles.f_grad(end) - self.g_grad_at_anchor
         diff = grad_end - grad
         curv = float(d.dot(diff))  # slope at the end point minus dphi0
         if not math.isfinite(curv):
             raise OracleFailure("f_grad returned non-finite entries at a step's end")
         if dphi0 + curv <= 0:  # still descending at the end point
-            gamma, y, key, grad = gamma_max, end, end_key, grad_end
+            gamma, y, grad = gamma_max, end, grad_end
         else:
             gamma = min(-dphi0 * gamma_max / curv, gamma_max)
             y = x + gamma * d
-            key = y.tobytes()
             diff *= gamma / gamma_max
             diff += grad
             grad = diff
         h += gamma * dphi0 + 0.5 * gamma * gamma * curv / gamma_max
-        self._h_memo = (key, h)
-        self._carried = (key, grad)
+        self._carried = (y, grad, h)
         return gamma, y, grad
 
     def certify(self, y):
         """Check the gradient and h that quadratic_step carried to y against
-        the oracles' values, taken through the record, and put the oracles'
-        h in the carried one's place; a difference above CARRY_RTOL means f
-        is not quadratic on the region and raises OracleFailure.  Does
-        nothing when no carried value reached y."""
-        key = y.tobytes()
-        carried_key, grad_c = self._carried
-        if key != carried_key:
+        the oracles' values, taken through the record, and drop the carry,
+        so value(y) is then the oracles' h; a difference above CARRY_RTOL
+        means f is not quadratic on the region and raises OracleFailure.
+        Does nothing unless y is the carried point itself."""
+        point, grad_c, h_c = self._carried
+        if y is not point:
             return
-        h_c = self._h(y, key)
-        f_grad = self.oracles.f_grad(y, key)
+        self._carried = (None, None, None)
+        f_grad = self.oracles.f_grad(y)
         grad = f_grad - self.g_grad_at_anchor
-        h = self.oracles.f(y, key) - self._lin(y)
+        h = self.value(y)
         # relative to the terms each value is the difference of
         tiny = np.finfo(float).tiny
         scale = max(np.abs(f_grad).max(), np.abs(self.g_grad_at_anchor).max(), tiny)
@@ -249,21 +245,19 @@ class Subproblem:
                 f"{grad_drift:.3g}, f by {h_drift:.3g} (relative, allowed "
                 f"{CARRY_RTOL:g})"
             )
-        self._h_memo = (key, h)
 
 
 def linearize(oracles, x_t):
     """Build the surrogate at x_t.
 
     Takes f, g and f_grad at x_t through the run's record, which calls each
-    only when its last point was not x_t, and calls g_subgrad once.  A
+    only when its last point had other bits, and calls g_subgrad once.  A
     non-finite value raises OracleFailure.
     """
     x_t = np.asarray(x_t, dtype=float)
-    key = x_t.tobytes()
-    g_val, f_val = oracles.g(x_t, key), oracles.f(x_t, key)
+    g_val, f_val = oracles.g(x_t), oracles.f(x_t)
     g_grad = np.asarray(oracles.problem.g_subgrad(x_t), dtype=float)
-    f_grad = np.array(oracles.f_grad(x_t, key))  # the oracle may reuse its array
+    f_grad = np.array(oracles.f_grad(x_t))  # the oracle may reuse its array
     f_grad.flags.writeable = False
     if not (math.isfinite(g_val) and math.isfinite(f_val)):
         raise OracleFailure(f"f = {f_val} and g = {g_val} at the anchor")
@@ -274,22 +268,10 @@ def linearize(oracles, x_t):
     return Subproblem(x_t.copy(), g_val, g_grad, f_val, f_grad, oracles)
 
 
-def dc_gap_bounds(sub, x_next, fw_gap_at_x_next):
-    """Bounds on the stationarity gap at the surrogate's anchor.
-
-    Returns (lb, ub) with lb = phi(anchor) - h(x_next) and ub = lb plus the
-    subsolver's Frank-Wolfe gap at x_next.  lb also lower-bounds the primal
-    gap at the anchor; a negative lb is reported as is.
-
-    On the vanilla-FW fast path the gap comes from the gradient that
-    quadratic_step carried to x_next, lb from the oracles after certify.
-    certify bounds that gradient's drift in the max norm by CARRY_RTOL
-    times max(|f_grad(x_next)|, |s|), s the anchor's subgradient, so the
-    gap is off by at most that times the region's l1 diameter (2 on the
-    simplex): with the measured drift, 3.1e-14, far below any tolerance.
-    """
-    lb = sub.descent(x_next)
-    return lb, lb + fw_gap_at_x_next
+def check_iter_cap(name, cap):
+    """Raise ValueError unless cap is an integer, not a bool, of at least 1."""
+    if type(cap) is bool or not isinstance(cap, (int, np.integer)) or cap < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -317,8 +299,8 @@ class DcaConfig:
             raise ValueError("tolerances must be positive and finite")
         if self.time_limit_seconds is not None and not self.time_limit_seconds > 0:
             raise ValueError("time_limit_seconds must be positive")
-        if self.max_outer_iters < 1 or self.max_inner_iters < 1:
-            raise ValueError("iteration caps must be at least 1")
+        check_iter_cap("max_outer_iters", self.max_outer_iters)
+        check_iter_cap("max_inner_iters", self.max_inner_iters)
 
 
 @dataclass
@@ -505,8 +487,7 @@ def dca_solve(problem, x0, config):
     line_search = Secant()
     # only vanilla FW keeps a vertex table and takes the closed-form step
     oracles = Oracles(problem, vertex_table=config.subsolver == "fw")
-    key = x0.tobytes()
-    record = RunRecord(phi0=oracles.f(x0, key) - oracles.g(x0, key))
+    record = RunRecord(phi0=oracles.f(x0) - oracles.g(x0))
     started = time.perf_counter()
     deadline = None
     if config.time_limit_seconds is not None:
@@ -541,15 +522,18 @@ def dca_solve(problem, x0, config):
             sub.certify(y)
             out_set = None
 
-        lb, ub = dc_gap_bounds(sub, y, stats.final_fw_gap)
+        # lb bounds the anchor's stationarity and primal gaps from below.  On
+        # the fast path certify bounds the gradient behind the FW gap within
+        # CARRY_RTOL * max(|f_grad(y)|, |s|), so the gap is off by at most
+        # that times the region's l1 diameter (2 on the simplex)
+        lb = sub.descent(y)
         stalled = lb < 0  # then the iterate is kept, objective unchanged
         phi_x = sub.phi_at_anchor
         if not stalled:
             gamma = 1.0
             if config.boosted:
                 # f and g at y stay in the record for the new iterate at gamma = 1
-                key = y.tobytes()
-                phi_y = oracles.f(y, key) - oracles.g(y, key)
+                phi_y = oracles.f(y) - oracles.g(y)
                 if not math.isfinite(phi_y):
                     # at y itself, before the grid probes, to name the step
                     raise OracleFailure(
@@ -564,8 +548,7 @@ def dca_solve(problem, x0, config):
             x_set = out_set if gamma >= 1.0 else None
             if gamma > 0.0:  # otherwise x is x_t
                 # at y, the record holds f from the stop rule or the gap bounds
-                key = x.tobytes()
-                f_x, g_x = oracles.f(x, key), oracles.g(x, key)
+                f_x, g_x = oracles.f(x), oracles.g(x)
                 if not (math.isfinite(f_x) and math.isfinite(g_x)):
                     raise OracleFailure(
                         f"f = {f_x} and g = {g_x} at the new iterate of outer step {t}"
@@ -582,7 +565,7 @@ def dca_solve(problem, x0, config):
         record.inner_iters.append(stats.iterations)
         record.elapsed_seconds.append(time.perf_counter() - started)
 
-        if ub <= config.dca_gap_tol:
+        if lb + stats.final_fw_gap <= config.dca_gap_tol:  # ub
             record.termination = "converged"
             break
         if stats.termination == "time_limit":

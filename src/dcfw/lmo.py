@@ -4,6 +4,8 @@ Each oracle returns an exact vertex of its polytope minimizing <c, v> and
 counts how many times it has been called.
 """
 
+import operator
+
 import numpy as np
 
 # slack a point may have in contains() and still count as inside
@@ -14,9 +16,11 @@ class LinearMinimizationOracle:
     """Base oracle: argmin of <c, v> over the vertices of a polytope."""
 
     def __init__(self, dimension):
-        if dimension < 1:
+        # operator.index refuses a size that is not an integer, where int()
+        # would truncate it
+        self.dimension = operator.index(dimension)
+        if self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {dimension}")
-        self.dimension = int(dimension)
         self.call_count = 0
 
     def __call__(self, c):
@@ -60,12 +64,12 @@ class KSparsePolytope(LinearMinimizationOracle):
 
     def __init__(self, dimension, tau, k):
         super().__init__(dimension)
-        if not 1 <= k <= dimension:
+        self.k = operator.index(k)
+        if not 1 <= self.k <= self.dimension:
             raise ValueError(f"need 1 <= k <= {dimension}, got k={k}")
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
+        if not 0 < tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {tau}")
         self.tau = float(tau)
-        self.k = int(k)
 
     def _minimize(self, c):
         # stable sort keeps lower indices first among tied magnitudes
@@ -87,10 +91,10 @@ class BirkhoffPolytope(LinearMinimizationOracle):
     _assign = None
 
     def __init__(self, n):
-        if n < 1:
+        self.n = operator.index(n)
+        if self.n < 1:
             raise ValueError(f"order must be positive, got {n}")
-        self.n = int(n)
-        super().__init__(n * n)
+        super().__init__(self.n * self.n)
 
     def _minimize(self, c):
         # c is a finite float vector of length n^2, so the solver takes it

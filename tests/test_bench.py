@@ -83,10 +83,11 @@ class TestVariantConfig:
         assert default_caps("qap", 5) == (500, 50000)
 
 
-def _with_n(row, text):
-    """A results.csv row with its n field, the third, replaced by text."""
-    instance, variant, _, rest = row.split(",", 3)
-    return f"{instance},{variant},{text},{rest}"
+def _with_field(row, column, text):
+    """A results.csv row with the field of the named column replaced by text."""
+    fields = row.split(",")
+    fields[RESULT_FIELDS.index(column)] = text
+    return ",".join(fields)
 
 
 class TestRunSuite:
@@ -351,11 +352,18 @@ class TestRunSuite:
             (lambda header, row: (header, row.rsplit(",", 2)[0]), "line 2: not 10 fields"),
             (lambda header, row: (header, row + ",extra"), "line 2: not 10 fields"),
             (
-                lambda header, row: (header, _with_n(row, "five")),
+                lambda header, row: (header, _with_field(row, "n", "five")),
                 "line 2: column n: invalid literal for int",
             ),
+            (
+                lambda header, row: (header, _with_field(row, "solved", "7")),
+                "line 2: column solved: expected 0 or 1, got '7'",
+            ),
         ],
-        ids=["header", "missing-field", "extra-field", "unparsed-field"],
+        ids=[
+            "header", "missing-field", "extra-field", "unparsed-field",
+            "solved-not-0-or-1",
+        ],
     )
     def test_load_results_rejects_malformed_file(self, tmp_path, edit, message):
         run_suite(
@@ -512,6 +520,20 @@ class TestRunSuite:
             out_dir=tmp_path / "out",
         )
         with pytest.raises(ValueError, match="empty|at least 1"):
+            run_suite(**{**args, **override})
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", [
+        dict(outer_cap=2.5), dict(outer_cap=3.0), dict(inner_cap=True),
+    ], ids=["outer_cap-fraction", "outer_cap-float", "inner_cap-bool"])
+    def test_cap_that_is_not_an_integer_writes_nothing(self, tmp_path, override):
+        # DcaConfig's rule, applied before any output rather than as one
+        # error row per run
+        args = dict(
+            suite="quadratics", sizes=[6], seeds=[0], variants=["DCA-FW"],
+            out_dir=tmp_path / "out",
+        )
+        with pytest.raises(ValueError, match="_cap must be an integer of at least 1"):
             run_suite(**{**args, **override})
         assert not (tmp_path / "out").exists()
 

@@ -29,7 +29,7 @@ from dcfw import (
     vanilla_fw,
     variant_config,
 )
-from dcfw.dca import Oracles, Subproblem, boosted_step, dc_gap_bounds, linearize
+from dcfw.dca import Oracles, Subproblem, boosted_step, linearize
 from dcfw.problems import HARD_K
 
 from helpers import (
@@ -150,12 +150,29 @@ class TestLinearize:
         )
         oracles = Oracles(problem)
         x = np.full(5, 0.2)
-        oracles.f(x, x.tobytes()), oracles.g(x, x.tobytes())
+        oracles.f(x), oracles.g(x)
         carried = linearize(oracles, x)
         assert (fv.calls, gv.calls) == (1, 1)
         fresh = linearize(Oracles(base), x)
         assert carried.phi_at_anchor == fresh.phi_at_anchor
         assert carried.g_at_anchor == fresh.g_at_anchor
+
+    def test_record_keys_on_the_bits_of_the_point(self):
+        base = gen_quadratic_dc(4, 0).problem()
+        fv, gv = Counter(base.f_value), Counter(base.g_value)
+        problem = DcProblem(
+            f_value=fv, f_grad=base.f_grad, g_value=gv, g_subgrad=base.g_subgrad,
+            lmo=base.lmo,
+        )
+        oracles = Oracles(problem)
+        x = np.eye(4)[0]
+        signed = x.copy()
+        signed[1] = -0.0  # equal to x by ==, but other bits
+        assert oracles.f(x) == oracles.f(x.copy()) == float(base.f_value(x))
+        assert oracles.g(x) == oracles.g(x.copy()) == float(base.g_value(x))
+        assert (fv.calls, gv.calls) == (1, 1)
+        oracles.f(signed), oracles.g(signed)
+        assert (fv.calls, gv.calls) == (2, 2)
 
     @pytest.mark.parametrize("f_val, g_val", [(np.nan, 0.0), (0.0, np.inf)])
     def test_non_finite_carried_value_raises(self, f_val, g_val):
@@ -166,7 +183,7 @@ class TestLinearize:
         )
         oracles = Oracles(problem)
         x = np.full(3, 1.0 / 3.0)
-        oracles.f(x, x.tobytes()), oracles.g(x, x.tobytes())  # held by the record
+        oracles.f(x), oracles.g(x)  # held by the record
         with pytest.raises(OracleFailure):
             linearize(oracles, x)
 
@@ -365,6 +382,30 @@ class TestQuadraticFastPath:
         sub.certify(y)  # puts the oracles' h in the carried one's place
         assert sub.descent(y) == exact_descent
 
+    def test_carried_h_is_read_at_the_returned_array_only(self):
+        # value reads the h quadratic_step carried at the array it returned;
+        # a copy with the same bits takes f from the oracles, and certify
+        # leaves the oracles' h in the carried one's place
+        sub, _, x0 = self._fast_sub(10)
+        problem = sub.oracles.problem
+        f_value = problem.f_value
+        problem.f_value = Counter(f_value)
+        y, stats = vanilla_fw(
+            sub, sub.oracles.lmo, x0, Secant(), fw_gap_tol=1e-15, max_iters=5
+        )
+        assert stats.iterations == 5
+        lin = sub.g_at_anchor + float(sub.g_grad_at_anchor.dot(y - sub.anchor))
+        exact = float(f_value(y)) - lin
+        carried = sub.value(y)
+        assert problem.f_value.calls == 0  # f at x0 was linearize's
+        assert sub.descent(y) == sub.phi_at_anchor - carried
+        copy = y.copy()
+        assert sub.value(copy) == exact
+        assert problem.f_value.calls == 1
+        sub.certify(y)
+        assert sub.value(y) == exact and sub.value(copy) == exact
+        assert problem.f_value.calls == 1  # the record holds f at y's bits
+
     def test_non_quadratic_f_declared_quadratic_fails_loudly(self):
         problem = gen_hard_dc(10, 0).problem()
         problem.quadratic = True
@@ -500,7 +541,8 @@ class TestDcGapBounds:
         anchor = np.full(6, 1.0 / 6.0)
         sub = linearize(Oracles(problem), anchor)
         y = rand_simplex(np.random.default_rng(3), 6)
-        lb, ub = dc_gap_bounds(sub, y, 0.0)
+        lb = sub.descent(y)
+        ub = lb + 0.0
         assert lb == ub
         assert lb == pytest.approx(sub.phi_at_anchor - sub.value(y), abs=0.0)
 
@@ -517,7 +559,8 @@ class TestDcGapBounds:
         y, stats = vanilla_fw(
             sub, problem.lmo, anchor, Secant(), fw_gap_tol=1e-3, max_iters=50
         )
-        lb, ub = dc_gap_bounds(sub, y, stats.final_fw_gap)
+        lb = sub.descent(y)
+        ub = lb + stats.final_fw_gap
 
         q_eff = inst.a - inst.B @ anchor - inst.b
         x_star = simplex_qp_minimize(inst.A, q_eff)
@@ -539,7 +582,8 @@ class TestDcGapBounds:
         )
         sub = linearize(Oracles(problem), anchor)
         y = np.array([1.0, 0.0, 0.0, 0.0])
-        lb, ub = dc_gap_bounds(sub, y, 0.5)
+        lb = sub.descent(y)
+        ub = lb + 0.5
         assert lb == sub.phi_at_anchor - sub.value(y)
         if lb < 0:
             assert ub == lb + 0.5
@@ -561,7 +605,8 @@ class TestDcGapBounds:
             stop_rule=sub.descent,
         )
         assert stats.termination == "stop_rule"
-        lb, ub = dc_gap_bounds(sub, y, stats.final_fw_gap)
+        lb = sub.descent(y)
+        ub = lb + stats.final_fw_gap
         assert ub <= 2.0 * lb + 1e-12
 
 
@@ -610,7 +655,6 @@ class TestStopRules:
         for _ in range(10):
             y = rand_simplex(rng, 8)
             assert sub.descent(y) == sub.phi_at_anchor - sub.value(y)
-            assert dc_gap_bounds(sub, y, 0.25)[0] == sub.descent(y)
         steps = []
         y, stats = vanilla_fw(
             sub, problem.lmo, sub.anchor, Secant(), fw_gap_tol=1e-300,
@@ -661,6 +705,18 @@ class TestDcaConfig:
             DcaConfig(max_outer_iters=0)
         with pytest.raises(ValueError):
             DcaConfig(max_inner_iters=0)
+
+    @pytest.mark.parametrize("field", ["max_outer_iters", "max_inner_iters"])
+    @pytest.mark.parametrize("cap", [2.5, 3.0, True, "3", None])
+    def test_iteration_caps_must_be_integers(self, field, cap):
+        # range() would fail on a float only once a run starts, and a bool
+        # is an int that says nothing about a count
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DcaConfig(**{field: cap})
+
+    def test_numpy_integer_caps_are_accepted(self):
+        cfg = DcaConfig(max_outer_iters=np.int64(3), max_inner_iters=np.int32(5))
+        assert (cfg.max_outer_iters, cfg.max_inner_iters) == (3, 5)
 
     def test_defaults_are_valid(self):
         cfg = DcaConfig()

@@ -170,6 +170,12 @@ class TestKSparsePolytope:
         with pytest.raises(ValueError):
             KSparsePolytope(4, tau=1.0, k=5)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0])
+    def test_non_finite_or_zero_tau_is_refused(self, tau):
+        # a NaN or infinite tau would make every vertex NaN or infinite
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            KSparsePolytope(5, tau, 2)
+
 
 def birkhoff_vertex(C):
     """BirkhoffPolytope's vertex for the cost matrix C, as an n x n matrix."""
@@ -282,6 +288,23 @@ class TestOracleProtocol:
             LinearMinimizationOracle(0)
         with pytest.raises(ValueError, match="order must be positive"):
             BirkhoffPolytope(0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: LinearMinimizationOracle(3.0),
+        lambda: ProbabilitySimplex(3.7),
+        lambda: BirkhoffPolytope(2.5),
+        lambda: KSparsePolytope(5.0, 1.0, 2),
+        lambda: KSparsePolytope(5, 1.0, 2.5),
+    ], ids=["base", "simplex", "birkhoff", "ksparse-dimension", "ksparse-k"])
+    def test_sizes_that_are_not_integers_are_refused(self, make):
+        # int() would truncate them: the simplex to dimension 3, k to 2
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            make()
+
+    def test_integer_sizes_of_numpy_type_are_accepted(self):
+        lmo = KSparsePolytope(np.int64(5), 1.0, np.int32(2))
+        assert (lmo.dimension, lmo.k) == (5, 2) and type(lmo.k) is int
+        assert BirkhoffPolytope(np.int64(3)).dimension == 9
 
     def test_base_class_has_no_region(self):
         lmo = LinearMinimizationOracle(2)
