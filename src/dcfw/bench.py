@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .dca import DcaConfig, RunRecord, check_iter_cap, dca_solve
+from .lmo import as_index
 from .problems import HARD_K, QUADRATIC_MIN_N, check_size, gen_hard_dc, gen_quadratic_dc
 from .problems import initial_point, qap_dc_oracles
 from .qaplib import parse_qaplib, scan_directory
@@ -111,6 +112,9 @@ def _iter_instances(suite, sizes, seeds, qaplib_dir, log):
             gen, tag, least = gen_hard_dc, "hard", HARD_K
         for n in sizes:  # before the first instance, so before any output
             check_size(n, least)
+        for seed in seeds:
+            if as_index(seed, "seed") < 0:
+                raise ValueError(f"seeds must be non-negative, got {seed}")
         for n, seed in product(sizes, seeds):
             inst = gen(n, seed)
             yield f"{tag}-n{n}-s{seed}", n, seed, inst.problem
@@ -183,10 +187,11 @@ def run_suite(
     results.csv, or a repeated size, seed or variant, is refused, since
     either would record one (instance, variant) pair twice, and so is an
     empty list, a cap that is not an integer of at least 1, a size a
-    generated suite's family is not defined for, or a qap suite with no
-    instance to run, all before any output.  Each file the qap suite cannot
-    parse is passed to log with the parser's message.  Returns the list of
-    BenchResult rows.
+    generated suite's family is not defined for, a size or seed of a
+    generated suite that is not an integer (TypeError; a bool included) or a
+    negative seed, or a qap suite with no instance to run, all before any
+    output.  Each file the qap suite cannot parse is passed to log with the
+    parser's message.  Returns the list of BenchResult rows.
     """
     # built first, so that a bad variant, tolerance or time limit is refused
     # before any output

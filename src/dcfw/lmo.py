@@ -12,13 +12,20 @@ import numpy as np
 _TOL = 1e-9
 
 
+def as_index(value, name):
+    """value as an int.  operator.index refuses a value that is not an
+    integer, where int() would truncate it; a bool, an int that says nothing
+    about a size, is refused too."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 class LinearMinimizationOracle:
     """Base oracle: argmin of <c, v> over the vertices of a polytope."""
 
     def __init__(self, dimension):
-        # operator.index refuses a size that is not an integer, where int()
-        # would truncate it
-        self.dimension = operator.index(dimension)
+        self.dimension = as_index(dimension, "dimension")
         if self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {dimension}")
         self.call_count = 0
@@ -64,10 +71,10 @@ class KSparsePolytope(LinearMinimizationOracle):
 
     def __init__(self, dimension, tau, k):
         super().__init__(dimension)
-        self.k = operator.index(k)
+        self.k = as_index(k, "k")
         if not 1 <= self.k <= self.dimension:
             raise ValueError(f"need 1 <= k <= {dimension}, got k={k}")
-        if not 0 < tau < np.inf:
+        if isinstance(tau, (bool, np.bool_)) or not 0 < tau < np.inf:
             raise ValueError(f"tau must be positive and finite, got {tau}")
         self.tau = float(tau)
 
@@ -91,7 +98,7 @@ class BirkhoffPolytope(LinearMinimizationOracle):
     _assign = None
 
     def __init__(self, n):
-        self.n = operator.index(n)
+        self.n = as_index(n, "order")
         if self.n < 1:
             raise ValueError(f"order must be positive, got {n}")
         super().__init__(self.n * self.n)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dca import DcProblem
-from .lmo import BirkhoffPolytope, KSparsePolytope, ProbabilitySimplex
+from .lmo import BirkhoffPolytope, KSparsePolytope, ProbabilitySimplex, as_index
 
 HARD_TAU = 10.0
 HARD_K = 10
@@ -22,8 +22,9 @@ QUADRATIC_MIN_N = 1
 
 
 def check_size(n, least):
-    """Raise ValueError when n is below a family's least size."""
-    if n < least:
+    """Raise TypeError unless n is an integer, not a bool, and ValueError
+    when it is below a family's least size."""
+    if as_index(n, "n") < least:
         raise ValueError(f"family is defined for n >= {least}, got {n}")
 
 

@@ -317,6 +317,24 @@ class TestRunSuite:
             )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sizes, seeds, error, message", [
+        ([10, 2.5], [0], TypeError, "cannot be interpreted as an integer"),
+        ([10, True], [0], TypeError, "n must be an integer, got True"),
+        ([10], [0, 1.5], TypeError, "cannot be interpreted as an integer"),
+        ([10], [0, True], TypeError, "seed must be an integer, got True"),
+        ([10], [0, -1], ValueError, "seeds must be non-negative, got -1"),
+    ], ids=["float-size", "bool-size", "float-seed", "bool-seed", "negative-seed"])
+    def test_size_or_seed_that_is_no_index_writes_nothing(
+        self, tmp_path, sizes, seeds, error, message
+    ):
+        # a results.csv left after the first run would refuse the re-run
+        with pytest.raises(error, match=message):
+            run_suite(
+                "quadratics", sizes, seeds, ["DCA-BPCG-ES"], out_dir=tmp_path / "out",
+                outer_cap=3, inner_cap=50,
+            )
+        assert not (tmp_path / "out").exists()
+
     def test_hard_suite_instance_ids(self, tmp_path):
         results = run_suite(
             "hard", [10], [0], ["DCA-BPCG-WS-ES"], out_dir=tmp_path,
@@ -402,8 +420,8 @@ class TestRunSuite:
     # evaluated once per point, so a later change that evaluates a point
     # again shows here.  On the quadratic FW rows f_grad is called once per
     # distinct vertex and once per outer step, at the iterate certify checks.
-    # The boosted quadratic row probes phi's closed form, so its boost adds no
-    # call per probe; g at the subsolver's point is the new iterate's g.
+    # Every boost of the boosted quadratic row takes y from phi's closed form
+    # without a search; g at the subsolver's point is the new iterate's g.
     PINNED_ORACLE_CALLS = {
         ("quad-n10-s0", "DCA-FW"): (27, 21, 21),
         ("quad-n10-s0", "DCA-FW-ES"): (23, 21, 21),

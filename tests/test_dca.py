@@ -714,6 +714,17 @@ class TestDcaConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             DcaConfig(**{field: cap})
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(dca_gap_tol=True, fw_gap_tol=True),
+        dict(fw_gap_tol=True),
+        dict(dca_gap_tol=np.True_),
+        dict(time_limit_seconds=True),
+    ])
+    def test_bools_are_not_numbers(self, kwargs):
+        # each compares as 1 and would pass the range checks
+        with pytest.raises(ValueError, match="cannot be bools"):
+            DcaConfig(**kwargs)
+
     def test_numpy_integer_caps_are_accepted(self):
         cfg = DcaConfig(max_outer_iters=np.int64(3), max_inner_iters=np.int32(5))
         assert (cfg.max_outer_iters, cfg.max_inner_iters) == (3, 5)
@@ -756,7 +767,7 @@ class TestBoostedStep:
         assert point[0] == 1.0 and gamma == 1.0
 
     def test_known_value_at_anchor_saves_one_evaluation(self):
-        # the oracle grid: a declared quadratic is probed in closed form
+        # undeclared, so the oracle grid runs whatever the segment's profile
         base = gen_quadratic_dc(6, 4).problem()
         problem = gen_quadratic_dc(6, 4).problem()
         base.quadratic = problem.quadratic = False
@@ -828,8 +839,9 @@ def _quadratic_pair(A, B):
 
 
 class TestClosedFormBoost:
-    """On a problem declared quadratic the boost probes phi's closed form
-    along the segment instead of the oracles."""
+    """On a problem declared quadratic the boost returns y without a search
+    when phi's closed form along the segment is least there, and otherwise
+    runs the oracle grid, as on an undeclared problem."""
 
     @staticmethod
     def _assert_same_step(declared, plain, x_t, cand):
@@ -856,10 +868,14 @@ class TestClosedFormBoost:
         # which the grid does not hold, so it picks a nearby interior point
         A = np.array([[1.0, -1.0], [-1.0, 1.0]])
         declared, plain = _quadratic_pair(A, np.zeros((2, 2)))
+        declared.f_value = Counter(declared.f_value)
+        declared.g_value = Counter(declared.g_value)
         gamma = self._assert_same_step(
             declared, plain, np.array([1.0, 0.0]), np.array([0.0, 1.0])
         )
         assert 0.45 < gamma < 0.55
+        # the closed form is not least at y, so the grid probes the oracles
+        assert declared.f_value.calls == declared.g_value.calls == 19
 
     def test_flat_segment_ties_go_to_the_candidate(self):
         A = random_pd_matrix(np.random.default_rng(2), 4)
@@ -881,19 +897,21 @@ class TestClosedFormBoost:
             lmo=ProbabilitySimplex(2),
         )
 
-    def test_false_declaration_fails_loudly_at_an_interior_gamma(self):
-        problem = self._quartic()
-        problem.quadratic = True
-        with pytest.raises(
-            OracleFailure,
-            match="declared quadratic but phi differs .* boosted step of outer step 0",
-        ):
-            dca_solve(problem, np.array([1.0, 0.0]), variant_config("DCA-BPCG-WS-ES-BT"))
-        # undeclared, the oracle grid finds phi decreasing and takes gamma = 1
-        _, record = dca_solve(
-            self._quartic(), np.array([1.0, 0.0]), variant_config("DCA-BPCG-WS-ES-BT")
-        )
-        assert record.termination == "converged" and record.objective[-1] == 0.0
+    def test_false_declaration_runs_the_oracle_grid(self):
+        # the closed form is not least at y, so declared or not the oracle
+        # grid finds phi decreasing and takes gamma = 1
+        declared = self._quartic()
+        declared.quadratic = True
+        config = variant_config("DCA-BPCG-WS-ES-BT")
+        records = [
+            dca_solve(problem, np.array([1.0, 0.0]), config)[1]
+            for problem in (declared, self._quartic())
+        ]
+        for record in records:
+            record.elapsed_seconds = None
+        assert records[0] == records[1]
+        assert records[0].termination == "converged"
+        assert records[0].objective[-1] == 0.0
 
     def test_non_finite_phi_at_the_point_fails_loudly(self):
         problem = gen_quadratic_dc(10, 0).problem()
@@ -905,7 +923,8 @@ class TestClosedFormBoost:
                 problem, initial_point(problem.lmo), variant_config("DCA-BPCG-WS-ES-BT")
             )
 
-    def test_grid_is_on_the_call_path_without_oracle_calls(self, monkeypatch):
+    def test_declared_quadratic_run_makes_no_grid_search(self, monkeypatch):
+        # every boost of this run has phi's closed form least at y
         problem = gen_quadratic_dc(30, 0).problem()
         inside = []  # True while the grid search runs
         grid_calls, oracle_calls_inside = Counter(dcfw.dca.grid_two_level), []
@@ -933,8 +952,8 @@ class TestClosedFormBoost:
             problem, initial_point(problem.lmo), variant_config("DCA-BPCG-WS-ES-BT")
         )
         assert record.termination == "converged"
-        assert grid_calls.calls == steps.calls == record.outer_iters > 1
-        assert oracle_calls_inside == []
+        assert steps.calls == record.outer_iters > 1
+        assert grid_calls.calls == 0 and oracle_calls_inside == []
 
 
 class TestDcaSolve:

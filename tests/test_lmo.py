@@ -301,6 +301,19 @@ class TestOracleProtocol:
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: ProbabilitySimplex(True),
+        lambda: BirkhoffPolytope(True),
+        lambda: KSparsePolytope(True, 1.0, True),
+        lambda: KSparsePolytope(5, 1.0, True),
+        lambda: KSparsePolytope(5, True, 2),
+        lambda: KSparsePolytope(5, np.True_, 2),
+    ], ids=["simplex", "birkhoff", "ksparse", "ksparse-k", "ksparse-tau", "numpy-tau"])
+    def test_bools_are_refused(self, make):
+        # a bool is an int, and compares as one, but says nothing about a size
+        with pytest.raises((TypeError, ValueError), match="got True"):
+            make()
+
     def test_integer_sizes_of_numpy_type_are_accepted(self):
         lmo = KSparsePolytope(np.int64(5), 1.0, np.int32(2))
         assert (lmo.dimension, lmo.k) == (5, 2) and type(lmo.k) is int
