@@ -7,19 +7,18 @@ families, QAP instance file I/O, and a benchmark harness.
 
 from .bench import (
     BenchResult,
-    VARIANTS,
     load_results,
     performance_profile,
     run_suite,
     shifted_geomean,
     summarize_table,
-    variant_config,
 )
 from .dca import (
     DcaConfig,
     DcProblem,
     OracleFailure,
     RunRecord,
+    VARIANTS,
     dca_solve,
 )
 from .fw import (
@@ -80,5 +79,4 @@ __all__ = [
     "shifted_geomean",
     "summarize_table",
     "vanilla_fw",
-    "variant_config",
 ]

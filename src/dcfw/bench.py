@@ -17,17 +17,6 @@ from .problems import HARD_K, QUADRATIC_MIN_N, check_size, gen_hard_dc, gen_quad
 from .problems import initial_point, qap_dc_oracles
 from .qaplib import parse_qaplib, scan_directory
 
-# variant name -> the solver features it switches on
-VARIANTS = {
-    "DCA-FW": dict(subsolver="fw", stop_mode="fixed", warm_start=False, boosted=False),
-    "DCA-FW-ES": dict(subsolver="fw", stop_mode="adaptive", warm_start=False, boosted=False),
-    "DCA-BPCG": dict(subsolver="bpcg", stop_mode="fixed", warm_start=False, boosted=False),
-    "DCA-BPCG-ES": dict(subsolver="bpcg", stop_mode="adaptive", warm_start=False, boosted=False),
-    "DCA-BPCG-WS": dict(subsolver="bpcg", stop_mode="fixed", warm_start=True, boosted=False),
-    "DCA-BPCG-WS-ES": dict(subsolver="bpcg", stop_mode="adaptive", warm_start=True, boosted=False),
-    "DCA-BPCG-WS-ES-BT": dict(subsolver="bpcg", stop_mode="adaptive", warm_start=True, boosted=True),
-}
-
 # trace column after t, the outer step -> the RunRecord list it writes
 _TRACE_COLUMNS = {
     "dc_gap_lb": "dc_gap_lb",
@@ -66,16 +55,6 @@ RESULT_FIELDS = list(_RESULT_COLUMNS)
 METRICS = {"iters": "outer_iters", "time": "wall_seconds", "lmo": "lmo_calls"}
 
 
-def variant_config(name, **overrides):
-    """DcaConfig for a named variant; overriding a key the name sets raises."""
-    if name not in VARIANTS:
-        raise ValueError(f"unknown variant {name!r}, choose from {sorted(VARIANTS)}")
-    fixed = sorted(VARIANTS[name].keys() & overrides.keys())
-    if fixed:
-        raise ValueError(f"variant {name} sets {fixed}; choose another variant")
-    return DcaConfig(**VARIANTS[name], **overrides)
-
-
 def default_caps(suite, n):
     """(outer, inner) iteration caps: larger instances get the larger budget."""
     if suite == "qap" or n >= 100:
@@ -105,28 +84,29 @@ class BenchResult:
 
 
 def _iter_instances(suite, sizes, seeds, qaplib_dir, log):
+    # the checks run before the first instance, so before any output
+    for seed in seeds:
+        if as_index(seed, "seed") < 0:
+            raise ValueError(f"seeds must be non-negative, got {seed}")
     if suite in ("quadratics", "hard"):
         if suite == "quadratics":
             gen, tag, least = gen_quadratic_dc, "quad", QUADRATIC_MIN_N
         else:
             gen, tag, least = gen_hard_dc, "hard", HARD_K
-        for n in sizes:  # before the first instance, so before any output
+        for n in sizes:
             check_size(n, least)
-        for seed in seeds:
-            if as_index(seed, "seed") < 0:
-                raise ValueError(f"seeds must be non-negative, got {seed}")
         for n, seed in product(sizes, seeds):
             inst = gen(n, seed)
             yield f"{tag}-n{n}-s{seed}", n, seed, inst.problem
         return
     if suite == "qap":
+        limit = max(as_index(n, "n") for n in sizes)
         if qaplib_dir is None:
             raise ValueError("the qap suite needs a directory of instance files")
         report = scan_directory(qaplib_dir)
         if log is not None:
             for name, message in report.invalid:
                 log(f"skipping {name}.dat: {message}")
-        limit = max(sizes)
         for name in report.valid:
             inst = parse_qaplib((Path(qaplib_dir) / f"{name}.dat").read_bytes(), name)
             if inst.n > limit:
@@ -187,11 +167,11 @@ def run_suite(
     results.csv, or a repeated size, seed or variant, is refused, since
     either would record one (instance, variant) pair twice, and so is an
     empty list, a cap that is not an integer of at least 1, a size a
-    generated suite's family is not defined for, a size or seed of a
-    generated suite that is not an integer (TypeError; a bool included) or a
-    negative seed, or a qap suite with no instance to run, all before any
-    output.  Each file the qap suite cannot parse is passed to log with the
-    parser's message.  Returns the list of BenchResult rows.
+    generated suite's family is not defined for, a size or seed that is not
+    an integer (TypeError; a bool included) or a negative seed, or a qap
+    suite with no instance to run, all before any output.  Each file the
+    qap suite cannot parse is passed to log with the parser's message.
+    Returns the list of BenchResult rows.
     """
     # built first, so that a bad variant, tolerance or time limit is refused
     # before any output
@@ -200,7 +180,7 @@ def run_suite(
         fw_gap_tol=dca_gap_tol / 2.0,
         time_limit_seconds=time_limit,
     )
-    configs = {v: variant_config(v, **common) for v in variants}
+    configs = {v: DcaConfig(v, **common) for v in variants}
     for name, values in (("sizes", sizes), ("seeds", seeds), ("variants", variants)):
         if not len(values):
             raise ValueError(f"{name} is empty; the suite would run nothing")

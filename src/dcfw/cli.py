@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from . import bench
+from .dca import VARIANTS
 
 
 def _name_list(text):
@@ -31,7 +32,7 @@ RUN_OPTIONS = {
     "seeds": dict(type=_int_list, default="0,1,2,3,4", help="comma separated seeds"),
     "variants": dict(
         type=_name_list,
-        default=",".join(v for v in bench.VARIANTS if not v.endswith("-BT")),
+        default=",".join(v for v in VARIANTS if not v.endswith("-BT")),
         help="comma separated variant names",
     ),
     "qaplib_dir": dict(help="directory of .dat files"),

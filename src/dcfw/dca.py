@@ -79,7 +79,8 @@ class Oracles:
     f, g and f_grad each keep their value at the last point they were asked
     for, keyed on the bits they take from it, so a point the run comes back
     to costs no second call; the three must be pure functions of x.  Every
-    value held is the oracle's own, never a closed form's.
+    value held is the oracle's own, never a closed form's.  A non-finite f
+    or g raises OracleFailure naming step, the outer step dca_solve is in.
 
     With vertex_table, for the vanilla-FW subsolver, lmo calls the
     problem's LMO and records the bits of the vertex it returns, and
@@ -96,7 +97,14 @@ class Oracles:
         self.quadratic = problem.quadratic and vertex_table
         self.vertex_grads = {} if vertex_table else None
         self.last_vertex = None  # bits of the vertex lmo returned last
+        self.step = 0
         self._f = self._g = self._f_grad = (None, None)
+
+    def _finite(self, name, value):
+        value = float(value)
+        if not math.isfinite(value):
+            raise OracleFailure(f"{name} returned {value} in outer step {self.step}")
+        return value
 
     def lmo(self, c):
         v = self.problem.lmo(c)
@@ -106,13 +114,13 @@ class Oracles:
     def f(self, x):
         key = x.tobytes()
         if key != self._f[0]:
-            self._f = (key, float(self.problem.f_value(x)))
+            self._f = (key, self._finite("f_value", self.problem.f_value(x)))
         return self._f[1]
 
     def g(self, x):
         key = x.tobytes()
         if key != self._g[0]:
-            self._g = (key, float(self.problem.g_value(x)))
+            self._g = (key, self._finite("g_value", self.problem.g_value(x)))
         return self._g[1]
 
     def f_grad(self, x):
@@ -249,15 +257,13 @@ def linearize(oracles, x_t):
 
     Takes f, g and f_grad at x_t through the run's record, which calls each
     only when its last point had other bits, and calls g_subgrad once.  A
-    non-finite value raises OracleFailure.
+    non-finite value raises OracleFailure, for f and g from the record.
     """
     x_t = np.asarray(x_t, dtype=float)
     g_val, f_val = oracles.g(x_t), oracles.f(x_t)
     g_grad = np.asarray(oracles.problem.g_subgrad(x_t), dtype=float)
     f_grad = np.array(oracles.f_grad(x_t))  # the oracle may reuse its array
     f_grad.flags.writeable = False
-    if not (math.isfinite(g_val) and math.isfinite(f_val)):
-        raise OracleFailure(f"f = {f_val} and g = {g_val} at the anchor")
     for name, grad in (("g_subgrad", g_grad), ("f_grad", f_grad)):
         # count_nonzero is a C call, where all() goes through Python wrappers
         if np.count_nonzero(np.isfinite(grad)) != grad.size:
@@ -271,14 +277,24 @@ def check_iter_cap(name, cap):
         raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
 
 
+# variant name -> the solver features it switches on
+VARIANTS = {
+    "DCA-FW": dict(subsolver="fw", stop_mode="fixed", warm_start=False, boosted=False),
+    "DCA-FW-ES": dict(subsolver="fw", stop_mode="adaptive", warm_start=False, boosted=False),
+    "DCA-BPCG": dict(subsolver="bpcg", stop_mode="fixed", warm_start=False, boosted=False),
+    "DCA-BPCG-ES": dict(subsolver="bpcg", stop_mode="adaptive", warm_start=False, boosted=False),
+    "DCA-BPCG-WS": dict(subsolver="bpcg", stop_mode="fixed", warm_start=True, boosted=False),
+    "DCA-BPCG-WS-ES": dict(subsolver="bpcg", stop_mode="adaptive", warm_start=True, boosted=False),
+    "DCA-BPCG-WS-ES-BT": dict(subsolver="bpcg", stop_mode="adaptive", warm_start=True, boosted=True),
+}
+
+
 @dataclass(frozen=True)
 class DcaConfig:
-    """Configuration of one solver run."""
+    """Configuration of one solver run.  variant, a key of VARIANTS, fixes
+    the subsolver, the inner stop mode, warm starts and the boosted step."""
 
-    subsolver: str = "bpcg"  # "fw" or "bpcg"
-    stop_mode: str = "adaptive"  # "fixed" or "adaptive"
-    warm_start: bool = False
-    boosted: bool = False
+    variant: str = "DCA-BPCG-ES"
     dca_gap_tol: float = 1e-6
     fw_gap_tol: float = 5e-7
     max_outer_iters: int = 200
@@ -286,12 +302,9 @@ class DcaConfig:
     time_limit_seconds: float | None = None
 
     def __post_init__(self):
-        if self.subsolver not in ("fw", "bpcg"):
-            raise ValueError(f"unknown subsolver {self.subsolver!r}")
-        if self.stop_mode not in ("fixed", "adaptive"):
-            raise ValueError(f"unknown stop mode {self.stop_mode!r}")
-        if self.warm_start and self.subsolver != "bpcg":
-            raise ValueError("warm starts need the bpcg subsolver")
+        if self.variant not in VARIANTS:
+            names = sorted(VARIANTS)
+            raise ValueError(f"unknown variant {self.variant!r}, choose from {names}")
         numbers = (self.dca_gap_tol, self.fw_gap_tol, self.time_limit_seconds)
         if any(isinstance(v, (bool, np.bool_)) for v in numbers):  # True compares as 1
             raise ValueError(f"tolerances and time limit cannot be bools: {numbers}")
@@ -426,7 +439,7 @@ def dca_solve(problem, x0, config):
     """Minimize phi = f - g over the problem's polytope.
 
     Repeatedly linearizes g at the current iterate and drives the convex
-    surrogate down with the configured subsolver, stopping once the certified
+    surrogate down with config.variant's subsolver, stopping once the certified
     stationarity gap ub = lb + fw_gap falls below config.dca_gap_tol.  With
     the adaptive stop mode the recorded objective never increases.  The run
     ends as stalled when repeating the identical subproblem cannot
@@ -434,10 +447,10 @@ def dca_solve(problem, x0, config):
     lb), and the iterate is kept, or when the subsolver returns its anchor,
     bit for bit, without an iteration.  A time limit is passed to the
     subsolver as a deadline, so a run ends with termination time_limit
-    within about one inner iteration of it.  With config.boosted the step
-    from x_t to the subsolver's point goes through boosted_step.  f and g at
-    every new iterate come from the oracles, and a non-finite value there,
-    or a g below its linearization at the anchor, raises OracleFailure.
+    within about one inner iteration of it.  In a boosted variant the step
+    from x_t to the subsolver's point goes through boosted_step.  A
+    non-finite f or g, or a g at a new iterate below its linearization at
+    the anchor, raises OracleFailure.
 
     Returns (x_final, RunRecord).
     """
@@ -450,10 +463,12 @@ def dca_solve(problem, x0, config):
     if not lmo.contains(x0):
         raise ValueError("x0 is not feasible for the problem's region")
 
+    features = VARIANTS[config.variant]
+    use_bpcg = features["subsolver"] == "bpcg"
     lmo_base = lmo.call_count
     line_search = Secant()
     # only vanilla FW keeps a vertex table and takes the closed-form step
-    oracles = Oracles(problem, vertex_table=config.subsolver == "fw")
+    oracles = Oracles(problem, vertex_table=not use_bpcg)
     record = RunRecord(phi0=oracles.f(x0) - oracles.g(x0))
     started = time.perf_counter()
     deadline = None
@@ -461,13 +476,14 @@ def dca_solve(problem, x0, config):
         deadline = started + config.time_limit_seconds
 
     x = x0.copy()
-    x_set = None  # decomposition of x when warm starting
+    x_set = None  # an active set that holds x, for a warm start
     sub = None
     record.termination = "iteration_cap"
     for t in range(config.max_outer_iters):
         if deadline is not None and time.perf_counter() > deadline:
             record.termination = "time_limit"
             break
+        oracles.step = t
         prev, sub = sub, linearize(oracles, x)
         if prev is not None:
             _check_f_grad(prev, sub, t - 1)
@@ -475,19 +491,16 @@ def dca_solve(problem, x0, config):
             fw_gap_tol=config.fw_gap_tol,
             max_iters=config.max_inner_iters,
             # the fixed mode's epsilon is fw_gap_tol, which the solvers test first
-            stop_rule=sub.descent if config.stop_mode == "adaptive" else None,
+            stop_rule=sub.descent if features["stop_mode"] == "adaptive" else None,
             deadline=deadline,
         )
-        if config.subsolver == "bpcg":
-            if config.warm_start and x_set is not None:
-                start_set = x_set
-            else:
-                start_set = ActiveSet.from_vertex(lmo(sub.grad_at_anchor))
-            y, out_set, stats = bpcg(sub, lmo, start_set, line_search, **inner)
+        if use_bpcg:
+            if not features["warm_start"] or x_set is None:
+                x_set = ActiveSet.from_vertex(lmo(sub.grad_at_anchor))
+            y, x_set, stats = bpcg(sub, lmo, x_set, line_search, **inner)
         else:
             y, stats = vanilla_fw(sub, oracles.lmo, x, line_search, **inner)
             sub.certify(y)
-            out_set = None
 
         # lb bounds the anchor's stationarity and primal gaps from below.  On
         # the fast path certify bounds the gradient behind the FW gap within
@@ -498,28 +511,20 @@ def dca_solve(problem, x0, config):
         phi_x = sub.phi_at_anchor
         if not stalled:
             gamma = 1.0
-            if config.boosted:
+            if features["boosted"]:
                 # f and g at y stay in the record for the new iterate at gamma = 1
                 phi_y = oracles.f(y) - oracles.g(y)
-                if not math.isfinite(phi_y):
-                    # at y itself, before boosted_step uses it, to name the step
-                    raise OracleFailure(
-                        f"phi is {phi_y} at the subsolver's point in outer step {t}"
-                    )
                 slope = float(sub.grad_at_anchor.dot(y - x))
                 x, gamma = boosted_step(problem, x, y, phi_x, phi_y, slope)
             else:
                 x = y
-            # bpcg moved its start set to y in place, so short of y no active
-            # set holds x and the next subproblem starts cold
-            x_set = out_set if gamma >= 1.0 else None
+            if gamma < 1.0:
+                # bpcg moved its set to y in place, so short of y no active set
+                # holds x and the next subproblem starts cold
+                x_set = None
             if gamma > 0.0:  # otherwise x is x_t
                 # at y, the record holds f from the stop rule or the gap bounds
                 f_x, g_x = oracles.f(x), oracles.g(x)
-                if not (math.isfinite(f_x) and math.isfinite(g_x)):
-                    raise OracleFailure(
-                        f"f = {f_x} and g = {g_x} at the new iterate of outer step {t}"
-                    )
                 _check_subgradient(sub, x, g_x, t)
                 phi_x = f_x - g_x
 

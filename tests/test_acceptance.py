@@ -15,6 +15,7 @@ import pytest
 from dcfw import (
     ActiveSet,
     BirkhoffPolytope,
+    DcaConfig,
     ProbabilitySimplex,
     QapInstance,
     QaplibParseError,
@@ -32,7 +33,6 @@ from dcfw import (
     shifted_geomean,
     serialize_qaplib,
     vanilla_fw,
-    variant_config,
 )
 from dcfw.fw import Agnostic, secant_line_search
 from helpers import (
@@ -53,7 +53,7 @@ FIXED_EPS = 5e-7
 
 
 def _solve_grid(variant, sizes, seeds, **overrides):
-    config = variant_config(variant, **overrides)
+    config = DcaConfig(variant, **overrides)
     runs = []
     for n, seed in product(sizes, seeds):
         problem = gen_quadratic_dc(n, seed).problem()

@@ -13,10 +13,15 @@ from hypothesis import strategies as st
 import dcfw.bench
 from dcfw import (
     BenchResult,
+    DcaConfig,
     QapInstance,
     QaplibParseError,
     RunRecord,
     VARIANTS,
+    bpcg,
+    dca_solve,
+    gen_quadratic_dc,
+    initial_point,
     load_results,
     parse_qaplib,
     performance_profile,
@@ -24,7 +29,7 @@ from dcfw import (
     serialize_qaplib,
     shifted_geomean,
     summarize_table,
-    variant_config,
+    vanilla_fw,
 )
 from dcfw.bench import (
     METRICS,
@@ -40,14 +45,34 @@ from helpers import Counter
 
 
 class TestVariantConfig:
-    def test_every_name_maps_to_its_features(self):
-        assert len(VARIANTS) == 7
-        for name, features in VARIANTS.items():
-            cfg = variant_config(name)
-            assert cfg.subsolver == features["subsolver"]
-            assert cfg.stop_mode == features["stop_mode"]
-            assert cfg.warm_start == features["warm_start"]
-            assert cfg.boosted == features["boosted"]
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_every_name_runs_its_features(self, name, monkeypatch):
+        # what dca_solve runs for the name: its subsolver, a stop rule for
+        # -ES, the first solve's active set as the second one's start for
+        # -WS, and boosted_step for -BT
+        solves = []  # (subsolver, start, stop rule passed, what it returned)
+
+        def spy(solver):
+            def solve(sub, lmo, start, *args, **kwargs):
+                out = solver(sub, lmo, start, *args, **kwargs)
+                ruled = kwargs["stop_rule"] is not None
+                solves.append((solver.__name__, start, ruled, out))
+                return out
+
+            return solve
+
+        boosts = Counter(dcfw.dca.boosted_step)
+        monkeypatch.setattr(dcfw.dca, "bpcg", spy(bpcg))
+        monkeypatch.setattr(dcfw.dca, "vanilla_fw", spy(vanilla_fw))
+        monkeypatch.setattr(dcfw.dca, "boosted_step", boosts)
+        problem = gen_quadratic_dc(10, 0).problem()
+        dca_solve(problem, initial_point(problem.lmo), DcaConfig(name))
+        assert len(VARIANTS) == 7 and len(solves) >= 2
+        solver = "vanilla_fw" if "-FW" in name else "bpcg"
+        assert all(s[0] == solver for s in solves)
+        assert all(s[2] == ("-ES" in name) for s in solves)
+        assert (solves[1][1] is solves[0][3][1]) == ("-WS" in name)
+        assert (boosts.calls > 0) == name.endswith("-BT")
 
     def test_name_conventions(self):
         for name, features in VARIANTS.items():
@@ -59,20 +84,21 @@ class TestVariantConfig:
             assert features["subsolver"] == ("fw" if "-FW" in name else "bpcg")
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            variant_config("DCA-GD")
+        with pytest.raises(ValueError, match="unknown variant 'DCA-GD', choose from"):
+            DcaConfig("DCA-GD")
 
     def test_contradictory_override(self):
-        with pytest.raises(ValueError):
-            variant_config("DCA-BPCG-WS", subsolver="fw")
-        with pytest.raises(ValueError):
-            variant_config("DCA-FW", stop_mode="adaptive")
+        # the name is the only way to set a feature
+        with pytest.raises(TypeError, match="subsolver"):
+            DcaConfig("DCA-BPCG-WS", subsolver="fw")
+        with pytest.raises(TypeError, match="stop_mode"):
+            DcaConfig("DCA-FW", stop_mode="adaptive")
 
     def test_only_other_keys_override(self):
-        # a key the name sets raises even when it repeats the variant's value
-        with pytest.raises(ValueError, match="subsolver"):
-            variant_config("DCA-FW", subsolver="fw", dca_gap_tol=1e-3)
-        cfg = variant_config("DCA-FW", dca_gap_tol=1e-3)
+        # a feature keyword raises even when it repeats the variant's value
+        with pytest.raises(TypeError, match="subsolver"):
+            DcaConfig("DCA-FW", subsolver="fw", dca_gap_tol=1e-3)
+        cfg = DcaConfig("DCA-FW", dca_gap_tol=1e-3)
         assert cfg.dca_gap_tol == 1e-3
 
     def test_default_caps(self):
@@ -253,8 +279,7 @@ class TestRunSuite:
         # the inner tolerance defaults to half the outer one
         assert fw.fw_gap_tol == 5e-7 and fw.dca_gap_tol == 1e-6
         assert (fw.max_outer_iters, fw.max_inner_iters) == (200, 10000)
-        assert fw.subsolver == "fw" and fw.stop_mode == "fixed"
-        assert bt.subsolver == "bpcg" and bt.warm_start and bt.boosted
+        assert (fw.variant, bt.variant) == ("DCA-FW", "DCA-BPCG-WS-ES-BT")
 
     def test_qap_suite_reads_directory_and_filters_by_size(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -334,6 +359,32 @@ class TestRunSuite:
                 outer_cap=3, inner_cap=50,
             )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sizes, seeds, error, message", [
+        ([True], [0], TypeError, "n must be an integer, got True"),
+        ([4.5], [0], TypeError, "cannot be interpreted as an integer"),
+        ([5], [-3], ValueError, "seeds must be non-negative, got -3"),
+        ([5], ["x"], TypeError, "cannot be interpreted as an integer"),
+    ], ids=["bool-size", "float-size", "negative-seed", "str-seed"])
+    def test_qap_size_or_seed_that_is_no_index_writes_nothing(
+        self, tmp_path, sizes, seeds, error, message
+    ):
+        # the qap suite takes no seed from the list, so a bad one went unseen
+        qdir = tmp_path / "instances"
+        qdir.mkdir()
+        rng = np.random.default_rng(0)
+        for n in (4, 5):
+            flow, dist = rng.integers(0, 5, (2, n, n)).astype(float)
+            inst = QapInstance(f"q{n}", n, flow, dist)
+            (qdir / f"q{n}.dat").write_text(serialize_qaplib(inst))
+        (qdir / "broken.dat").write_text("2 1")
+        lines = []
+        with pytest.raises(error, match=message):
+            run_suite(
+                "qap", sizes, seeds, ["DCA-BPCG-ES"], qaplib_dir=qdir,
+                out_dir=tmp_path / "out", outer_cap=3, inner_cap=50, log=lines.append,
+            )
+        assert not (tmp_path / "out").exists() and lines == []
 
     def test_hard_suite_instance_ids(self, tmp_path):
         results = run_suite(

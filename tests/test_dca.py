@@ -27,7 +27,6 @@ from dcfw import (
     initial_point,
     qap_dc_oracles,
     vanilla_fw,
-    variant_config,
 )
 from dcfw.dca import Oracles, Subproblem, boosted_step, linearize
 from dcfw.problems import HARD_K
@@ -176,15 +175,20 @@ class TestLinearize:
 
     @pytest.mark.parametrize("f_val, g_val", [(np.nan, 0.0), (0.0, np.inf)])
     def test_non_finite_carried_value_raises(self, f_val, g_val):
+        # the record refuses the value, so it never carries it to linearize
         base = gen_quadratic_dc(3, 0).problem()
         problem = DcProblem(
             f_value=lambda x: f_val, f_grad=base.f_grad, g_value=lambda x: g_val,
             g_subgrad=base.g_subgrad, lmo=base.lmo,
         )
         oracles = Oracles(problem)
+        oracles.step = 4
         x = np.full(3, 1.0 / 3.0)
-        oracles.f(x), oracles.g(x)  # held by the record
-        with pytest.raises(OracleFailure):
+        name, bad = ("f_value", f_val) if np.isnan(f_val) else ("g_value", g_val)
+        message = rf"^{name} returned {bad} in outer step 4$"
+        with pytest.raises(OracleFailure, match=message):
+            oracles.f(x), oracles.g(x)
+        with pytest.raises(OracleFailure, match=message):
             linearize(oracles, x)
 
 
@@ -241,7 +245,7 @@ class TestVertexTable:
         problem.f_grad = Counter(problem.f_grad)
         problem.lmo = RecordingSimplex(30)
         cfg = DcaConfig(
-            subsolver="fw", stop_mode="fixed", dca_gap_tol=1e-8,
+            "DCA-FW", dca_gap_tol=1e-8,
             fw_gap_tol=1e-9, max_outer_iters=6, max_inner_iters=400,
         )
         _, record = dca_solve(problem, np.full(30, 1.0 / 30.0), cfg)
@@ -256,7 +260,7 @@ class TestVertexTable:
         A, B = rng.normal(size=(5, 5)), rng.normal(size=(5, 5))
         inst = QapInstance("rand5", 5, A, B)
         cfg = DcaConfig(
-            subsolver="fw", stop_mode="fixed", dca_gap_tol=1e-12,
+            "DCA-FW", dca_gap_tol=1e-12,
             fw_gap_tol=1e-12, max_outer_iters=4, max_inner_iters=300,
         )
         x0 = np.full(25, 0.2)
@@ -348,7 +352,7 @@ class TestQuadraticFastPath:
         monkeypatch.setattr(Subproblem, "grad", lambda sub, x: grad_calls(sub, x))
         monkeypatch.setattr(dcfw.dca, "vanilla_fw", solves)
         cfg = DcaConfig(
-            subsolver="fw", stop_mode="fixed", dca_gap_tol=1e-8,
+            "DCA-FW", dca_gap_tol=1e-8,
             fw_gap_tol=1e-9, max_outer_iters=6, max_inner_iters=400,
         )
         _, record = dca_solve(
@@ -412,7 +416,7 @@ class TestQuadraticFastPath:
         problem.g_subgrad = Counter(problem.g_subgrad)  # once per outer step
         x0 = initial_point(problem.lmo)
         with pytest.raises(OracleFailure, match="f is declared quadratic but"):
-            dca_solve(problem, x0, variant_config("DCA-FW"))
+            dca_solve(problem, x0, DcaConfig("DCA-FW"))
         assert problem.g_subgrad.calls == 1
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -421,13 +425,13 @@ class TestQuadraticFastPath:
         real = problem.f_grad
         problem.f_grad = lambda x: np.full(6, np.inf) if x.max() == 1.0 else real(x)
         with pytest.raises(OracleFailure, match="non-finite"):
-            dca_solve(problem, np.full(6, 1.0 / 6.0), variant_config("DCA-FW"))
+            dca_solve(problem, np.full(6, 1.0 / 6.0), DcaConfig("DCA-FW"))
 
     def test_qap_counts_do_not_depend_on_the_declaration(self):
         rng = np.random.default_rng(3)
         inst = QapInstance("rand5", 5, rng.normal(size=(5, 5)), rng.normal(size=(5, 5)))
         cfg = DcaConfig(
-            subsolver="fw", stop_mode="fixed", dca_gap_tol=1e-9,
+            "DCA-FW", dca_gap_tol=1e-9,
             fw_gap_tol=1e-9, max_outer_iters=30, max_inner_iters=2000,
         )
         x0 = np.full(25, 0.2)
@@ -458,7 +462,7 @@ class TestSubgradientCheck:
     def test_broken_g_fails_loudly(self, how, variant):
         problem = gen_quadratic_dc(30, 0).problem()
         self._break(problem, how)
-        config = variant_config(variant, max_outer_iters=50, max_inner_iters=500)
+        config = DcaConfig(variant, max_outer_iters=50, max_inner_iters=500)
         with pytest.raises(
             OracleFailure, match="below its linearization at the anchor of outer step 0"
         ):
@@ -473,7 +477,7 @@ class TestSubgradientCheck:
             g_value=lambda x: float(b @ x) + 3.0, g_subgrad=lambda x: b, lmo=base.lmo,
         )
         _, record = dca_solve(
-            problem, initial_point(problem.lmo), variant_config("DCA-BPCG-ES")
+            problem, initial_point(problem.lmo), DcaConfig("DCA-BPCG-ES")
         )
         assert record.termination == "converged"
 
@@ -481,7 +485,7 @@ class TestSubgradientCheck:
     def test_non_finite_g_at_the_last_iterate_fails_loudly(self, variant):
         # a NaN g has no shortfall > bound, and once ended the run converged
         # (or capped) with a NaN objective
-        config = variant_config(variant, max_outer_iters=20, max_inner_iters=500)
+        config = DcaConfig(variant, max_outer_iters=20, max_inner_iters=500)
         counted = gen_quadratic_dc(10, 0).problem()
         counted.g_value = Counter(counted.g_value)
         _, record = dca_solve(counted, initial_point(counted.lmo), config)
@@ -492,7 +496,7 @@ class TestSubgradientCheck:
         step = record.outer_iters - 1
         with pytest.raises(
             OracleFailure,
-            match=rf"^f = \S+ and g = nan at the new iterate of outer step {step}$",
+            match=rf"^g_value returned nan in outer step {step}$",
         ):
             dca_solve(problem, initial_point(problem.lmo), config)
 
@@ -508,13 +512,45 @@ class TestOracleRecord:
         problem.g_value = Counter(problem.g_value)
         x0 = np.full(10, 0.1)
         cfg = DcaConfig(
-            subsolver="fw", stop_mode="fixed", dca_gap_tol=1e-12, fw_gap_tol=1e3,
+            "DCA-FW", dca_gap_tol=1e-12, fw_gap_tol=1e3,
             max_outer_iters=1,
         )
         x, record = dca_solve(problem, x0, cfg)
         assert record.inner_iters == [0] and x.tobytes() == x0.tobytes()
         assert record.termination == "stalled"
         assert problem.g_value.calls == 1
+
+    def test_non_finite_f_inside_an_inner_solve_fails_loudly(self, monkeypatch):
+        # the adaptive stop rule tests gap <= phi(anchor) - h(y), which is
+        # False for a NaN f, so the NaN went unseen and the run converged
+        config = DcaConfig("DCA-BPCG-ES")
+        counted = gen_hard_dc(12, 0).problem()
+        counted.f_value = Counter(counted.f_value)
+        _, record = dca_solve(counted, initial_point(counted.lmo), config)
+        assert record.termination == "converged" and counted.f_value.calls == 567
+        problem = gen_hard_dc(12, 0).problem()
+        f_value, inside, nan_inside = Counter(problem.f_value), [], []
+
+        def nan_at_284th(x):
+            value = f_value(x)
+            if f_value.calls == 284:
+                nan_inside.append(bool(inside))
+                return np.nan
+            return value
+
+        def spy(*args, **kwargs):
+            inside.append(True)
+            try:
+                return bpcg(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        problem.f_value = nan_at_284th
+        monkeypatch.setattr(dcfw.dca, "bpcg", spy)
+        message = "^f_value returned nan in outer step 0$"
+        with pytest.raises(OracleFailure, match=message):
+            dca_solve(problem, initial_point(problem.lmo), config)
+        assert nan_inside == [True]
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     @pytest.mark.parametrize("family", [gen_quadratic_dc, gen_hard_dc])
@@ -525,7 +561,7 @@ class TestOracleRecord:
         problem.quadratic = False
         f_grad = problem.f_grad
         problem.f_grad = lambda x: 2.0 * f_grad(x)
-        config = variant_config(variant, max_outer_iters=50, max_inner_iters=500)
+        config = DcaConfig(variant, max_outer_iters=50, max_inner_iters=500)
         with pytest.raises(
             OracleFailure,
             match="f at the anchor of outer step .* below its linearization at "
@@ -616,9 +652,7 @@ class TestStopRules:
 
     def test_fixed_mode_needs_epsilon(self):
         with pytest.raises(ValueError):
-            DcaConfig(stop_mode="fixed", fw_gap_tol=0.0)
-        with pytest.raises(ValueError):
-            DcaConfig(stop_mode="bogus")
+            DcaConfig("DCA-BPCG", fw_gap_tol=0.0)
 
     def test_fixed_mode_threshold(self, monkeypatch):
         # fixed mode passes no threshold: fw_gap_tol, tested first, is its
@@ -632,7 +666,7 @@ class TestStopRules:
 
         monkeypatch.setattr(dcfw.dca, "bpcg", spy)
         inst = gen_quadratic_dc(6, 0)
-        cfg = DcaConfig(stop_mode="fixed", fw_gap_tol=1e-3, max_outer_iters=3)
+        cfg = DcaConfig("DCA-BPCG", fw_gap_tol=1e-3, max_outer_iters=3)
         dca_solve(inst.problem(), np.full(6, 1.0 / 6.0), cfg)
         assert calls
         for rule, stats in calls:
@@ -675,19 +709,15 @@ class TestStopRules:
 
         monkeypatch.setattr(dcfw.dca, "vanilla_fw", spy)
         inst = gen_quadratic_dc(6, 0)
-        cfg = DcaConfig(subsolver="fw", max_outer_iters=3, max_inner_iters=50)
+        cfg = DcaConfig("DCA-FW-ES", max_outer_iters=3, max_inner_iters=50)
         dca_solve(inst.problem(), np.full(6, 1.0 / 6.0), cfg)
         assert rules and all(r.__func__ is Subproblem.descent for r in rules)
 
 
 class TestDcaConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DcaConfig(subsolver="newton")
-        with pytest.raises(ValueError):
-            DcaConfig(stop_mode="sometimes")
-        with pytest.raises(ValueError):
-            DcaConfig(subsolver="fw", warm_start=True)
+        with pytest.raises(ValueError, match="unknown variant 'DCA-GD'"):
+            DcaConfig("DCA-GD")
         with pytest.raises(ValueError):
             DcaConfig(dca_gap_tol=0.0)
         with pytest.raises(ValueError):
@@ -731,7 +761,7 @@ class TestDcaConfig:
 
     def test_defaults_are_valid(self):
         cfg = DcaConfig()
-        assert cfg.subsolver == "bpcg" and cfg.stop_mode == "adaptive"
+        assert cfg.variant == "DCA-BPCG-ES"
 
 
 def _boost_args(problem, x_t, y):
@@ -814,11 +844,10 @@ class TestBoostedStep:
         g_value = Counter(problem.g_value)
         # finite at x0 only; dca_solve's next call is at the subsolver's point
         problem.g_value = lambda x: g_value(x) if g_value.calls == 0 else np.nan
-        with pytest.raises(
-            OracleFailure, match="^phi is nan at the subsolver's point in outer step 0$"
-        ):
+        message = "^g_value returned nan in outer step 0$"
+        with pytest.raises(OracleFailure, match=message):
             dca_solve(
-                problem, initial_point(problem.lmo), variant_config("DCA-BPCG-WS-ES-BT")
+                problem, initial_point(problem.lmo), DcaConfig("DCA-BPCG-WS-ES-BT")
             )
 
 
@@ -902,7 +931,7 @@ class TestClosedFormBoost:
         # grid finds phi decreasing and takes gamma = 1
         declared = self._quartic()
         declared.quadratic = True
-        config = variant_config("DCA-BPCG-WS-ES-BT")
+        config = DcaConfig("DCA-BPCG-WS-ES-BT")
         records = [
             dca_solve(problem, np.array([1.0, 0.0]), config)[1]
             for problem in (declared, self._quartic())
@@ -918,9 +947,10 @@ class TestClosedFormBoost:
         g_value = Counter(problem.g_value)
         # finite at x0 only; dca_solve's next call is at the subsolver's point
         problem.g_value = lambda x: g_value(x) if g_value.calls == 0 else np.nan
-        with pytest.raises(OracleFailure, match="phi is nan at the subsolver's point"):
+        message = "^g_value returned nan in outer step 0$"
+        with pytest.raises(OracleFailure, match=message):
             dca_solve(
-                problem, initial_point(problem.lmo), variant_config("DCA-BPCG-WS-ES-BT")
+                problem, initial_point(problem.lmo), DcaConfig("DCA-BPCG-WS-ES-BT")
             )
 
     def test_declared_quadratic_run_makes_no_grid_search(self, monkeypatch):
@@ -949,7 +979,7 @@ class TestClosedFormBoost:
         monkeypatch.setattr(dcfw.dca, "grid_two_level", grid)
         monkeypatch.setattr(dcfw.dca, "boosted_step", steps)
         _, record = dca_solve(
-            problem, initial_point(problem.lmo), variant_config("DCA-BPCG-WS-ES-BT")
+            problem, initial_point(problem.lmo), DcaConfig("DCA-BPCG-WS-ES-BT")
         )
         assert record.termination == "converged"
         assert steps.calls == record.outer_iters > 1
@@ -972,7 +1002,7 @@ class TestDcaSolve:
 
     def test_seeded_instance_converges_within_cap(self):
         inst = gen_quadratic_dc(20, 0)
-        cfg = DcaConfig(subsolver="bpcg", stop_mode="adaptive", warm_start=True)
+        cfg = DcaConfig("DCA-BPCG-WS-ES")
         x, record = dca_solve(inst.problem(), np.full(20, 0.05), cfg)
         assert record.termination == "converged"
         assert record.outer_iters <= 200
@@ -981,12 +1011,10 @@ class TestDcaSolve:
     @pytest.mark.parametrize(
         "cfg",
         [
-            DcaConfig(subsolver="bpcg", stop_mode="adaptive"),
-            DcaConfig(subsolver="bpcg", stop_mode="adaptive", warm_start=True),
-            DcaConfig(
-                subsolver="bpcg", stop_mode="adaptive", warm_start=True, boosted=True
-            ),
-            DcaConfig(subsolver="fw", stop_mode="adaptive", max_inner_iters=500),
+            DcaConfig("DCA-BPCG-ES"),
+            DcaConfig("DCA-BPCG-WS-ES"),
+            DcaConfig("DCA-BPCG-WS-ES-BT"),
+            DcaConfig("DCA-FW-ES", max_inner_iters=500),
         ],
     )
     def test_adaptive_descent_and_rate_certificate(self, cfg):
@@ -1004,7 +1032,7 @@ class TestDcaSolve:
 
     def test_fixed_epsilon_progress_slack(self):
         inst = gen_quadratic_dc(10, 2)
-        cfg = DcaConfig(subsolver="bpcg", stop_mode="fixed", fw_gap_tol=5e-7)
+        cfg = DcaConfig("DCA-BPCG", fw_gap_tol=5e-7)
         x, record = dca_solve(inst.problem(), np.full(10, 0.1), cfg)
         values = [record.phi0] + record.objective
         for t, lb in enumerate(record.dc_gap_lb):
@@ -1034,7 +1062,7 @@ class TestDcaSolve:
 
     def test_deterministic_given_seed(self):
         inst = gen_quadratic_dc(10, 4)
-        cfg = DcaConfig(warm_start=True)
+        cfg = DcaConfig("DCA-BPCG-WS-ES")
         x1, r1 = dca_solve(inst.problem(), np.full(10, 0.1), cfg)
         x2, r2 = dca_solve(inst.problem(), np.full(10, 0.1), cfg)
         assert np.array_equal(x1, x2)
@@ -1055,10 +1083,7 @@ class TestDcaSolve:
     def test_time_limit(self):
         inst = gen_quadratic_dc(30, 0)
         cfg = DcaConfig(
-            subsolver="fw",
-            dca_gap_tol=1e-14,
-            fw_gap_tol=1e-14,
-            time_limit_seconds=1e-6,
+            "DCA-FW-ES", dca_gap_tol=1e-14, fw_gap_tol=1e-14, time_limit_seconds=1e-6
         )
         x, record = dca_solve(inst.problem(), np.full(30, 1.0 / 30.0), cfg)
         assert record.termination == "time_limit"
@@ -1068,11 +1093,7 @@ class TestDcaSolve:
         # checked only between outer steps overruns 0.2 s by that much
         limit = 0.2
         cfg = DcaConfig(
-            subsolver="fw",
-            stop_mode="fixed",
-            dca_gap_tol=1e-14,
-            fw_gap_tol=1e-14,
-            time_limit_seconds=limit,
+            "DCA-FW", dca_gap_tol=1e-14, fw_gap_tol=1e-14, time_limit_seconds=limit
         )
         problem = gen_quadratic_dc(100, 0).problem()
         started = time.perf_counter()
@@ -1085,8 +1106,7 @@ class TestDcaSolve:
     def test_iteration_cap_label(self):
         inst = gen_quadratic_dc(10, 0)
         cfg = DcaConfig(
-            subsolver="fw",
-            stop_mode="fixed",
+            "DCA-FW",
             dca_gap_tol=1e-15,
             fw_gap_tol=1e-15,
             max_outer_iters=2,
@@ -1103,12 +1123,7 @@ class TestDcaSolve:
         x0 = np.full(n, 1.0 / n)
         Q = np.eye(n)
         problem = quadratic_problem(Q, -x0, n)
-        cfg = DcaConfig(
-            subsolver="bpcg",
-            stop_mode="fixed",
-            fw_gap_tol=1e-12,
-            max_inner_iters=1,
-        )
+        cfg = DcaConfig("DCA-BPCG", fw_gap_tol=1e-12, max_inner_iters=1)
         x, record = dca_solve(problem, x0, cfg)
         assert record.termination == "stalled"
         assert np.array_equal(x, x0)
@@ -1121,7 +1136,7 @@ class TestDcaSolve:
         # at its anchor, lb = 0 and ub = gap > dca_gap_tol, and every later
         # outer step would solve the same subproblem from the same start
         problem = gen_quadratic_dc(10, 0).problem()
-        config = variant_config(variant, fw_gap_tol=1e-2)
+        config = DcaConfig(variant, fw_gap_tol=1e-2)
         x, record = dca_solve(problem, initial_point(problem.lmo), config)
         assert record.termination == "stalled"
         assert record.outer_iters < config.max_outer_iters
@@ -1131,24 +1146,18 @@ class TestDcaSolve:
 
     def test_boosting_changes_little_on_dc_quadratics(self):
         # boosted and unboosted runs should take comparable outer work
-        outer = {True: [], False: []}
-        for boosted in (False, True):
+        outer = {"DCA-BPCG-WS-ES": [], "DCA-BPCG-WS-ES-BT": []}
+        for variant, runs in outer.items():
             for n in (10, 20):
                 for seed in (0, 1, 2):
                     inst = gen_quadratic_dc(n, seed)
-                    cfg = DcaConfig(
-                        subsolver="bpcg",
-                        stop_mode="adaptive",
-                        warm_start=True,
-                        boosted=boosted,
-                    )
                     x, record = dca_solve(
-                        inst.problem(), np.full(n, 1.0 / n), cfg
+                        inst.problem(), np.full(n, 1.0 / n), DcaConfig(variant)
                     )
                     assert record.termination == "converged"
-                    outer[boosted].append(record.outer_iters)
+                    runs.append(record.outer_iters)
         gm = lambda v: float(np.exp(np.mean(np.log(v))))
-        ratio = gm(outer[True]) / gm(outer[False])
+        ratio = gm(outer["DCA-BPCG-WS-ES-BT"]) / gm(outer["DCA-BPCG-WS-ES"])
         assert 1.0 / 1.2 <= ratio <= 1.2
 
     @pytest.mark.parametrize("gamma", [0.5, 0.0])
@@ -1174,7 +1183,7 @@ class TestDcaSolve:
         monkeypatch.setattr(dcfw.dca, "bpcg", spy)
         problem = gen_quadratic_dc(10, 0).problem()
         _, record = dca_solve(
-            problem, initial_point(problem.lmo), variant_config("DCA-BPCG-WS-ES-BT")
+            problem, initial_point(problem.lmo), DcaConfig("DCA-BPCG-WS-ES-BT")
         )
         assert boosts.calls >= 2 and start_sizes[2] == 1
         assert record.termination == "converged"
@@ -1182,9 +1191,8 @@ class TestDcaSolve:
 
     def test_warm_and_cold_both_converge(self):
         inst = gen_quadratic_dc(10, 5)
-        for warm in (False, True):
-            cfg = DcaConfig(subsolver="bpcg", warm_start=warm)
-            x, record = dca_solve(inst.problem(), np.full(10, 0.1), cfg)
+        for variant in ("DCA-BPCG-ES", "DCA-BPCG-WS-ES"):
+            x, record = dca_solve(inst.problem(), np.full(10, 0.1), DcaConfig(variant))
             assert record.termination == "converged"
             assert inst.problem().lmo.contains(x)
 
@@ -1204,8 +1212,8 @@ class TestCertificateProperties:
     def test_adaptive_runs_keep_their_certificates(self, family_n, seed, variant):
         family, n = family_n
         problem = family(n, seed).problem()
-        config = variant_config(variant, max_outer_iters=30, max_inner_iters=2000)
-        solver = "bpcg" if config.subsolver == "bpcg" else "vanilla_fw"
+        config = DcaConfig(variant, max_outer_iters=30, max_inner_iters=2000)
+        solver = "bpcg" if VARIANTS[variant]["subsolver"] == "bpcg" else "vanilla_fw"
         original = getattr(dcfw.dca, solver)
         stops = []
 

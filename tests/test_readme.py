@@ -1,13 +1,15 @@
 """The README's library example runs against the package's public names,
 the internal names it lists import from the modules it names, and the
-schemas and variants it lists are the code's."""
+schemas, config fields and variants it lists are the code's."""
 
+import dataclasses
 import importlib
 import re
 from pathlib import Path
 
 import dcfw
-from dcfw.bench import RESULT_FIELDS, TRACE_FIELDS, VARIANTS
+from dcfw.bench import RESULT_FIELDS, TRACE_FIELDS
+from dcfw.dca import VARIANTS, DcaConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,6 +57,11 @@ def _listed(label):
 def test_result_and_trace_columns_are_the_code_s():
     assert _listed("`results.csv` columns:") == RESULT_FIELDS
     assert _listed("Trace columns:") == TRACE_FIELDS
+
+
+def test_config_fields_are_the_code_s():
+    names = [f.name for f in dataclasses.fields(DcaConfig)]
+    assert _listed("`DcaConfig` fields:") == names
 
 
 def test_variants_table_is_the_code_s():
