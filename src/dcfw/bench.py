@@ -101,6 +101,8 @@ def _iter_instances(suite, sizes, seeds, qaplib_dir, log):
         return
     if suite == "qap":
         limit = max(as_index(n, "n") for n in sizes)
+        if list(seeds) != [0]:  # each file runs once, recorded as seed 0
+            raise ValueError(f"the qap suite takes seeds [0] only, got {list(seeds)}")
         if qaplib_dir is None:
             raise ValueError("the qap suite needs a directory of instance files")
         report = scan_directory(qaplib_dir)
@@ -169,8 +171,9 @@ def run_suite(
     empty list, a cap that is not an integer of at least 1, a size a
     generated suite's family is not defined for, a size or seed that is not
     an integer (TypeError; a bool included) or a negative seed, or a qap
-    suite with no instance to run, all before any output.  Each file the
-    qap suite cannot parse is passed to log with the parser's message.
+    suite with seeds other than [0] or no instance to run, all before any
+    output.  Each file the qap suite cannot parse is passed to log with the
+    parser's message.
     Returns the list of BenchResult rows.
     """
     # built first, so that a bad variant, tolerance or time limit is refused

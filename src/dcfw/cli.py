@@ -29,7 +29,7 @@ RUN_OPTIONS = {
     "sizes": dict(
         type=_int_list, default="10,20,30", help="comma separated instance sizes"
     ),
-    "seeds": dict(type=_int_list, default="0,1,2,3,4", help="comma separated seeds"),
+    "seeds": dict(type=_int_list, help="comma separated seeds (default 0..4, qap 0)"),
     "variants": dict(
         type=_name_list,
         default=",".join(v for v in VARIANTS if not v.endswith("-BT")),
@@ -65,10 +65,13 @@ def _read_config_file(path):
 
 
 def cmd_run(args):
+    seeds = args.seeds
+    if seeds is None:  # the qap suite runs each file once, as seed 0
+        seeds = [0] if args.suite == "qap" else [0, 1, 2, 3, 4]
     results = bench.run_suite(
         args.suite,
         args.sizes,
-        args.seeds,
+        seeds,
         args.variants,
         qaplib_dir=args.qaplib_dir,
         out_dir=args.out,

@@ -149,7 +149,8 @@ class Subproblem:
     and grad_at_anchor is the surrogate's gradient there.  oracles is the
     run's record, through which the surrogate evaluates f and f_grad, and
     whose fast-path flag, copied to quadratic, makes Secant take
-    quadratic_step, the one step whose values it keeps (see value).
+    quadratic_step, the one step whose values, and gradients at vertices,
+    the subproblem keeps (see value and quadratic_step).
     """
 
     anchor: np.ndarray
@@ -165,6 +166,7 @@ class Subproblem:
         self.grad_at_anchor = self.f_grad_at_anchor - self.g_grad_at_anchor
         self.grad_at_anchor.flags.writeable = False
         self._carried = (None, None, None)  # quadratic_step's (point, grad, h)
+        self._vertex_grads = {}  # quadratic_step's memo at vertices, see there
 
     def _lin(self, x):
         return self.g_at_anchor + float(self.g_grad_at_anchor.dot(x - self.anchor))
@@ -194,21 +196,34 @@ class Subproblem:
     def quadratic_step(self, x, grad, d, gamma_max, dphi0):
         """Exact line search along d on [0, gamma_max] for a quadratic f.
 
-        With grad the surrogate's gradient at x, f_grad at the end point
-        x + gamma_max * d from the record (its vertex table at the last LMO
-        vertex), slope dphi0 = <grad, d> and curvature <d, grad(end) -
-        grad>, returns the minimizing gamma, gamma_max when the end point
-        still descends.  The surrogate's gradient is affine, so its gradient
-        and h at x + gamma * d follow from those at x (h from value) and the
-        end point; both are carried to the point returned, where value
-        reads h, and certify checks both.  Returns (gamma, x + gamma * d,
-        the gradient there), or (0.0, x, None) when d does not descend.
+        With grad the surrogate's gradient at x, slope dphi0 = <grad, d>,
+        the gradient at the end point x + gamma_max * d and the curvature
+        <d, grad(end) - grad>, returns the minimizing gamma, gamma_max when
+        the end point still descends.  The gradient at the end point takes
+        f_grad from the record (its vertex table at the last LMO vertex);
+        at a vertex the table holds, the anchor's memo keeps the surrogate's
+        gradient read-only, and a hit sets the record's last point as f_grad
+        would.  The surrogate's gradient is affine, so its gradient and h at
+        x + gamma * d follow from those at x (h from value) and the end
+        point; both are carried to the point returned, where value reads h,
+        and certify checks both.  Returns (gamma, x + gamma * d, the
+        gradient there), or (0.0, x, None) when d does not descend.
         """
         if not dphi0 < 0:
             return 0.0, x, None
         h = self.value(x)
-        end = x + gamma_max * d
-        grad_end = self.oracles.f_grad(end) - self.g_grad_at_anchor
+        # 1.0 * d is d bit for bit, so a full step skips the product
+        end = x + d if gamma_max == 1.0 else x + gamma_max * d
+        oracles, vertex = self.oracles, self.oracles.last_vertex
+        at_vertex = end.tobytes() == vertex  # vertex has hashed already
+        kept = self._vertex_grads.get(vertex) if at_vertex else None
+        if kept is not None:
+            oracles._f_grad, grad_end = kept
+        else:
+            grad_end = oracles.f_grad(end) - self.g_grad_at_anchor
+            if at_vertex and vertex in oracles.vertex_grads:
+                grad_end.flags.writeable = False
+                self._vertex_grads[vertex] = (oracles._f_grad, grad_end)
         diff = grad_end - grad
         curv = float(d.dot(diff))  # slope at the end point minus dphi0
         if not math.isfinite(curv):

@@ -19,11 +19,6 @@ _SECANT_TOL = 1e-10
 _SECANT_MAX_EVAL = 40
 
 
-def fw_gap(grad, x, v):
-    """Frank-Wolfe gap <grad, x - v> for a vertex v minimizing <grad, .>."""
-    return float((x - v).dot(grad))
-
-
 class ActiveSet:
     """Convex combination of polytope vertices with a cached iterate.
 
@@ -286,11 +281,12 @@ def _inner_loop(
     objective, lmo, x, step, fw_gap_tol, max_iters, stop_rule, deadline,
     callback, extra,
 ):
-    """The iteration both solvers share; step(k, x, grad, v, gap) returns
-    (x_next, gamma, step_type, the gradient at x_next or None) and must
-    leave its state untouched when gamma is 0.  The loop asks the objective
-    for a gradient only when the step handed back None.  extra holds
-    additional callback entries."""
+    """The iteration both solvers share; step(k, x, grad, v, d, gap), d
+    being the Frank-Wolfe direction v - x, returns (x_next, gamma,
+    step_type, the gradient at x_next or None) and must leave its state
+    untouched when gamma is 0.  The loop asks the objective for a gradient
+    only when the step handed back None.  extra holds additional callback
+    entries."""
     stats = FwStats()
     steps = {"fw": 0, "pairwise_descent": 0, "pairwise_drop": 0}
     grad = None
@@ -298,7 +294,10 @@ def _inner_loop(
         if grad is None:
             grad = objective.grad(x)
         v = lmo(grad)
-        gap = fw_gap(grad, x, v)
+        d = v - x
+        # the gap <grad, x - v>: negating is exact, so it is -<grad, d> up to
+        # the sign of a zero, and 0.0 - makes a zero gap +0.0
+        gap = 0.0 - float(d.dot(grad))
         stats.final_fw_gap = gap
         if gap <= fw_gap_tol:
             stats.termination = "gap_tol"
@@ -312,7 +311,7 @@ def _inner_loop(
         if deadline is not None and time.perf_counter() > deadline:
             stats.termination = "time_limit"
             break
-        x_next, gamma, step_type, grad = step(k, x, grad, v, gap)
+        x_next, gamma, step_type, grad = step(k, x, grad, v, d, gap)
         if gamma == 0.0:
             stats.termination = "stagnation"
             break
@@ -360,8 +359,8 @@ def vanilla_fw(
     returned iterate, and the solve calls lmo iterations + 1 times.
     """
 
-    def step(k, x, grad, v, gap):
-        gamma, x_next, grad = line_search.step(objective, x, grad, v - x, 1.0, k, -gap)
+    def step(k, x, grad, v, d, gap):
+        gamma, x_next, grad = line_search.step(objective, x, grad, d, 1.0, k, -gap)
         return x_next, gamma, "fw", grad
 
     x = np.array(x0, dtype=float)
@@ -399,7 +398,7 @@ def bpcg(
     if active_set is None:
         raise ValueError("bpcg needs a starting active set")
 
-    def step(k, x, grad, w, gap):
+    def step(k, x, grad, w, d_fw, gap):
         away_idx, local_idx = active_set.extremes(grad)
         # the atom rows, without the read-only view `vertices` builds
         atoms = active_set._rows
@@ -418,7 +417,7 @@ def bpcg(
             step_type = "pairwise_drop" if dropped else "pairwise_descent"
             x = active_set.iterate  # not x_next once the set renormalized
             return x, gamma, step_type, grad_next if x is x_next else None
-        gamma = line_search.step(objective, x, grad, w - x, 1.0, k, dphi0=-gap)[0]
+        gamma = line_search.step(objective, x, grad, d_fw, 1.0, k, dphi0=-gap)[0]
         # a zero step leaves the set as is; any other rebuilds the iterate as
         # (1 - gamma) x + gamma w, with other bits than the search's point
         active_set.fw_update(w, gamma)

@@ -66,7 +66,8 @@ class TestVariantConfig:
         monkeypatch.setattr(dcfw.dca, "vanilla_fw", spy(vanilla_fw))
         monkeypatch.setattr(dcfw.dca, "boosted_step", boosts)
         problem = gen_quadratic_dc(10, 0).problem()
-        dca_solve(problem, initial_point(problem.lmo), DcaConfig(name))
+        config = DcaConfig(name, max_outer_iters=2)  # the asserts read two solves
+        dca_solve(problem, initial_point(problem.lmo), config)
         assert len(VARIANTS) == 7 and len(solves) >= 2
         solver = "vanilla_fw" if "-FW" in name else "bpcg"
         assert all(s[0] == solver for s in solves)
@@ -382,6 +383,26 @@ class TestRunSuite:
         with pytest.raises(error, match=message):
             run_suite(
                 "qap", sizes, seeds, ["DCA-BPCG-ES"], qaplib_dir=qdir,
+                out_dir=tmp_path / "out", outer_cap=3, inner_cap=50, log=lines.append,
+            )
+        assert not (tmp_path / "out").exists() and lines == []
+
+    @pytest.mark.parametrize("seeds", [[0, 1, 2], [1]], ids=["three", "one-not-0"])
+    def test_qap_seeds_other_than_0_write_nothing(self, tmp_path, seeds):
+        # the suite runs each file once, as seed 0, so other seeds would be
+        # accepted and dropped
+        qdir = tmp_path / "instances"
+        qdir.mkdir()
+        rng = np.random.default_rng(0)
+        for n in (4, 5):
+            flow, dist = rng.integers(0, 5, (2, n, n)).astype(float)
+            inst = QapInstance(f"q{n}", n, flow, dist)
+            (qdir / f"q{n}.dat").write_text(serialize_qaplib(inst))
+        lines = []
+        message = re.escape(f"the qap suite takes seeds [0] only, got {seeds}")
+        with pytest.raises(ValueError, match=message):
+            run_suite(
+                "qap", [5], seeds, ["DCA-BPCG-ES"], qaplib_dir=qdir,
                 out_dir=tmp_path / "out", outer_cap=3, inner_cap=50, log=lines.append,
             )
         assert not (tmp_path / "out").exists() and lines == []

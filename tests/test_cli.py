@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dcfw import VARIANTS
+from dcfw import VARIANTS, QapInstance, serialize_qaplib
 from dcfw.bench import RESULT_FIELDS
 from dcfw.cli import _read_config_file, main
 
@@ -123,6 +124,29 @@ class TestRun:
         assert "skipping broken.dat: " in captured.out
         assert "no QAP instance to run" in captured.err
         assert not (tmp_path / "out").exists()  # refused before any output
+
+    @pytest.mark.parametrize("seeds, code", [(None, 0), ("0,1", 2)])
+    def test_qap_suite_defaults_to_seed_0(self, tmp_path, capsys, seeds, code):
+        qdir = tmp_path / "instances"
+        qdir.mkdir()
+        rng = np.random.default_rng(0)
+        flow, dist = rng.integers(0, 5, (2, 4, 4)).astype(float)
+        (qdir / "q4.dat").write_text(serialize_qaplib(QapInstance("q4", 4, flow, dist)))
+        out = tmp_path / "out"
+        argv = [
+            "run", "--suite", "qap", "--qaplib-dir", str(qdir), "--sizes", "4",
+            "--variants", "DCA-BPCG-ES", "--outer-cap", "3", "--inner-cap", "50",
+            "--out", str(out),
+        ]  # fmt: skip
+        if seeds is not None:
+            argv += ["--seeds", seeds]
+        assert main(argv) == code
+        if code:
+            assert "takes seeds [0] only, got [0, 1]" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            with open(out / "results.csv", newline="") as fh:
+                assert [row["seed"] for row in csv.DictReader(fh)] == ["0"]
 
     def test_config_file_supplies_options(self, tmp_path):
         out_dir = tmp_path / "from_config"

@@ -361,6 +361,43 @@ class TestQuadraticFastPath:
         assert sum(record.inner_iters) > 10 * record.outer_iters
         assert grad_calls.calls == solves.calls == record.outer_iters
 
+    def test_vertex_memo_hands_back_the_surrogate_gradient(self, monkeypatch):
+        sub, f_grad, x0 = self._fast_sub(10)
+        grad = sub.grad(x0)
+        v = sub.oracles.lmo(grad)
+        d = v - x0
+        assert (x0 + d).tobytes() == v.tobytes()  # the step ends at the vertex
+        record_calls = Counter(Oracles.f_grad)
+        monkeypatch.setattr(Oracles, "f_grad", lambda rec, x: record_calls(rec, x))
+        first = sub.quadratic_step(x0, grad, d, 1.0, float(d.dot(grad)))
+        assert record_calls.calls == 1 and f_grad.calls == 2  # at x0 and v
+        second = sub.quadratic_step(x0, grad, d, 1.0, float(d.dot(grad)))
+        # the memo, not the record, served the vertex the second time
+        assert record_calls.calls == 1 and f_grad.calls == 2
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                   for a, b in zip(first, second))
+        entry, kept = sub._vertex_grads[v.tobytes()]
+        assert not kept.flags.writeable
+        assert kept.tobytes() == sub.grad(v).tobytes()
+        # the hit left the record's last point at v, as f_grad(v) would
+        assert sub.oracles._f_grad is entry and entry[0] == v.tobytes()
+
+    def test_each_anchor_starts_with_an_empty_vertex_memo(self, monkeypatch):
+        memos = []  # (memo size at the solve's start, the subproblem)
+
+        def spy(sub, *args, **kwargs):
+            memos.append((len(sub._vertex_grads), sub))
+            return vanilla_fw(sub, *args, **kwargs)
+
+        monkeypatch.setattr(dcfw.dca, "vanilla_fw", spy)
+        cfg = DcaConfig("DCA-FW", max_outer_iters=4, max_inner_iters=200)
+        dca_solve(gen_quadratic_dc(10, 0).problem(), np.full(10, 0.1), cfg)
+        assert len(memos) == 4 and all(size == 0 for size, _ in memos)
+        assert all(len(sub._vertex_grads) > 0 for _, sub in memos)
+        for _, sub in memos:  # each memo holds its own anchor's gradients
+            for key, (_, kept) in sub._vertex_grads.items():
+                assert kept.tobytes() == sub.grad(np.frombuffer(key)).tobytes()
+
     @pytest.mark.parametrize("n", [30, 300])
     def test_carried_values_match_the_oracles(self, n):
         sub, _, x0 = self._fast_sub(n, seed=n)

@@ -18,7 +18,7 @@ from dcfw import (
     vanilla_fw,
 )
 from dcfw.dca import OracleFailure, Oracles, grid_two_level, linearize
-from dcfw.fw import _WEIGHT_DRIFT_TOL, fw_gap, secant_line_search
+from dcfw.fw import _WEIGHT_DRIFT_TOL, secant_line_search
 
 from helpers import (
     Counter,
@@ -33,12 +33,33 @@ def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def test_fw_gap_worked_example():
-    grad = np.array([1.0, 2.0, 3.0])
-    x = np.full(3, 1.0 / 3.0)
-    v = ProbabilitySimplex(3)(grad)
-    assert np.array_equal(v, [1.0, 0.0, 0.0])
-    assert fw_gap(grad, x, v) == pytest.approx(1.0, abs=1e-15)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gap_from_the_direction_has_the_bits_of_x_minus_v(data):
+    # the inner loop takes the gap <grad, x - v> as 0.0 - <grad, v - x>
+    n = data.draw(st.integers(2, 40))
+    entries = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+    grad = np.array(data.draw(entries))
+    v = np.eye(n)[data.draw(st.integers(0, n - 1))]
+    weights = np.abs(data.draw(entries))
+    if data.draw(st.booleans()) or not weights.sum() > 0:
+        x = v.copy()  # then the gap is +0.0
+    else:
+        x = weights / weights.sum()
+    gap = 0.0 - float((v - x).dot(grad))
+    assert _same_bits(gap, float((x - v).dot(grad)))
+    if np.array_equal(x, v):
+        assert _same_bits(gap, 0.0)
+
+
+def test_gap_on_the_one_point_simplex_is_plus_zero():
+    # with one coordinate the dot is the bare product, so <grad, x - v> is
+    # -0.0 for a negative gradient, where the loop's gap is +0.0
+    grad, x = np.array([-2.0]), np.array([1.0])
+    objective = make_objective(lambda y: float(grad.dot(y)), lambda y: grad)
+    _, stats = vanilla_fw(objective, ProbabilitySimplex(1), x, Secant())
+    assert np.signbit((x - x).dot(grad))
+    assert stats.termination == "gap_tol" and _same_bits(stats.final_fw_gap, 0.0)
 
 
 def _last_argmin(values):
@@ -687,7 +708,7 @@ class TestVanillaFw:
         assert stats.iterations == 0 and lmo.call_count == 1
         # the reported gap is the one at the returned iterate
         assert np.array_equal(x, x0)
-        assert stats.final_fw_gap == fw_gap(grad(x0), x0, lmo(grad(x0)))
+        assert stats.final_fw_gap == float((x0 - lmo(grad(x0))).dot(grad(x0)))
 
     def test_future_deadline_changes_nothing(self):
         rng = np.random.default_rng(9)
