@@ -11,22 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dca import DcaConfig, RunRecord, check_iter_cap, dca_solve
+from .dca import DcaConfig, OuterStep, RunRecord, check_iter_cap, dca_solve
 from .lmo import as_index
 from .problems import HARD_K, QUADRATIC_MIN_N, check_size, gen_hard_dc, gen_quadratic_dc
 from .problems import initial_point, qap_dc_oracles
 from .qaplib import parse_qaplib, scan_directory
 
-# trace column after t, the outer step -> the RunRecord list it writes
-_TRACE_COLUMNS = {
-    "dc_gap_lb": "dc_gap_lb",
-    "dc_gap_ub": "dc_gap_ub",
-    "objective": "objective",
-    "lmo_calls_cum": "lmo_calls_cum",
-    "inner_iters": "inner_iters",
-    "elapsed_s": "elapsed_seconds",
-}
-TRACE_FIELDS = ["t", *_TRACE_COLUMNS]
+TRACE_FIELDS = ["t", *OuterStep._fields]
 
 
 def _parse_flag(text):
@@ -129,9 +120,8 @@ def _write_trace(path, record):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
-        columns = (getattr(record, name) for name in _TRACE_COLUMNS.values())
         # csv writes a float as its repr, which reads back to the same bits
-        writer.writerows(zip(range(record.outer_iters), *columns))
+        writer.writerows((t, *step) for t, step in enumerate(record.steps))
 
 
 def _append_result(path, result):
@@ -233,7 +223,9 @@ def run_suite(
                 outer_iters=record.outer_iters,
                 wall_seconds=time.perf_counter() - started,
                 lmo_calls=problem.lmo.call_count,
-                final_objective=(record.objective or [record.phi0])[-1],
+                final_objective=(
+                    record.steps[-1].objective if record.steps else record.phi0
+                ),
                 reason=reason,
             )
             if trace_dir is not None and record.termination:

@@ -13,14 +13,17 @@ subsolver's Frank-Wolfe gap at y turns it into an upper bound.
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .fw import ActiveSet, Secant, bpcg, vanilla_fw
 
 
-# vertex gradients an Oracles record keeps; it then stops adding, and each
-# entry holds 2 * 8n bytes, key and gradient
+# vertex gradients an Oracles record keeps; it then stops adding.  An entry
+# holds 2 * 8n bytes, key and gradient, and admits one of 3 * 8n bytes to the
+# memo of each of the two live subproblems (see Subproblem.quadratic_step),
+# so 4096 * 8 * 8n bytes at most, 26.2 MB at n = 100
 VERTEX_TABLE_SIZE = 4096
 # largest relative difference Subproblem.certify accepts between the values
 # quadratic_step carried and the oracles' (measured: at most 3.1e-14 over
@@ -331,26 +334,31 @@ class DcaConfig:
         check_iter_cap("max_inner_iters", self.max_inner_iters)
 
 
+class OuterStep(NamedTuple):
+    """One outer step, its fields the trace columns after t: the gap bounds
+    lb = phi(x_t) - h_t(y) and ub = lb + the subsolver's FW gap at y, phi at
+    the new iterate, the LMO calls so far, the step's inner iterations and
+    the seconds since the run started."""
+
+    dc_gap_lb: float
+    dc_gap_ub: float
+    objective: float
+    lmo_calls_cum: int
+    inner_iters: int
+    elapsed_s: float
+
+
 @dataclass
 class RunRecord:
-    """Per-outer-iteration trace of one run and how it ended."""
+    """One run: phi at x0, an OuterStep per outer step, and how it ended."""
 
     phi0: float = np.nan
-    dc_gap_lb: list = field(default_factory=list)
-    fw_gap_final: list = field(default_factory=list)
-    objective: list = field(default_factory=list)
-    lmo_calls_cum: list = field(default_factory=list)
-    inner_iters: list = field(default_factory=list)
-    elapsed_seconds: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
     termination: str = ""  # converged | iteration_cap | time_limit | stalled
 
     @property
     def outer_iters(self):
-        return len(self.dc_gap_lb)
-
-    @property
-    def dc_gap_ub(self):
-        return [lb + g for lb, g in zip(self.dc_gap_lb, self.fw_gap_final)]
+        return len(self.steps)
 
 
 def _last_argmin(values):
@@ -455,7 +463,7 @@ def dca_solve(problem, x0, config):
 
     Repeatedly linearizes g at the current iterate and drives the convex
     surrogate down with config.variant's subsolver, stopping once the certified
-    stationarity gap ub = lb + fw_gap falls below config.dca_gap_tol.  With
+    stationarity gap ub of an OuterStep falls below config.dca_gap_tol.  With
     the adaptive stop mode the recorded objective never increases.  The run
     ends as stalled when repeating the identical subproblem cannot
     progress: when a subproblem terminates above the anchor value (negative
@@ -467,7 +475,7 @@ def dca_solve(problem, x0, config):
     non-finite f or g, or a g at a new iterate below its linearization at
     the anchor, raises OracleFailure.
 
-    Returns (x_final, RunRecord).
+    Returns (x_final, RunRecord), the record holding an OuterStep per step.
     """
     x0 = np.asarray(x0, dtype=float)
     lmo = problem.lmo
@@ -543,14 +551,11 @@ def dca_solve(problem, x0, config):
                 _check_subgradient(sub, x, g_x, t)
                 phi_x = f_x - g_x
 
-        record.dc_gap_lb.append(lb)
-        record.fw_gap_final.append(stats.final_fw_gap)
-        record.objective.append(phi_x)
-        record.lmo_calls_cum.append(lmo.call_count - lmo_base)
-        record.inner_iters.append(stats.iterations)
-        record.elapsed_seconds.append(time.perf_counter() - started)
+        ub = lb + stats.final_fw_gap
+        lmo_calls, elapsed = lmo.call_count - lmo_base, time.perf_counter() - started
+        record.steps.append(OuterStep(lb, ub, phi_x, lmo_calls, stats.iterations, elapsed))
 
-        if lb + stats.final_fw_gap <= config.dca_gap_tol:  # ub
+        if ub <= config.dca_gap_tol:
             record.termination = "converged"
             break
         if stats.termination == "time_limit":

@@ -236,6 +236,17 @@ def quad_value_grad(Q, q):
     return value, grad
 
 
+def synthetic_qap(rng, n):
+    """(flows, distances) of an n x n QAP in the style of QAPLIB's nug set:
+    a symmetric integer flow matrix against Manhattan distances of random
+    grid points, both with zero diagonal."""
+    points = rng.integers(0, n, size=(n, 2))
+    distances = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+    flows = rng.integers(1, 10, size=(n, n)) * (rng.random((n, n)) < 0.6)
+    flows = np.triu(flows, 1)
+    return flows + flows.T, distances
+
+
 def random_pd_matrix(rng, n, ridge=0.1):
     M = rng.standard_normal((n, n))
     return M.T @ M + ridge * np.eye(n)

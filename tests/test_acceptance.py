@@ -110,10 +110,11 @@ def test_criterion_01_adaptive_rate_certificate(adaptive_runs):
     for variant, n, seed, record in runs:
         steps = record.outer_iters
         assert steps >= 1
-        bound = 2.0 * (record.phi0 - record.objective[-1]) / steps + 1e-9
-        slack = min(record.dc_gap_lb) - bound
+        bound = 2.0 * (record.phi0 - record.steps[-1].objective) / steps + 1e-9
+        least_lb = min(step.dc_gap_lb for step in record.steps)
+        slack = least_lb - bound
         worst = max(worst, slack)
-        assert min(record.dc_gap_lb) <= bound
+        assert least_lb <= bound
     print(
         f"PASS criterion 1: rate certificate on {len(runs)} adaptive runs, "
         f"worst margin {worst:.3e}, {wall:.1f}s"
@@ -124,7 +125,7 @@ def test_criterion_02_monotone_descent_adaptive(adaptive_runs):
     runs, _ = adaptive_runs
     checked = 0
     for variant, n, seed, record in runs:
-        values = [record.phi0] + list(record.objective)
+        values = [record.phi0] + [step.objective for step in record.steps]
         for prev, cur in zip(values, values[1:]):
             assert cur <= prev + 1e-9
             checked += 1
@@ -135,9 +136,9 @@ def test_criterion_03_fixed_epsilon_slack(fixed_runs):
     checked = 0
     for variant, n, seed, record in fixed_runs:
         prev = record.phi0
-        for lb, obj in zip(record.dc_gap_lb, record.objective):
-            assert prev - obj >= lb - FIXED_EPS - 1e-9
-            prev = obj
+        for step in record.steps:
+            assert prev - step.objective >= step.dc_gap_lb - FIXED_EPS - 1e-9
+            prev = step.objective
             checked += 1
     print(f"PASS criterion 3: fixed-eps progress slack at {checked} steps")
 

@@ -39,9 +39,10 @@ from dcfw.bench import (
     format_table,
     write_profile,
 )
+from dcfw.dca import OuterStep
 from dcfw.problems import HardDcInstance, QuadraticDcInstance
 
-from helpers import Counter
+from helpers import Counter, synthetic_qap
 
 
 class TestVariantConfig:
@@ -146,6 +147,29 @@ class TestRunSuite:
             assert len(trows) == r.outer_iters + 1
             # solved means the recorded certificate is below the tolerance
             assert float(trows[-1][TRACE_FIELDS.index("dc_gap_ub")]) <= 1e-6
+
+    def test_trace_reads_back_as_the_record_s_rows(self, tmp_path, monkeypatch):
+        records = []
+
+        def solve(*args):
+            x, record = dca_solve(*args)
+            records.append(record)
+            return x, record
+
+        monkeypatch.setattr(dcfw.bench, "dca_solve", solve)
+        variants = ["DCA-FW-ES", "DCA-BPCG-WS-ES-BT"]
+        results = run_suite(
+            "quadratics", [6], [0], variants,
+            out_dir=tmp_path, outer_cap=20, inner_cap=500,
+        )
+        parse = [int, *OuterStep.__annotations__.values()]  # t, then the fields
+        for r, record in zip(results, records, strict=True):
+            with open(tmp_path / "traces" / f"{r.instance}__{r.variant}.csv") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == TRACE_FIELDS
+            got = [tuple(f(v) for f, v in zip(parse, row)) for row in rows]
+            assert got == [(t, *step) for t, step in enumerate(record.steps)]
+            assert len(got) == r.outer_iters >= 1
 
     def test_six_variant_row_count(self, tmp_path):
         non_boosted = [v for v in VARIANTS if not v.endswith("-BT")]
@@ -550,12 +574,8 @@ class TestRunSuite:
     }
 
     def test_pinned_qap_counts(self, tmp_path, monkeypatch):
-        n, rng = 6, np.random.default_rng(0)
-        points = rng.integers(0, n, size=(n, 2))
-        distances = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
-        flows = rng.integers(1, 10, size=(n, n)) * (rng.random((n, n)) < 0.6)
-        flows = np.triu(flows, 1)
-        inst = QapInstance("syn6", n, flows + flows.T, distances)
+        n = 6
+        inst = QapInstance("syn6", n, *synthetic_qap(np.random.default_rng(0), n))
         (tmp_path / "syn6.dat").write_text(serialize_qaplib(inst))
         oracle_calls = []
         make = dcfw.bench.qap_dc_oracles

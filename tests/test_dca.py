@@ -2,6 +2,7 @@
 full DCA runs."""
 
 import time
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from dcfw import (
     qap_dc_oracles,
     vanilla_fw,
 )
-from dcfw.dca import Oracles, Subproblem, boosted_step, linearize
+from dcfw.dca import Oracles, OuterStep, Subproblem, boosted_step, linearize
 from dcfw.problems import HARD_K
 
 from helpers import (
@@ -37,6 +38,7 @@ from helpers import (
     random_pd_matrix,
     simplex_qp_minimize,
     simplex_grid3,
+    synthetic_qap,
 )
 
 
@@ -49,6 +51,22 @@ def quadratic_problem(Q, q, n, lmo=None):
         g_subgrad=lambda x: np.zeros(n),
         lmo=lmo if lmo is not None else ProbabilitySimplex(n),
     )
+
+
+@contextmanager
+def subsolver_stats(variant):
+    """Patch variant's subsolver in dcfw.dca to collect each inner solve's
+    FwStats in the list this yields."""
+    name = "bpcg" if VARIANTS[variant]["subsolver"] == "bpcg" else "vanilla_fw"
+    original, stats = getattr(dcfw.dca, name), []
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        stats.append(out[-1])
+        return out
+
+    with mock.patch.object(dcfw.dca, name, spy):
+        yield stats
 
 
 class TestLinearize:
@@ -250,7 +268,8 @@ class TestVertexTable:
         )
         _, record = dca_solve(problem, np.full(30, 1.0 / 30.0), cfg)
         vertices = len(RecordingSimplex.vertices)
-        bound = sum(record.inner_iters) + vertices + record.outer_iters
+        inner = sum(step.inner_iters for step in record.steps)
+        bound = inner + vertices + record.outer_iters
         assert problem.f_grad.calls <= bound
         # the table adds no LMO call: the count before the table existed
         assert problem.lmo.call_count == 2406
@@ -281,8 +300,8 @@ class TestVertexTable:
             isinstance(grad, np.ndarray) and not grad.flags.writeable
             for grad in tables[0].vertex_grads.values()
         )
-        assert bounded.objective == unbounded.objective
-        assert bounded.lmo_calls_cum == unbounded.lmo_calls_cum
+        for a, b in zip(bounded.steps, unbounded.steps, strict=True):
+            assert (a.objective, a.lmo_calls_cum) == (b.objective, b.lmo_calls_cum)
 
     def test_stored_gradient_survives_the_oracle_reusing_its_array(self):
         n = 4
@@ -358,7 +377,7 @@ class TestQuadraticFastPath:
         _, record = dca_solve(
             gen_quadratic_dc(30, 0).problem(), np.full(30, 1.0 / 30.0), cfg
         )
-        assert sum(record.inner_iters) > 10 * record.outer_iters
+        assert sum(step.inner_iters for step in record.steps) > 10 * record.outer_iters
         assert grad_calls.calls == solves.calls == record.outer_iters
 
     def test_vertex_memo_hands_back_the_surrogate_gradient(self, monkeypatch):
@@ -479,8 +498,9 @@ class TestQuadraticFastPath:
         _, a = dca_solve(declared, x0, cfg)
         _, b = dca_solve(plain, x0, cfg)
         assert a.outer_iters == b.outer_iters
-        assert a.lmo_calls_cum == b.lmo_calls_cum
-        assert a.objective == pytest.approx(b.objective, rel=1e-12)
+        for step_a, step_b in zip(a.steps, b.steps):
+            assert step_a.lmo_calls_cum == step_b.lmo_calls_cum
+            assert step_a.objective == pytest.approx(step_b.objective, rel=1e-12)
 
 
 class TestSubgradientCheck:
@@ -553,7 +573,8 @@ class TestOracleRecord:
             max_outer_iters=1,
         )
         x, record = dca_solve(problem, x0, cfg)
-        assert record.inner_iters == [0] and x.tobytes() == x0.tobytes()
+        assert [step.inner_iters for step in record.steps] == [0]
+        assert x.tobytes() == x0.tobytes()
         assert record.termination == "stalled"
         assert problem.g_value.calls == 1
 
@@ -974,10 +995,10 @@ class TestClosedFormBoost:
             for problem in (declared, self._quartic())
         ]
         for record in records:
-            record.elapsed_seconds = None
+            record.steps = [step._replace(elapsed_s=None) for step in record.steps]
         assert records[0] == records[1]
         assert records[0].termination == "converged"
-        assert records[0].objective[-1] == 0.0
+        assert records[0].steps[-1].objective == 0.0
 
     def test_non_finite_phi_at_the_point_fails_loudly(self):
         problem = gen_quadratic_dc(10, 0).problem()
@@ -1032,10 +1053,10 @@ class TestDcaSolve:
         problem = quadratic_problem(Q, q, n)
         x, record = dca_solve(problem, np.full(n, 0.2), DcaConfig())
         assert record.termination == "converged"
-        assert record.dc_gap_ub[-1] <= 1e-6
+        assert record.steps[-1].dc_gap_ub <= 1e-6
         x_star = simplex_qp_minimize(Q, q)
         phi_star = 0.5 * float(x_star @ Q @ x_star) + float(q @ x_star)
-        assert record.objective[-1] == pytest.approx(phi_star, abs=1e-5)
+        assert record.steps[-1].objective == pytest.approx(phi_star, abs=1e-5)
 
     def test_seeded_instance_converges_within_cap(self):
         inst = gen_quadratic_dc(20, 0)
@@ -1043,7 +1064,7 @@ class TestDcaSolve:
         x, record = dca_solve(inst.problem(), np.full(20, 0.05), cfg)
         assert record.termination == "converged"
         assert record.outer_iters <= 200
-        assert record.dc_gap_ub[-1] <= 1e-6
+        assert record.steps[-1].dc_gap_ub <= 1e-6
 
     @pytest.mark.parametrize(
         "cfg",
@@ -1057,45 +1078,47 @@ class TestDcaSolve:
     def test_adaptive_descent_and_rate_certificate(self, cfg):
         inst = gen_quadratic_dc(10, 1)
         x, record = dca_solve(inst.problem(), np.full(10, 0.1), cfg)
-        values = [record.phi0] + record.objective
+        values = [record.phi0] + [step.objective for step in record.steps]
         for prev, nxt in zip(values, values[1:]):
             assert nxt <= prev + 1e-9
         # per-step half-bound: each accepted step secures at least lb/2
-        for t, lb in enumerate(record.dc_gap_lb):
-            assert values[t] - values[t + 1] >= 0.5 * lb - 1e-9
-        progress = record.phi0 - record.objective[-1]
+        for t, step in enumerate(record.steps):
+            assert values[t] - values[t + 1] >= 0.5 * step.dc_gap_lb - 1e-9
+        progress = record.phi0 - record.steps[-1].objective
         rate = 2.0 * progress / record.outer_iters
-        assert min(record.dc_gap_lb) <= rate + 1e-9
+        assert min(step.dc_gap_lb for step in record.steps) <= rate + 1e-9
 
     def test_fixed_epsilon_progress_slack(self):
         inst = gen_quadratic_dc(10, 2)
         cfg = DcaConfig("DCA-BPCG", fw_gap_tol=5e-7)
         x, record = dca_solve(inst.problem(), np.full(10, 0.1), cfg)
-        values = [record.phi0] + record.objective
-        for t, lb in enumerate(record.dc_gap_lb):
+        values = [record.phi0] + [step.objective for step in record.steps]
+        for t, step in enumerate(record.steps):
             progress = values[t] - values[t + 1]
-            assert progress >= lb - 5e-7 - 1e-9
+            assert progress >= step.dc_gap_lb - 5e-7 - 1e-9
 
     def test_trace_is_coherent(self):
         inst = gen_quadratic_dc(10, 3)
         x, record = dca_solve(inst.problem(), np.full(10, 0.1), DcaConfig())
-        T = record.outer_iters
-        assert T >= 1
-        for seq in (
-            record.fw_gap_final,
-            record.objective,
-            record.lmo_calls_cum,
-            record.inner_iters,
-            record.elapsed_seconds,
-        ):
-            assert len(seq) == T
-        assert record.lmo_calls_cum == sorted(record.lmo_calls_cum)
-        assert record.elapsed_seconds == sorted(record.elapsed_seconds)
-        assert all(g >= 0 for g in record.fw_gap_final)
-        assert record.dc_gap_ub == [
-            lb + g for lb, g in zip(record.dc_gap_lb, record.fw_gap_final)
-        ]
+        assert record.outer_iters == len(record.steps) >= 1
+        assert all(type(step) is OuterStep for step in record.steps)
+        lmo_calls = [step.lmo_calls_cum for step in record.steps]
+        elapsed = [step.elapsed_s for step in record.steps]
+        assert lmo_calls == sorted(lmo_calls)
+        assert elapsed == sorted(elapsed)
         assert record.phi0 == inst.problem().phi(np.full(10, 0.1))
+
+    @pytest.mark.parametrize("variant", ["DCA-BPCG-ES", "DCA-FW-ES"])
+    def test_upper_bound_is_lower_bound_plus_the_final_fw_gap(self, variant):
+        config = DcaConfig(variant, max_inner_iters=2000)
+        with subsolver_stats(variant) as stats:
+            _, record = dca_solve(
+                gen_quadratic_dc(10, 3).problem(), np.full(10, 0.1), config
+            )
+        assert len(stats) == record.outer_iters >= 1
+        for step, gap in zip(record.steps, (s.final_fw_gap for s in stats)):
+            assert gap >= 0
+            assert step.dc_gap_ub == step.dc_gap_lb + gap  # bit for bit
 
     def test_deterministic_given_seed(self):
         inst = gen_quadratic_dc(10, 4)
@@ -1103,9 +1126,8 @@ class TestDcaSolve:
         x1, r1 = dca_solve(inst.problem(), np.full(10, 0.1), cfg)
         x2, r2 = dca_solve(inst.problem(), np.full(10, 0.1), cfg)
         assert np.array_equal(x1, x2)
-        assert r1.objective == r2.objective
-        assert r1.dc_gap_lb == r2.dc_gap_lb
-        assert r1.lmo_calls_cum == r2.lmo_calls_cum
+        for step1, step2 in zip(r1.steps, r2.steps, strict=True):
+            assert step1._replace(elapsed_s=None) == step2._replace(elapsed_s=None)
 
     def test_x0_validation(self):
         inst = gen_quadratic_dc(5, 0)
@@ -1137,7 +1159,7 @@ class TestDcaSolve:
         _, record = dca_solve(problem, np.full(100, 0.01), cfg)
         elapsed = time.perf_counter() - started
         assert record.termination == "time_limit"
-        assert record.inner_iters[-1] < cfg.max_inner_iters
+        assert record.steps[-1].inner_iters < cfg.max_inner_iters
         assert elapsed < limit + 0.1
 
     def test_iteration_cap_label(self):
@@ -1164,8 +1186,8 @@ class TestDcaSolve:
         x, record = dca_solve(problem, x0, cfg)
         assert record.termination == "stalled"
         assert np.array_equal(x, x0)
-        assert record.objective == [record.phi0]
-        assert record.dc_gap_lb[-1] < 0
+        assert [step.objective for step in record.steps] == [record.phi0]
+        assert record.steps[-1].dc_gap_lb < 0
 
     @pytest.mark.parametrize("variant", ["DCA-FW", "DCA-BPCG-WS"])
     def test_inner_tolerance_above_outer_stalls(self, variant):
@@ -1177,9 +1199,10 @@ class TestDcaSolve:
         x, record = dca_solve(problem, initial_point(problem.lmo), config)
         assert record.termination == "stalled"
         assert record.outer_iters < config.max_outer_iters
-        assert record.inner_iters[-1] == 0 and record.dc_gap_lb[-1] == 0.0
-        assert config.dca_gap_tol < record.dc_gap_ub[-1] <= config.fw_gap_tol
-        assert record.objective[-1] == problem.phi(x)
+        last = record.steps[-1]
+        assert last.inner_iters == 0 and last.dc_gap_lb == 0.0
+        assert config.dca_gap_tol < last.dc_gap_ub <= config.fw_gap_tol
+        assert last.objective == problem.phi(x)
 
     def test_boosting_changes_little_on_dc_quadratics(self):
         # boosted and unboosted runs should take comparable outer work
@@ -1224,7 +1247,8 @@ class TestDcaSolve:
         )
         assert boosts.calls >= 2 and start_sizes[2] == 1
         assert record.termination == "converged"
-        assert all(np.diff([record.phi0, *record.objective]) <= 0.0)
+        values = [record.phi0, *(step.objective for step in record.steps)]
+        assert all(np.diff(values) <= 0.0)
 
     def test_warm_and_cold_both_converge(self):
         inst = gen_quadratic_dc(10, 5)
@@ -1234,39 +1258,47 @@ class TestDcaSolve:
             assert inst.problem().lmo.contains(x)
 
 
+def _synthetic_qap_problem(n, seed):
+    flows, distances = synthetic_qap(np.random.default_rng(seed), n)
+    return qap_dc_oracles(QapInstance(f"syn{n}", n, flows, distances))
+
+
+# family -> its problem at (n, seed)
+_FAMILIES = {
+    "quadratic": lambda n, seed: gen_quadratic_dc(n, seed).problem(),
+    "hard": lambda n, seed: gen_hard_dc(n, seed).problem(),
+    "qap": _synthetic_qap_problem,
+}
+_ADAPTIVE = [name for name, f in VARIANTS.items() if f["stop_mode"] == "adaptive"]
+
+
 class TestCertificateProperties:
-    """The paper's guarantees on random instances of both seeded families."""
+    """The paper's guarantees on random instances of the three families,
+    under every variant with the adaptive stop rule."""
 
     @settings(max_examples=25, deadline=None)
     @given(
         family_n=st.one_of(
-            st.tuples(st.just(gen_quadratic_dc), st.integers(2, 12)),
-            st.tuples(st.just(gen_hard_dc), st.integers(HARD_K, 12)),
+            st.tuples(st.just("quadratic"), st.integers(2, 12)),
+            st.tuples(st.just("hard"), st.integers(HARD_K, 12)),
+            st.tuples(st.just("qap"), st.integers(3, 6)),
         ),
         seed=st.integers(0, 2**31 - 1),
-        variant=st.sampled_from(["DCA-BPCG-WS-ES", "DCA-FW-ES"]),
+        variant=st.sampled_from(_ADAPTIVE),
     )
     def test_adaptive_runs_keep_their_certificates(self, family_n, seed, variant):
         family, n = family_n
-        problem = family(n, seed).problem()
+        problem = _FAMILIES[family](n, seed)
         config = DcaConfig(variant, max_outer_iters=30, max_inner_iters=2000)
-        solver = "bpcg" if VARIANTS[variant]["subsolver"] == "bpcg" else "vanilla_fw"
-        original = getattr(dcfw.dca, solver)
-        stops = []
-
-        def spy(*args, **kwargs):
-            out = original(*args, **kwargs)
-            stops.append(out[-1].termination)
-            return out
-
-        with mock.patch.object(dcfw.dca, solver, spy):
+        with subsolver_stats(variant) as stats:
             _, record = dca_solve(problem, initial_point(problem.lmo), config)
-        assert len(stops) == record.outer_iters
-        for stop, lb, ub in zip(stops, record.dc_gap_lb, record.dc_gap_ub):
+        assert len(stats) == record.outer_iters
+        for inner, step in zip(stats, record.steps):
+            lb, ub = step.dc_gap_lb, step.dc_gap_ub
             assert lb <= ub + 1e-9
-            if stop == "stop_rule":
+            if inner.termination == "stop_rule":
                 # the threshold is lb itself, so fw_gap <= lb and ub <= 2 lb
                 assert ub <= 2.0 * lb + 1e-12
-        values = [record.phi0] + record.objective
+        values = [record.phi0] + [step.objective for step in record.steps]
         for prev, nxt in zip(values, values[1:]):
             assert nxt <= prev + 1e-9
