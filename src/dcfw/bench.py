@@ -91,7 +91,9 @@ def _iter_instances(suite, sizes, seeds, qaplib_dir, log):
             yield f"{tag}-n{n}-s{seed}", n, seed, inst.problem
         return
     if suite == "qap":
-        limit = max(as_index(n, "n") for n in sizes)
+        for n in sizes:
+            check_size(n, 1)
+        limit = max(sizes)
         if list(seeds) != [0]:  # each file runs once, recorded as seed 0
             raise ValueError(f"the qap suite takes seeds [0] only, got {list(seeds)}")
         if qaplib_dir is None:
@@ -159,11 +161,11 @@ def run_suite(
     results.csv, or a repeated size, seed or variant, is refused, since
     either would record one (instance, variant) pair twice, and so is an
     empty list, a cap that is not an integer of at least 1, a size a
-    generated suite's family is not defined for, a size or seed that is not
-    an integer (TypeError; a bool included) or a negative seed, or a qap
-    suite with seeds other than [0] or no instance to run, all before any
-    output.  Each file the qap suite cannot parse is passed to log with the
-    parser's message.
+    generated suite's family is not defined for or a qap size below 1, a
+    size or seed that is not an integer (TypeError; a bool included) or a
+    negative seed, or a qap suite with seeds other than [0] or no instance
+    to run, all before any output.  Each file the qap suite cannot parse is
+    passed to log with the parser's message.
     Returns the list of BenchResult rows.
     """
     # built first, so that a bad variant, tolerance or time limit is refused

@@ -21,9 +21,9 @@ from .fw import ActiveSet, Secant, bpcg, vanilla_fw
 
 
 # vertex gradients an Oracles record keeps; it then stops adding.  An entry
-# holds 2 * 8n bytes, key and gradient, and admits one of 3 * 8n bytes to the
-# memo of each of the two live subproblems (see Subproblem.quadratic_step),
-# so 4096 * 8 * 8n bytes at most, 26.2 MB at n = 100
+# holds 2 * 8n bytes, key and gradient, and admits one of 2 * 8n bytes to the
+# memo of the one live subproblem (see Subproblem.quadratic_step), so
+# 4096 * 4 * 8n bytes at most, 13.1 MB at n = 100
 VERTEX_TABLE_SIZE = 4096
 # largest relative difference Subproblem.certify accepts between the values
 # quadratic_step carried and the oracles' (measured: at most 3.1e-14 over
@@ -89,15 +89,12 @@ class Oracles:
     problem's LMO and records the bits of the vertex it returns, and
     vertex_grads maps the bits of a vertex to a read-only copy of f_grad
     there, stored when f_grad is first asked at the last vertex, at most
-    VERTEX_TABLE_SIZE per run; f_grad does not depend on the anchor, so
-    entries live across outer steps.  quadratic, the fast-path flag, holds
-    for that subsolver only, since BPCG's steps would round differently in
-    closed form and change its LMO counts.
+    VERTEX_TABLE_SIZE per run, and served to f_grad at any point with those
+    bits, across outer steps, since f_grad does not depend on the anchor.
     """
 
     def __init__(self, problem, vertex_table=False):
         self.problem = problem
-        self.quadratic = problem.quadratic and vertex_table
         self.vertex_grads = {} if vertex_table else None
         self.last_vertex = None  # bits of the vertex lmo returned last
         self.step = 0
@@ -127,19 +124,19 @@ class Oracles:
         return self._g[1]
 
     def f_grad(self, x):
-        """f_grad at x, kept in vertex_grads when x is the last vertex."""
+        """f_grad at x, from vertex_grads when it holds x's bits, and kept
+        there when x is the last vertex."""
         key = x.tobytes()
         if key == self._f_grad[0]:
             return self._f_grad[1]
-        at_vertex = key == self.last_vertex
-        # last_vertex has hashed already; key is a new object that has not
-        f_grad = self.vertex_grads.get(self.last_vertex) if at_vertex else None
+        table = self.vertex_grads
+        f_grad = None if table is None else table.get(key)
         if f_grad is None:
             f_grad = np.asarray(self.problem.f_grad(x), dtype=float)
-            if at_vertex and len(self.vertex_grads) < VERTEX_TABLE_SIZE:
+            if key == self.last_vertex and len(table) < VERTEX_TABLE_SIZE:
                 f_grad = f_grad.copy()  # the oracle may reuse its array
                 f_grad.flags.writeable = False
-                self.vertex_grads[self.last_vertex] = f_grad
+                table[self.last_vertex] = f_grad
         self._f_grad = (key, f_grad)
         return f_grad
 
@@ -150,10 +147,11 @@ class Subproblem:
 
     f and f_grad at the anchor are the oracles' (f_grad a read-only copy),
     and grad_at_anchor is the surrogate's gradient there.  oracles is the
-    run's record, through which the surrogate evaluates f and f_grad, and
-    whose fast-path flag, copied to quadratic, makes Secant take
-    quadratic_step, the one step whose values, and gradients at vertices,
-    the subproblem keeps (see value and quadratic_step).
+    run's record, through which the surrogate evaluates f and f_grad.
+    quadratic, true on a declared quadratic whose record keeps a vertex
+    table (vanilla FW's; BPCG's steps would round differently in closed form
+    and change its LMO counts), makes Secant take quadratic_step, the one
+    step whose values, and gradients at vertices, the subproblem keeps.
     """
 
     anchor: np.ndarray
@@ -164,7 +162,8 @@ class Subproblem:
     oracles: Oracles
 
     def __post_init__(self):
-        self.quadratic = self.oracles.quadratic  # Secant.step reads it every step
+        oracles = self.oracles  # Secant.step reads quadratic every step
+        self.quadratic = oracles.problem.quadratic and oracles.vertex_grads is not None
         self.phi_at_anchor = self.f_at_anchor - self.g_at_anchor
         self.grad_at_anchor = self.f_grad_at_anchor - self.g_grad_at_anchor
         self.grad_at_anchor.flags.writeable = False
@@ -203,14 +202,13 @@ class Subproblem:
         the gradient at the end point x + gamma_max * d and the curvature
         <d, grad(end) - grad>, returns the minimizing gamma, gamma_max when
         the end point still descends.  The gradient at the end point takes
-        f_grad from the record (its vertex table at the last LMO vertex);
-        at a vertex the table holds, the anchor's memo keeps the surrogate's
-        gradient read-only, and a hit sets the record's last point as f_grad
-        would.  The surrogate's gradient is affine, so its gradient and h at
-        x + gamma * d follow from those at x (h from value) and the end
-        point; both are carried to the point returned, where value reads h,
-        and certify checks both.  Returns (gamma, x + gamma * d, the
-        gradient there), or (0.0, x, None) when d does not descend.
+        f_grad from the record, but at a last LMO vertex the record's table
+        holds, it comes from the anchor's memo, read-only.  The surrogate's
+        gradient is affine, so its gradient and h at x + gamma * d follow
+        from those at x (h from value) and the end point; both are carried
+        to the point returned, where value reads h, and certify checks both.
+        Returns (gamma, x + gamma * d, the gradient there), or (0.0, x,
+        None) when d does not descend.
         """
         if not dphi0 < 0:
             return 0.0, x, None
@@ -219,14 +217,12 @@ class Subproblem:
         end = x + d if gamma_max == 1.0 else x + gamma_max * d
         oracles, vertex = self.oracles, self.oracles.last_vertex
         at_vertex = end.tobytes() == vertex  # vertex has hashed already
-        kept = self._vertex_grads.get(vertex) if at_vertex else None
-        if kept is not None:
-            oracles._f_grad, grad_end = kept
-        else:
+        grad_end = self._vertex_grads.get(vertex) if at_vertex else None
+        if grad_end is None:
             grad_end = oracles.f_grad(end) - self.g_grad_at_anchor
             if at_vertex and vertex in oracles.vertex_grads:
                 grad_end.flags.writeable = False
-                self._vertex_grads[vertex] = (oracles._f_grad, grad_end)
+                self._vertex_grads[vertex] = grad_end
         diff = grad_end - grad
         curv = float(d.dot(diff))  # slope at the end point minus dphi0
         if not math.isfinite(curv):
@@ -275,7 +271,8 @@ def linearize(oracles, x_t):
 
     Takes f, g and f_grad at x_t through the run's record, which calls each
     only when its last point had other bits, and calls g_subgrad once.  A
-    non-finite value raises OracleFailure, for f and g from the record.
+    non-finite value, for f and g from the record, or a gradient whose shape
+    is not x_t's raises OracleFailure.
     """
     x_t = np.asarray(x_t, dtype=float)
     g_val, f_val = oracles.g(x_t), oracles.f(x_t)
@@ -283,6 +280,10 @@ def linearize(oracles, x_t):
     f_grad = np.array(oracles.f_grad(x_t))  # the oracle may reuse its array
     f_grad.flags.writeable = False
     for name, grad in (("g_subgrad", g_grad), ("f_grad", f_grad)):
+        if grad.shape != x_t.shape:  # numpy would broadcast it into a wrong h
+            raise OracleFailure(
+                f"{name} returned shape {grad.shape} at the anchor, expected {x_t.shape}"
+            )
         # count_nonzero is a C call, where all() goes through Python wrappers
         if np.count_nonzero(np.isfinite(grad)) != grad.size:
             raise OracleFailure(f"{name} returned non-finite entries at the anchor")
@@ -510,6 +511,7 @@ def dca_solve(problem, x0, config):
         prev, sub = sub, linearize(oracles, x)
         if prev is not None:
             _check_f_grad(prev, sub, t - 1)
+            del prev  # so one anchor's vertex memo is live in the solve
         inner = dict(
             fw_gap_tol=config.fw_gap_tol,
             max_iters=config.max_inner_iters,

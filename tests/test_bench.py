@@ -390,7 +390,14 @@ class TestRunSuite:
         ([4.5], [0], TypeError, "cannot be interpreted as an integer"),
         ([5], [-3], ValueError, "seeds must be non-negative, got -3"),
         ([5], ["x"], TypeError, "cannot be interpreted as an integer"),
-    ], ids=["bool-size", "float-size", "negative-seed", "str-seed"])
+        # [4, 0] ran, and [0] failed for finding no file with n <= 0
+        ([4, 0], [0], ValueError, "defined for n >= 1, got 0$"),
+        ([0], [0], ValueError, "defined for n >= 1, got 0$"),
+        ([5, -1], [0], ValueError, "defined for n >= 1, got -1$"),
+    ], ids=[
+        "bool-size", "float-size", "negative-seed", "str-seed",
+        "zero-size-after-4", "zero-size", "negative-size",
+    ])
     def test_qap_size_or_seed_that_is_no_index_writes_nothing(
         self, tmp_path, sizes, seeds, error, message
     ):

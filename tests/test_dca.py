@@ -1,7 +1,10 @@
 """Outer solver: linearization, gap bounds, the adaptive stop threshold, and
 full DCA runs."""
 
+import gc
+import re
 import time
+import weakref
 from contextlib import contextmanager
 from unittest import mock
 
@@ -156,6 +159,20 @@ class TestLinearize:
         )
         with pytest.raises(OracleFailure):
             linearize(Oracles(bad_f), x)
+
+    @pytest.mark.parametrize(
+        "bad, shape", [(lambda x: 1.0, ()), (lambda x: np.ones(1), (1,))],
+        ids=["scalar", "shape-1"],
+    )
+    @pytest.mark.parametrize("name", ["f_grad", "g_subgrad"])
+    def test_gradient_of_the_wrong_shape_raises(self, name, bad, shape):
+        # numpy broadcast it, and the run ended converged at a wrong point
+        problem = gen_quadratic_dc(10, 0).problem()
+        setattr(problem, name, bad)
+        message = re.escape(f"{name} returned shape {shape} at the anchor, expected (10,)")
+        for variant in ("DCA-FW", "DCA-FW-ES", "DCA-BPCG-ES"):
+            with pytest.raises(OracleFailure, match=message):
+                dca_solve(problem, np.full(10, 0.1), DcaConfig(variant))
 
     def test_carried_values_replace_f_and_g_calls(self):
         # f and g at the anchor come from the run's record when it holds them
@@ -395,11 +412,13 @@ class TestQuadraticFastPath:
         assert record_calls.calls == 1 and f_grad.calls == 2
         assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
                    for a, b in zip(first, second))
-        entry, kept = sub._vertex_grads[v.tobytes()]
+        kept = sub._vertex_grads[v.tobytes()]
         assert not kept.flags.writeable
+        sub.grad(x0)  # moves the record's last point off v
+        sub.oracles.lmo(-grad)  # and its last vertex
         assert kept.tobytes() == sub.grad(v).tobytes()
-        # the hit left the record's last point at v, as f_grad(v) would
-        assert sub.oracles._f_grad is entry and entry[0] == v.tobytes()
+        # the record's table served v: no oracle call beyond the one at x0
+        assert record_calls.calls == 3 and f_grad.calls == 3
 
     def test_each_anchor_starts_with_an_empty_vertex_memo(self, monkeypatch):
         memos = []  # (memo size at the solve's start, the subproblem)
@@ -414,8 +433,24 @@ class TestQuadraticFastPath:
         assert len(memos) == 4 and all(size == 0 for size, _ in memos)
         assert all(len(sub._vertex_grads) > 0 for _, sub in memos)
         for _, sub in memos:  # each memo holds its own anchor's gradients
-            for key, (_, kept) in sub._vertex_grads.items():
+            for key, kept in sub._vertex_grads.items():
                 assert kept.tobytes() == sub.grad(np.frombuffer(key)).tobytes()
+
+    @pytest.mark.parametrize("variant", ["DCA-FW", "DCA-FW-ES"])
+    def test_an_inner_solve_holds_no_earlier_subproblem(self, variant, monkeypatch):
+        subs, gone = [], []  # weak references, and which of them were freed
+
+        def spy(sub, *args, **kwargs):
+            gc.collect()
+            gone.append([ref() is None for ref in subs])
+            subs.append(weakref.ref(sub))
+            return vanilla_fw(sub, *args, **kwargs)
+
+        monkeypatch.setattr(dcfw.dca, "vanilla_fw", spy)
+        cfg = DcaConfig(variant, max_outer_iters=4, max_inner_iters=200)
+        _, record = dca_solve(gen_quadratic_dc(10, 0).problem(), np.full(10, 0.1), cfg)
+        assert record.outer_iters == 4
+        assert gone == [[], [True], [True, True], [True, True, True]]
 
     @pytest.mark.parametrize("n", [30, 300])
     def test_carried_values_match_the_oracles(self, n):
@@ -1269,20 +1304,22 @@ _FAMILIES = {
     "hard": lambda n, seed: gen_hard_dc(n, seed).problem(),
     "qap": _synthetic_qap_problem,
 }
+_FAMILY_N = st.one_of(
+    st.tuples(st.just("quadratic"), st.integers(2, 12)),
+    st.tuples(st.just("hard"), st.integers(HARD_K, 12)),
+    st.tuples(st.just("qap"), st.integers(3, 6)),
+)
 _ADAPTIVE = [name for name, f in VARIANTS.items() if f["stop_mode"] == "adaptive"]
+_FIXED = [name for name, f in VARIANTS.items() if f["stop_mode"] == "fixed"]
 
 
 class TestCertificateProperties:
     """The paper's guarantees on random instances of the three families,
-    under every variant with the adaptive stop rule."""
+    under every variant."""
 
     @settings(max_examples=25, deadline=None)
     @given(
-        family_n=st.one_of(
-            st.tuples(st.just("quadratic"), st.integers(2, 12)),
-            st.tuples(st.just("hard"), st.integers(HARD_K, 12)),
-            st.tuples(st.just("qap"), st.integers(3, 6)),
-        ),
+        family_n=_FAMILY_N,
         seed=st.integers(0, 2**31 - 1),
         variant=st.sampled_from(_ADAPTIVE),
     )
@@ -1302,3 +1339,25 @@ class TestCertificateProperties:
         values = [record.phi0] + [step.objective for step in record.steps]
         for prev, nxt in zip(values, values[1:]):
             assert nxt <= prev + 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        family_n=_FAMILY_N,
+        seed=st.integers(0, 2**31 - 1),
+        variant=st.sampled_from(_FIXED),
+        eps=st.sampled_from([1e-2, 1e-4, 5e-7]),
+    )
+    def test_fixed_epsilon_runs_keep_their_progress_slack(
+        self, family_n, seed, variant, eps
+    ):
+        family, n = family_n
+        problem = _FAMILIES[family](n, seed)
+        config = DcaConfig(
+            variant, fw_gap_tol=eps, max_outer_iters=15, max_inner_iters=300
+        )
+        _, record = dca_solve(problem, initial_point(problem.lmo), config)
+        values = [record.phi0] + [step.objective for step in record.steps]
+        for t, step in enumerate(record.steps):
+            assert step.dc_gap_lb <= step.dc_gap_ub + 1e-9
+            # criterion 3: the step realizes lb as progress, up to epsilon
+            assert values[t] - values[t + 1] >= step.dc_gap_lb - eps - 1e-9
