@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dca import DcaConfig, OuterStep, RunRecord, check_iter_cap, dca_solve
+from .dca import DcaConfig, OuterStep, RunRecord, dca_solve
+from .fw import check_iter_cap
 from .lmo import as_index
 from .problems import HARD_K, QUADRATIC_MIN_N, check_size, gen_hard_dc, gen_quadratic_dc
 from .problems import initial_point, qap_dc_oracles

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fw import ActiveSet, Secant, bpcg, vanilla_fw
+from .fw import ActiveSet, Secant, bpcg, check_iter_cap, vanilla_fw
 
 
 # vertex gradients an Oracles record keeps; it then stops adding.  An entry
@@ -188,11 +188,12 @@ class Subproblem:
 
     def descent(self, y):
         """phi(anchor) - h(y): the descent y secures, and the threshold of the
-        adaptive inner stop rule.  A Frank-Wolfe gap at y at most this value
-        certifies that half the stationarity gap bound is realized as
-        progress.  f(y) stays in the record, so the gap bounds and the
-        objective at the subsolver's last iterate reuse the stop rule's
-        evaluation."""
+        adaptive inner stop rule, which the subsolvers compute with the same
+        arithmetic as descent_from - value(y), descent_from being
+        phi_at_anchor.  A Frank-Wolfe gap at y at most this value certifies
+        that half the stationarity gap bound is realized as progress.  f(y)
+        stays in the record, so when the rule fired at y the gap bounds and
+        the objective there reuse its evaluation."""
         return self.phi_at_anchor - self.value(y)
 
     def quadratic_step(self, x, grad, d, gamma_max, dphi0):
@@ -288,12 +289,6 @@ def linearize(oracles, x_t):
         if np.count_nonzero(np.isfinite(grad)) != grad.size:
             raise OracleFailure(f"{name} returned non-finite entries at the anchor")
     return Subproblem(x_t.copy(), g_val, g_grad, f_val, f_grad, oracles)
-
-
-def check_iter_cap(name, cap):
-    """Raise ValueError unless cap is an integer, not a bool, of at least 1."""
-    if type(cap) is bool or not isinstance(cap, (int, np.integer)) or cap < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
 
 
 # variant name -> the solver features it switches on
@@ -465,11 +460,15 @@ def dca_solve(problem, x0, config):
     Repeatedly linearizes g at the current iterate and drives the convex
     surrogate down with config.variant's subsolver, stopping once the certified
     stationarity gap ub of an OuterStep falls below config.dca_gap_tol.  With
-    the adaptive stop mode the recorded objective never increases.  The run
-    ends as stalled when repeating the identical subproblem cannot
-    progress: when a subproblem terminates above the anchor value (negative
-    lb), and the iterate is kept, or when the subsolver returns its anchor,
-    bit for bit, without an iteration.  A time limit is passed to the
+    the adaptive stop mode the subsolver gets descent_from = phi(x_t) and
+    stops at the first y whose FW gap is at most phi(x_t) - h_t(y), which it
+    evaluates only where a convexity bound says the rule can fire; each
+    firing rests on an evaluated h_t(y), so ub <= 2 lb there, and the
+    recorded objective never increases.  The run ends as stalled when
+    repeating the identical subproblem cannot progress: when a subproblem
+    terminates above the anchor value (negative lb), and the iterate is
+    kept, or when the subsolver returns its anchor, bit for bit, without an
+    iteration.  A time limit is passed to the
     subsolver as a deadline, so a run ends with termination time_limit
     within about one inner iteration of it.  In a boosted variant the step
     from x_t to the subsolver's point goes through boosted_step.  A
@@ -489,6 +488,7 @@ def dca_solve(problem, x0, config):
 
     features = VARIANTS[config.variant]
     use_bpcg = features["subsolver"] == "bpcg"
+    adaptive = features["stop_mode"] == "adaptive"
     lmo_base = lmo.call_count
     line_search = Secant()
     # only vanilla FW keeps a vertex table and takes the closed-form step
@@ -515,8 +515,9 @@ def dca_solve(problem, x0, config):
         inner = dict(
             fw_gap_tol=config.fw_gap_tol,
             max_iters=config.max_inner_iters,
-            # the fixed mode's epsilon is fw_gap_tol, which the solvers test first
-            stop_rule=sub.descent if features["stop_mode"] == "adaptive" else None,
+            # the fixed mode's epsilon is fw_gap_tol, which the solvers test
+            # first; the adaptive threshold descent_from - h is sub.descent
+            descent_from=sub.phi_at_anchor if adaptive else None,
             deadline=deadline,
         )
         if use_bpcg:

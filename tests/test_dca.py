@@ -615,18 +615,19 @@ class TestOracleRecord:
 
     def test_non_finite_f_inside_an_inner_solve_fails_loudly(self, monkeypatch):
         # the adaptive stop rule tests gap <= phi(anchor) - h(y), which is
-        # False for a NaN f, so the NaN went unseen and the run converged
+        # False for a NaN f, so the NaN went unseen and the run converged.
+        # Outer step 0's BPCG solve asks f at calls 2 to 7 of the run's 76
         config = DcaConfig("DCA-BPCG-ES")
         counted = gen_hard_dc(12, 0).problem()
         counted.f_value = Counter(counted.f_value)
         _, record = dca_solve(counted, initial_point(counted.lmo), config)
-        assert record.termination == "converged" and counted.f_value.calls == 567
+        assert record.termination == "converged" and counted.f_value.calls == 76
         problem = gen_hard_dc(12, 0).problem()
         f_value, inside, nan_inside = Counter(problem.f_value), [], []
 
-        def nan_at_284th(x):
+        def nan_at_4th(x):
             value = f_value(x)
-            if f_value.calls == 284:
+            if f_value.calls == 4:
                 nan_inside.append(bool(inside))
                 return np.nan
             return value
@@ -638,7 +639,7 @@ class TestOracleRecord:
             finally:
                 inside.pop()
 
-        problem.f_value = nan_at_284th
+        problem.f_value = nan_at_4th
         monkeypatch.setattr(dcfw.dca, "bpcg", spy)
         message = "^f_value returned nan in outer step 0$"
         with pytest.raises(OracleFailure, match=message):
@@ -731,7 +732,7 @@ class TestDcGapBounds:
             Secant(),
             fw_gap_tol=1e-300,
             max_iters=10000,
-            stop_rule=sub.descent,
+            descent_from=sub.phi_at_anchor,
         )
         assert stats.termination == "stop_rule"
         lb = sub.descent(y)
@@ -754,7 +755,7 @@ class TestStopRules:
 
         def spy(*args, **kwargs):
             out = bpcg(*args, **kwargs)
-            calls.append((kwargs["stop_rule"], out[-1]))
+            calls.append((kwargs["descent_from"], out[-1]))
             return out
 
         monkeypatch.setattr(dcfw.dca, "bpcg", spy)
@@ -762,8 +763,8 @@ class TestStopRules:
         cfg = DcaConfig("DCA-BPCG", fw_gap_tol=1e-3, max_outer_iters=3)
         dca_solve(inst.problem(), np.full(6, 1.0 / 6.0), cfg)
         assert calls
-        for rule, stats in calls:
-            assert rule is None
+        for descent_from, stats in calls:
+            assert descent_from is None
             assert stats.termination == "gap_tol" and stats.final_fw_gap <= 1e-3
 
     def test_adaptive_at_anchor_cannot_fire(self):
@@ -785,7 +786,7 @@ class TestStopRules:
         steps = []
         y, stats = vanilla_fw(
             sub, problem.lmo, sub.anchor, Secant(), fw_gap_tol=1e-300,
-            stop_rule=sub.descent, callback=steps.append,
+            descent_from=sub.phi_at_anchor, callback=steps.append,
         )
         assert stats.termination == "stop_rule" and len(steps) >= 2
         assert 0.0 <= stats.final_fw_gap <= sub.descent(y)
@@ -794,17 +795,18 @@ class TestStopRules:
             assert after["gap"] > sub.descent(before["x"])
 
     def test_adaptive_mode_passes_descent(self, monkeypatch):
+        # descent_from - value(y) is the arithmetic of Subproblem.descent(y)
         rules = []
 
-        def spy(*args, **kwargs):
-            rules.append(kwargs["stop_rule"])
-            return vanilla_fw(*args, **kwargs)
+        def spy(sub, *args, **kwargs):
+            rules.append((sub, kwargs["descent_from"]))
+            return vanilla_fw(sub, *args, **kwargs)
 
         monkeypatch.setattr(dcfw.dca, "vanilla_fw", spy)
         inst = gen_quadratic_dc(6, 0)
         cfg = DcaConfig("DCA-FW-ES", max_outer_iters=3, max_inner_iters=50)
         dca_solve(inst.problem(), np.full(6, 1.0 / 6.0), cfg)
-        assert rules and all(r.__func__ is Subproblem.descent for r in rules)
+        assert rules and all(c is sub.phi_at_anchor for sub, c in rules)
 
 
 class TestDcaConfig:
@@ -1339,6 +1341,54 @@ class TestCertificateProperties:
         values = [record.phi0] + [step.objective for step in record.steps]
         for prev, nxt in zip(values, values[1:]):
             assert nxt <= prev + 1e-9
+        # criterion 1: the least lb falls at the rate 2 (phi_0 - phi_T) / T
+        steps = record.outer_iters
+        bound = 2.0 * (record.phi0 - record.steps[-1].objective) / steps + 1e-9
+        assert min(step.dc_gap_lb for step in record.steps) <= bound
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        family_n=_FAMILY_N,
+        seed=st.integers(0, 2**31 - 1),
+        variant=st.sampled_from(_ADAPTIVE),
+    )
+    def test_lazy_stop_rule_stops_where_the_eager_rule_would(
+        self, family_n, seed, variant
+    ):
+        # the subsolver evaluates the threshold descent_from - h(x) only where
+        # a convexity bound says it can fire; the spy evaluates it at every
+        # iterate, right after the step that made it, as the solver would
+        family, n = family_n
+        problem = _FAMILIES[family](n, seed)
+        config = DcaConfig(variant, max_outer_iters=10, max_inner_iters=500)
+        name = "bpcg" if VARIANTS[variant]["subsolver"] == "bpcg" else "vanilla_fw"
+        solver, ends = getattr(dcfw.dca, name), []
+
+        def spy(sub, lmo, start, *args, descent_from, **kwargs):
+            x0 = start.iterate if name == "bpcg" else start
+            thresholds, gaps = [descent_from - sub.value(x0)], []
+
+            def record(info):
+                thresholds.append(descent_from - sub.value(info["x"]))
+                gaps.append(info["gap"])
+
+            out = solver(
+                sub, lmo, start, *args, descent_from=descent_from,
+                callback=record, **kwargs,
+            )
+            stats = out[-1]
+            assert all(g > tau for g, tau in zip(gaps, thresholds))
+            assert len(thresholds) == stats.iterations + 1
+            if stats.termination == "stop_rule":
+                assert stats.final_fw_gap <= thresholds[-1]
+            elif stats.termination != "gap_tol":  # tested before the rule
+                assert stats.final_fw_gap > thresholds[-1]
+            ends.append(stats.termination)
+            return out
+
+        with mock.patch.object(dcfw.dca, name, spy):
+            _, record = dca_solve(problem, initial_point(problem.lmo), config)
+        assert len(ends) == record.outer_iters
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -738,48 +738,117 @@ class TestVanillaFw:
         assert len(zero.grads) == 1 and _same_bits(zero.grads[0], grad(x0))
 
     def test_stop_rule_fires(self):
+        # descent_from = inf makes the threshold inf, which the first gap meets
         rng = np.random.default_rng(11)
         Q = random_pd_matrix(rng, 4)
         value, grad = quad_value_grad(Q, rng.standard_normal(4))
-        obj = make_objective(value, grad)
-        x0 = np.full(4, 0.25)
         seen = []
 
-        def threshold(x):
+        def counted_value(x):
             seen.append(x.copy())
-            return np.inf
+            return value(x)
 
+        obj = make_objective(counted_value, grad)
+        x0 = np.full(4, 0.25)
         lmo = ProbabilitySimplex(4)
         _, stats = vanilla_fw(
-            obj, lmo, x0, Secant(), fw_gap_tol=1e-16, stop_rule=threshold,
+            obj, lmo, x0, Secant(), fw_gap_tol=1e-16, descent_from=np.inf,
         )
         assert stats.termination == "stop_rule"
         assert stats.iterations == 0 and lmo.call_count == 1
         assert len(seen) == 1 and np.array_equal(seen[0], x0)
 
     def test_stop_rule_stops_at_first_gap_below_threshold(self):
+        # the threshold at x is descent_from - value(x); the open-loop steps
+        # need not descend, and the convexity bound must hold all the same
         rng = np.random.default_rng(11)
         Q = random_pd_matrix(rng, 4)
         value, grad = quad_value_grad(Q, rng.standard_normal(4))
         obj = make_objective(value, grad)
-        gaps = []
-        _, stats = vanilla_fw(
-            obj, ProbabilitySimplex(4), np.eye(4)[0], Agnostic(),
-            fw_gap_tol=1e-16, stop_rule=lambda x: 1e-2,
-            callback=lambda info: gaps.append(info["gap"]),
+        x0 = np.eye(4)[0]
+        c = value(x0)
+        points, gaps = [x0], []
+
+        def record(info):
+            points.append(info["x"].copy())
+            gaps.append(info["gap"])
+
+        x, stats = vanilla_fw(
+            obj, ProbabilitySimplex(4), x0, Agnostic(),
+            fw_gap_tol=1e-16, descent_from=c, callback=record,
         )
-        assert stats.termination == "stop_rule"
-        assert stats.final_fw_gap <= 1e-2
-        assert all(g > 1e-2 for g in gaps)  # no earlier gap met the threshold
+        assert stats.termination == "stop_rule" and len(gaps) >= 2
+        assert stats.final_fw_gap <= c - value(x)
+        # no earlier iterate's gap met its threshold
+        assert all(g > c - value(p) for g, p in zip(gaps, points))
 
     def test_gap_tol_is_tested_before_the_stop_rule(self):
         c = np.array([2.0, -1.0, 0.5])
         obj = make_objective(lambda x: float(c @ x), lambda x: c)
         _, stats = vanilla_fw(
             obj, ProbabilitySimplex(3), np.eye(3)[1], Secant(),
-            fw_gap_tol=1e-12, stop_rule=lambda x: np.inf,
+            fw_gap_tol=1e-12, descent_from=np.inf,
         )
         assert stats.termination == "gap_tol"
+
+    @pytest.mark.parametrize("solver", ["vanilla_fw", "bpcg"])
+    def test_threshold_is_evaluated_only_where_it_can_fire(self, solver):
+        # the value at an iterate is asked for only where the convexity bound
+        # leaves the rule a chance to fire, and the solve stops where a rule
+        # evaluated at every iterate would
+        rng = np.random.default_rng(3)
+        Q, q = random_pd_matrix(rng, 30), rng.standard_normal(30)
+        value, grad = quad_value_grad(Q, q)
+        counted = Counter(value)
+        obj = make_objective(counted, grad)
+        x0, lmo = np.eye(30)[0], ProbabilitySimplex(30)
+        # a threshold of at most 1e-2 needs an iterate that close to optimal
+        c = simplex_qp_value(Q, q)[0] + 1e-2
+        points, gaps = [x0], []
+
+        def record(info):
+            points.append(info["x"].copy())
+            gaps.append(info["gap"])
+
+        kwargs = dict(fw_gap_tol=1e-16, descent_from=c, callback=record)
+        if solver == "bpcg":
+            start = ActiveSet.from_vertex(x0)
+            x, _, stats = bpcg(obj, lmo, start, Secant(), **kwargs)
+        else:
+            x, stats = vanilla_fw(obj, lmo, x0, Secant(), **kwargs)
+        calls = counted.calls
+        assert stats.termination == "stop_rule" and stats.iterations >= 10
+        assert calls < stats.iterations / 2
+        assert stats.final_fw_gap <= c - value(x)
+        assert all(g > c - value(p) for g, p in zip(gaps, points))
+
+    @pytest.mark.parametrize("solver", ["vanilla_fw", "bpcg"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(max_iters=-1),
+            dict(max_iters=0),
+            dict(max_iters=True),
+            dict(max_iters=2.0),
+            dict(fw_gap_tol=np.nan),
+            dict(fw_gap_tol=True),
+            dict(fw_gap_tol="1e-6"),
+            dict(descent_from=np.nan),
+            dict(descent_from=np.bool_(True)),
+            dict(descent_from="1.0"),
+        ],
+        ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items()),
+    )
+    def test_bad_inputs_raise_before_any_lmo_call(self, solver, bad):
+        c = np.array([2.0, -1.0, 0.5])
+        obj = make_objective(lambda x: float(c @ x), lambda x: c)
+        lmo = ProbabilitySimplex(3)
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be "):
+            if solver == "bpcg":
+                bpcg(obj, lmo, ActiveSet.from_vertex(np.eye(3)[0]), Secant(), **bad)
+            else:
+                vanilla_fw(obj, lmo, np.eye(3)[0], Secant(), **bad)
+        assert lmo.call_count == 0
 
 
 class TestBpcg:
@@ -928,11 +997,12 @@ class TestBpcg:
         y = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
         obj, lmo = self._projection_problem(5, y)
         start = ActiveSet.from_vertex(np.eye(5)[0])
-        _, _, stats = bpcg(
-            obj, lmo, start, Secant(), fw_gap_tol=1e-16, stop_rule=lambda x: 1e-3
+        c = obj.value(start.iterate)
+        x, _, stats = bpcg(
+            obj, lmo, start, Secant(), fw_gap_tol=1e-16, descent_from=c
         )
         assert stats.termination == "stop_rule"
-        assert stats.final_fw_gap <= 1e-3
+        assert stats.final_fw_gap <= c - obj.value(x)
 
     def test_passed_deadline_stops_with_time_limit(self):
         y = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
