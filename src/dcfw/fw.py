@@ -34,7 +34,10 @@ def check_iter_cap(name, cap):
 
 def _check_number(name, value):
     """Raise ValueError unless value is a real number, not a bool or NaN."""
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # a float takes the first test; numbers.Real's ABC check costs about 1 µs
+    number = type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
     if not number or math.isnan(value):
         raise ValueError(f"{name} must be a number, not NaN or a bool, got {value!r}")
 
@@ -156,9 +159,12 @@ class ActiveSet:
         """Transfer gamma of weight from one atom to another; a full transfer
         drops the source atom.  x is the new iterate, iterate + gamma *
         (v_to - v_from), which the caller's line search has already built;
-        the set keeps it as its iterate.  Returns True when a drop happened."""
-        # negative indices count from the last atom, as for a list
-        to_idx, from_idx = range(self._m)[to_idx], range(self._m)[from_idx]
+        the set keeps it as its iterate.  Returns True when a drop happened.
+        The indices are atom positions in range(len(self)); a negative one
+        raises IndexError."""
+        m = self._m
+        if not (0 <= to_idx < m and 0 <= from_idx < m):
+            raise IndexError(f"atom indices ({to_idx}, {from_idx}) outside range({m})")
         if to_idx == from_idx:
             raise ValueError("pairwise transfer needs two distinct atoms")
         w_from = self.weights[from_idx]

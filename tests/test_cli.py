@@ -383,6 +383,16 @@ def declared_scripts_on_path(tmp_path, monkeypatch):
         "PYTHONPATH", os.pathsep.join(str(REPO_ROOT / r) for r in roots))
 
 
+# two outer steps of a hard-family solve, which takes g's logistic from libm
+HARD_SOLVE = """
+from dcfw import DcaConfig, dca_solve, gen_hard_dc, initial_point
+problem = gen_hard_dc(10, 0).problem()
+config = DcaConfig("DCA-BPCG-WS-ES", max_outer_iters=2)
+_, record = dca_solve(problem, initial_point(problem.lmo), config)
+assert record.outer_iters == 2 and problem.lmo.call_count > 0
+"""
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -394,11 +404,16 @@ class TestEntryPoints:
             assert word in proc.stdout
 
     @pytest.mark.parametrize(
-        "args", [["-c", "import dcfw"], ["-m", "dcfw.cli", "--help"]]
+        "args",
+        [
+            ["-c", "import dcfw"],
+            ["-m", "dcfw.cli", "--help"],
+            ["-c", HARD_SOLVE],
+        ],
     )
     def test_scipy_is_not_imported(self, args):
-        # only the hard family and the Birkhoff LMO need scipy, and they
-        # import it when used; -X importtime lists every module imported
+        # only the Birkhoff LMO needs scipy, and it imports it on its first
+        # call; -X importtime lists every module imported
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", *args],
             capture_output=True, text=True,

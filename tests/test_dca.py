@@ -1332,13 +1332,16 @@ class TestCertificateProperties:
         with subsolver_stats(variant) as stats:
             _, record = dca_solve(problem, initial_point(problem.lmo), config)
         assert len(stats) == record.outer_iters
-        for inner, step in zip(stats, record.steps):
+        values = [record.phi0] + [step.objective for step in record.steps]
+        for t, (inner, step) in enumerate(zip(stats, record.steps)):
             lb, ub = step.dc_gap_lb, step.dc_gap_ub
             assert lb <= ub + 1e-9
             if inner.termination == "stop_rule":
                 # the threshold is lb itself, so fw_gap <= lb and ub <= 2 lb
                 assert ub <= 2.0 * lb + 1e-12
-        values = [record.phi0] + [step.objective for step in record.steps]
+            # phi(y) <= h_t(y) = phi_t - lb_t, a boost does no worse than y,
+            # and a stalled step (lb < 0) keeps x_t
+            assert values[t] - values[t + 1] >= lb - 1e-9
         for prev, nxt in zip(values, values[1:]):
             assert nxt <= prev + 1e-9
         # criterion 1: the least lb falls at the rate 2 (phi_0 - phi_T) / T
@@ -1409,5 +1412,7 @@ class TestCertificateProperties:
         values = [record.phi0] + [step.objective for step in record.steps]
         for t, step in enumerate(record.steps):
             assert step.dc_gap_lb <= step.dc_gap_ub + 1e-9
+            # the step realizes lb as progress, as in the adaptive property
+            assert values[t] - values[t + 1] >= step.dc_gap_lb - 1e-9
             # criterion 3: the step realizes lb as progress, up to epsilon
             assert values[t] - values[t + 1] >= step.dc_gap_lb - eps - 1e-9

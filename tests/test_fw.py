@@ -489,12 +489,14 @@ class TestActiveSet:
         assert dropped and len(s) == 1
         assert np.allclose(s.iterate, e[1])
 
-    def test_pairwise_negative_index_counts_from_last_atom(self):
+    @pytest.mark.parametrize("to_idx, from_idx", [(0, -1), (-3, 1), (-1, -2)])
+    def test_pairwise_refuses_a_negative_index(self, to_idx, from_idx):
         e = np.eye(4)
         s = ActiveSet([e[0], e[1], e[2]], [0.5, 0.25, 0.25])
-        assert _pairwise(s, 0, -1, 0.25)
-        assert np.array_equal(s.vertices, [e[0], e[1]])
-        assert np.array_equal(s.iterate, [0.75, 0.25, 0.0, 0.0])
+        x = s.iterate
+        with pytest.raises(IndexError, match="outside range"):
+            s.pairwise_update(to_idx, from_idx, 0.25, x)
+        assert s.weights == [0.5, 0.25, 0.25] and s.iterate is x
 
     def test_pairwise_validation(self):
         e = np.eye(2)
@@ -502,8 +504,8 @@ class TestActiveSet:
         x = s.iterate  # each call fails before it would keep x
         with pytest.raises(ValueError):
             s.pairwise_update(1, 1, 0.1, x)
-        with pytest.raises(ValueError):
-            s.pairwise_update(1, -1, 0.1, x)  # the same atom, counted from the end
+        with pytest.raises(IndexError):
+            s.pairwise_update(1, -1, 0.1, x)  # the same atom, were -1 the last
         with pytest.raises(IndexError):
             s.pairwise_update(2, 0, 0.1, x)
         with pytest.raises(ValueError):
@@ -833,7 +835,11 @@ class TestVanillaFw:
             dict(fw_gap_tol=np.nan),
             dict(fw_gap_tol=True),
             dict(fw_gap_tol="1e-6"),
+            dict(fw_gap_tol=np.float64(np.nan)),
+            dict(fw_gap_tol=None),
+            dict(fw_gap_tol=1j),
             dict(descent_from=np.nan),
+            dict(descent_from=False),
             dict(descent_from=np.bool_(True)),
             dict(descent_from="1.0"),
         ],
@@ -849,6 +855,30 @@ class TestVanillaFw:
             else:
                 vanilla_fw(obj, lmo, np.eye(3)[0], Secant(), **bad)
         assert lmo.call_count == 0
+
+    @pytest.mark.parametrize("solver", ["vanilla_fw", "bpcg"])
+    @pytest.mark.parametrize(
+        "good",
+        [
+            dict(fw_gap_tol=0),
+            dict(fw_gap_tol=np.float64(1e-9)),
+            dict(fw_gap_tol=np.float32(1e-6)),
+            dict(descent_from=np.int64(5)),
+            dict(descent_from=np.float64(np.inf)),
+            dict(descent_from=-np.inf),
+        ],
+        ids=lambda good: ",".join(f"{k}={v!r}" for k, v in good.items()),
+    )
+    def test_any_real_number_is_taken(self, solver, good):
+        # ints and numpy scalars take the numbers.Real test, floats skip it
+        c = np.array([2.0, -1.0, 0.5])
+        obj = make_objective(lambda x: float(c @ x), lambda x: c)
+        lmo = ProbabilitySimplex(3)
+        if solver == "bpcg":
+            x, _, _ = bpcg(obj, lmo, ActiveSet.from_vertex(np.eye(3)[0]), Secant(), **good)
+        else:
+            x, _ = vanilla_fw(obj, lmo, np.eye(3)[0], Secant(), **good)
+        assert lmo.call_count >= 1 and lmo.contains(x)
 
 
 class TestBpcg:

@@ -1,5 +1,6 @@
 """Every module-level import in the library is used in its module or listed
-in the module's __all__; no linter is assumed installed."""
+in the module's __all__, and only the Birkhoff LMO imports scipy; no linter
+is assumed installed."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,43 @@ def test_an_unused_import_is_found():
     source = "import os\nimport numpy as np\nfrom .x import a, b\n"
     source += "__all__ = ['a']\nnp.ones(1)\n"
     assert unused_imports(source) == ["b", "os"]
+
+
+def scipy_import_sites(source):
+    """Qualified name of the function or class around each import of scipy
+    in source, or "<module>" for a module-level one."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                modules = [child.module]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                sites.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+def test_only_the_birkhoff_lmo_imports_scipy():
+    # scipy costs a third of a second and tens of MB to import, so only the
+    # solver that needs it pays, on its first call
+    sites = {path.name: scipy_import_sites(path.read_text()) for path in MODULES}
+    assert {name: s for name, s in sites.items() if s} == {
+        "lmo.py": ["BirkhoffPolytope._minimize"]
+    }
+
+
+def test_a_scipy_import_is_found():
+    source = "import scipy\ndef f():\n    from scipy.special import expit\n"
+    source += "class C:\n    def g(self):\n        import scipy.optimize as o\n"
+    source += "from .scipy import x\n"
+    assert scipy_import_sites(source) == ["<module>", "f", "C.g"]

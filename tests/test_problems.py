@@ -13,6 +13,7 @@ from dcfw import (
     initial_point,
     qap_dc_oracles,
 )
+from dcfw.problems import _logistic
 
 from helpers import central_diff_grad, rand_birkhoff, rand_ksparse, rand_simplex, rel_err
 
@@ -111,6 +112,19 @@ class TestHardFamily:
             mid = 0.5 * (x + y)
             for fn in (problem.f_value, problem.g_value):
                 assert fn(mid) <= 0.5 * (fn(x) + fn(y)) + 1e-10
+
+    def test_logistic_has_the_bits_of_scipy_expit(self):
+        from scipy.special import expit
+
+        rng = np.random.default_rng(0)
+        z = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1000.0, -1000.0],
+            *(s * rng.standard_normal(20_000) for s in (0.01, 1.0, 30.0, 300.0)),
+            rng.uniform(-1000.0, 1000.0, 20_000),
+            # exp(-z) overflows below z = -709.78, where expit gives 0.0
+            np.linspace(-750.0, -700.0, 5_001),
+        ])
+        assert _logistic(z).tobytes() == expit(z).tobytes()
 
     def test_deterministic_from_seed(self):
         a = gen_hard_dc(10, 5)
