@@ -145,7 +145,7 @@ def run_suite(
     *,
     qaplib_dir=None,
     out_dir=None,
-    dca_gap_tol=1e-6,
+    dca_gap_tol=DcaConfig.dca_gap_tol,
     outer_cap=None,
     inner_cap=None,
     time_limit=None,
@@ -155,8 +155,8 @@ def run_suite(
 
     suite is "quadratics", "hard", or "qap"; generated suites take the cross
     product of sizes and seeds, the qap suite reads *.dat files from
-    qaplib_dir keeping instances with n <= max(sizes).  The inner solves
-    take fw_gap_tol = dca_gap_tol / 2.  Results and per-run traces are
+    qaplib_dir keeping instances with n <= max(sizes).  Every run's
+    DcaConfig takes dca_gap_tol.  Results and per-run traces are
     written under out_dir as each run finishes; a failing run is recorded as
     unsolved and the suite continues.  An out_dir that already holds a
     results.csv, or a repeated size, seed or variant, is refused, since
@@ -171,11 +171,7 @@ def run_suite(
     """
     # built first, so that a bad variant, tolerance or time limit is refused
     # before any output
-    common = dict(
-        dca_gap_tol=dca_gap_tol,
-        fw_gap_tol=dca_gap_tol / 2.0,
-        time_limit_seconds=time_limit,
-    )
+    common = dict(dca_gap_tol=dca_gap_tol, time_limit_seconds=time_limit)
     configs = {v: DcaConfig(v, **common) for v in variants}
     for name, values in (("sizes", sizes), ("seeds", seeds), ("variants", variants)):
         if not len(values):

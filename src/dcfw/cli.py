@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .dca import VARIANTS
+from .dca import VARIANTS, DcaConfig
 
 
 def _name_list(text):
@@ -39,7 +39,9 @@ RUN_OPTIONS = {
     "out": dict(default="bench_out", help="output directory"),
     "outer_cap": dict(type=int),
     "inner_cap": dict(type=int),
-    "tol": dict(type=float, default=1e-6, help="stationarity gap tolerance"),
+    "tol": dict(
+        type=float, default=DcaConfig.dca_gap_tol, help="stationarity gap tolerance"
+    ),
     "time_limit": dict(type=float),
 }
 

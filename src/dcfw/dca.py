@@ -306,11 +306,11 @@ VARIANTS = {
 @dataclass(frozen=True)
 class DcaConfig:
     """Configuration of one solver run.  variant, a key of VARIANTS, fixes
-    the subsolver, the inner stop mode, warm starts and the boosted step."""
+    the subsolver, the inner stop mode, warm starts and the boosted step;
+    every inner solve stops at a FW gap of at most dca_gap_tol / 2."""
 
     variant: str = "DCA-BPCG-ES"
     dca_gap_tol: float = 1e-6
-    fw_gap_tol: float = 5e-7
     max_outer_iters: int = 200
     max_inner_iters: int = 10000
     time_limit_seconds: float | None = None
@@ -319,11 +319,11 @@ class DcaConfig:
         if self.variant not in VARIANTS:
             names = sorted(VARIANTS)
             raise ValueError(f"unknown variant {self.variant!r}, choose from {names}")
-        numbers = (self.dca_gap_tol, self.fw_gap_tol, self.time_limit_seconds)
+        numbers = (self.dca_gap_tol, self.time_limit_seconds)
         if any(isinstance(v, (bool, np.bool_)) for v in numbers):  # True compares as 1
-            raise ValueError(f"tolerances and time limit cannot be bools: {numbers}")
-        if not all(0 < tol < np.inf for tol in (self.dca_gap_tol, self.fw_gap_tol)):
-            raise ValueError("tolerances must be positive and finite")
+            raise ValueError(f"tolerance and time limit cannot be bools: {numbers}")
+        if not 0 < self.dca_gap_tol < np.inf:
+            raise ValueError("dca_gap_tol must be positive and finite")
         if self.time_limit_seconds is not None and not self.time_limit_seconds > 0:
             raise ValueError("time_limit_seconds must be positive")
         check_iter_cap("max_outer_iters", self.max_outer_iters)
@@ -459,21 +459,22 @@ def dca_solve(problem, x0, config):
 
     Repeatedly linearizes g at the current iterate and drives the convex
     surrogate down with config.variant's subsolver, stopping once the certified
-    stationarity gap ub of an OuterStep falls below config.dca_gap_tol.  With
-    the adaptive stop mode the subsolver gets descent_from = phi(x_t) and
-    stops at the first y whose FW gap is at most phi(x_t) - h_t(y), which it
-    evaluates only where a convexity bound says the rule can fire; each
-    firing rests on an evaluated h_t(y), so ub <= 2 lb there, and the
-    recorded objective never increases.  The run ends as stalled when
-    repeating the identical subproblem cannot progress: when a subproblem
-    terminates above the anchor value (negative lb), and the iterate is
-    kept, or when the subsolver returns its anchor, bit for bit, without an
-    iteration.  A time limit is passed to the
-    subsolver as a deadline, so a run ends with termination time_limit
-    within about one inner iteration of it.  In a boosted variant the step
-    from x_t to the subsolver's point goes through boosted_step.  A
-    non-finite f or g, or a g at a new iterate below its linearization at
-    the anchor, raises OracleFailure.
+    stationarity gap ub of an OuterStep falls below config.dca_gap_tol.  Every
+    inner solve stops at a FW gap of at most dca_gap_tol / 2, the fixed mode's
+    epsilon.  The adaptive stop mode also gives the subsolver descent_from =
+    phi(x_t), so that it stops at the first y whose FW gap is at most
+    phi(x_t) - h_t(y), which it evaluates only where a convexity bound says
+    the rule can fire; each firing rests on an evaluated h_t(y), so ub <= 2 lb
+    there, and the recorded objective never increases.  The run ends as
+    stalled when repeating the identical subproblem cannot progress: when a
+    subproblem terminates above the anchor value (negative lb), and the
+    iterate is kept, or when the subsolver returns its anchor, bit for bit,
+    without an iteration, as after a zero step at the anchor.  A time limit
+    is passed to the subsolver as a deadline, so a run ends with termination
+    time_limit within about one inner iteration of it.  In a boosted variant
+    the step from x_t to the subsolver's point goes through boosted_step.  A
+    non-finite f or g, or a g at a new iterate below its linearization at the
+    anchor, raises OracleFailure.
 
     Returns (x_final, RunRecord), the record holding an OuterStep per step.
     """
@@ -513,7 +514,7 @@ def dca_solve(problem, x0, config):
             _check_f_grad(prev, sub, t - 1)
             del prev  # so one anchor's vertex memo is live in the solve
         inner = dict(
-            fw_gap_tol=config.fw_gap_tol,
+            fw_gap_tol=config.dca_gap_tol / 2.0,
             max_iters=config.max_inner_iters,
             # the fixed mode's epsilon is fw_gap_tol, which the solvers test
             # first; the adaptive threshold descent_from - h is sub.descent

@@ -65,7 +65,7 @@ class ActiveSet:
             w = float(w)
             if not 0.0 < w < math.inf:
                 raise ValueError(f"weights must be positive and finite, got {w}")
-            self._add(np.asarray(v, dtype=float), w)
+            self._add(self._atom(np.asarray(v, dtype=float)), w)
         self._x = self.recombine()
         self._renormalize_if_drifted()
 
@@ -102,6 +102,11 @@ class ActiveSet:
         for v, w in zip(self._rows[: self._m], self.weights):
             x += w * v
         return x
+
+    def _atom(self, v):
+        if v.shape != self._rows.shape[1:]:  # numpy would broadcast it into a row
+            raise ValueError(f"atom of shape {v.shape}, not {self._rows.shape[1:]}")
+        return v
 
     def _add(self, v, w):
         m = self._m
@@ -141,9 +146,9 @@ class ActiveSet:
         v absorbs gamma.  gamma = 1 collapses the set to {v}."""
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+        v = self._atom(np.array(v, dtype=float))
         if gamma == 0.0:
             return
-        v = np.array(v, dtype=float)
         if gamma == 1.0:
             self._rows[0] = v
             self._m = 1

@@ -49,7 +49,8 @@ from helpers import (
     simplex_qp_value,
 )
 
-FIXED_EPS = 5e-7
+# a default DcaConfig's inner epsilon, dca_gap_tol / 2 = 5e-7
+FIXED_EPS = DcaConfig.dca_gap_tol / 2.0
 
 
 def _solve_grid(variant, sizes, seeds, **overrides):
@@ -77,10 +78,9 @@ def fixed_runs():
     """Fixed-epsilon runs at eps = 5e-7, including a capped vanilla-FW run."""
     runs = []
     for variant in ("DCA-BPCG", "DCA-BPCG-WS"):
-        runs += _solve_grid(variant, (10, 20), range(3), fw_gap_tol=FIXED_EPS)
+        runs += _solve_grid(variant, (10, 20), range(3))
     runs += _solve_grid(
-        "DCA-FW", (10,), (0,), fw_gap_tol=FIXED_EPS,
-        max_outer_iters=10, max_inner_iters=300,
+        "DCA-FW", (10,), (0,), max_outer_iters=10, max_inner_iters=300
     )
     return runs
 

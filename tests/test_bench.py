@@ -301,8 +301,9 @@ class TestRunSuite:
         monkeypatch.setattr(dcfw.bench, "dca_solve", capture)
         run_suite("quadratics", [6], [0], ["DCA-FW", "DCA-BPCG-WS-ES-BT"])
         fw, bt = captured
-        # the inner tolerance defaults to half the outer one
-        assert fw.fw_gap_tol == 5e-7 and fw.dca_gap_tol == 1e-6
+        # the tolerance is DcaConfig's default; dca_solve halves it for
+        # the inner solves
+        assert fw.dca_gap_tol == bt.dca_gap_tol == DcaConfig.dca_gap_tol == 1e-6
         assert (fw.max_outer_iters, fw.max_inner_iters) == (200, 10000)
         assert (fw.variant, bt.variant) == ("DCA-FW", "DCA-BPCG-WS-ES-BT")
 

@@ -280,8 +280,7 @@ class TestVertexTable:
         problem.f_grad = Counter(problem.f_grad)
         problem.lmo = RecordingSimplex(30)
         cfg = DcaConfig(
-            "DCA-FW", dca_gap_tol=1e-8,
-            fw_gap_tol=1e-9, max_outer_iters=6, max_inner_iters=400,
+            "DCA-FW", dca_gap_tol=1e-8, max_outer_iters=6, max_inner_iters=400
         )
         _, record = dca_solve(problem, np.full(30, 1.0 / 30.0), cfg)
         vertices = len(RecordingSimplex.vertices)
@@ -296,8 +295,7 @@ class TestVertexTable:
         A, B = rng.normal(size=(5, 5)), rng.normal(size=(5, 5))
         inst = QapInstance("rand5", 5, A, B)
         cfg = DcaConfig(
-            "DCA-FW", dca_gap_tol=1e-12,
-            fw_gap_tol=1e-12, max_outer_iters=4, max_inner_iters=300,
+            "DCA-FW", dca_gap_tol=1e-12, max_outer_iters=4, max_inner_iters=300
         )
         x0 = np.full(25, 0.2)
         tables = []
@@ -388,8 +386,7 @@ class TestQuadraticFastPath:
         monkeypatch.setattr(Subproblem, "grad", lambda sub, x: grad_calls(sub, x))
         monkeypatch.setattr(dcfw.dca, "vanilla_fw", solves)
         cfg = DcaConfig(
-            "DCA-FW", dca_gap_tol=1e-8,
-            fw_gap_tol=1e-9, max_outer_iters=6, max_inner_iters=400,
+            "DCA-FW", dca_gap_tol=1e-8, max_outer_iters=6, max_inner_iters=400
         )
         _, record = dca_solve(
             gen_quadratic_dc(30, 0).problem(), np.full(30, 1.0 / 30.0), cfg
@@ -522,8 +519,7 @@ class TestQuadraticFastPath:
         rng = np.random.default_rng(3)
         inst = QapInstance("rand5", 5, rng.normal(size=(5, 5)), rng.normal(size=(5, 5)))
         cfg = DcaConfig(
-            "DCA-FW", dca_gap_tol=1e-9,
-            fw_gap_tol=1e-9, max_outer_iters=30, max_inner_iters=2000,
+            "DCA-FW", dca_gap_tol=1e-9, max_outer_iters=30, max_inner_iters=2000
         )
         x0 = np.full(25, 0.2)
         declared = qap_dc_oracles(inst)
@@ -598,19 +594,16 @@ class TestOracleRecord:
     f's gradients at consecutive anchors against f's convexity."""
 
     def test_subsolver_returning_the_anchor_costs_no_second_g_call(self):
-        # the gap at x0 is below fw_gap_tol, so vanilla FW returns x0 itself,
-        # whose g the record holds from phi0
+        # the gap at x0 is below dca_gap_tol / 2, so vanilla FW returns x0
+        # itself, whose g the record holds from phi0
         problem = gen_quadratic_dc(10, 0).problem()
         problem.g_value = Counter(problem.g_value)
         x0 = np.full(10, 0.1)
-        cfg = DcaConfig(
-            "DCA-FW", dca_gap_tol=1e-12, fw_gap_tol=1e3,
-            max_outer_iters=1,
-        )
+        cfg = DcaConfig("DCA-FW", dca_gap_tol=2e3, max_outer_iters=1)
         x, record = dca_solve(problem, x0, cfg)
         assert [step.inner_iters for step in record.steps] == [0]
         assert x.tobytes() == x0.tobytes()
-        assert record.termination == "stalled"
+        assert record.termination == "converged"
         assert problem.g_value.calls == 1
 
     def test_non_finite_f_inside_an_inner_solve_fails_loudly(self, monkeypatch):
@@ -742,15 +735,18 @@ class TestDcGapBounds:
 
 class TestStopRules:
     """The adaptive stop threshold is Subproblem.descent; the fixed mode's
-    epsilon is fw_gap_tol."""
+    epsilon is dca_gap_tol / 2."""
 
     def test_fixed_mode_needs_epsilon(self):
-        with pytest.raises(ValueError):
-            DcaConfig("DCA-BPCG", fw_gap_tol=0.0)
+        # the fixed mode's epsilon is dca_gap_tol / 2, so a zero dca_gap_tol
+        # would leave it none
+        with pytest.raises(ValueError, match="dca_gap_tol must be positive"):
+            DcaConfig("DCA-BPCG", dca_gap_tol=0.0)
 
     def test_fixed_mode_threshold(self, monkeypatch):
-        # fixed mode passes no threshold: fw_gap_tol, tested first, is its
-        # epsilon, so its inner solves never stop on the stop rule
+        # fixed mode passes no threshold: fw_gap_tol = dca_gap_tol / 2,
+        # tested first, is its epsilon, so its inner solves never stop on
+        # the stop rule
         calls = []
 
         def spy(*args, **kwargs):
@@ -760,12 +756,13 @@ class TestStopRules:
 
         monkeypatch.setattr(dcfw.dca, "bpcg", spy)
         inst = gen_quadratic_dc(6, 0)
-        cfg = DcaConfig("DCA-BPCG", fw_gap_tol=1e-3, max_outer_iters=3)
+        eps = 1e-3
+        cfg = DcaConfig("DCA-BPCG", dca_gap_tol=2 * eps, max_outer_iters=3)
         dca_solve(inst.problem(), np.full(6, 1.0 / 6.0), cfg)
         assert calls
         for descent_from, stats in calls:
             assert descent_from is None
-            assert stats.termination == "gap_tol" and stats.final_fw_gap <= 1e-3
+            assert stats.termination == "gap_tol" and stats.final_fw_gap <= eps
 
     def test_adaptive_at_anchor_cannot_fire(self):
         # tau_t(x_t) = 0: only an exactly zero gap may stop at the anchor
@@ -816,12 +813,10 @@ class TestDcaConfig:
         with pytest.raises(ValueError):
             DcaConfig(dca_gap_tol=0.0)
         with pytest.raises(ValueError):
-            DcaConfig(fw_gap_tol=-1e-9)
+            DcaConfig(dca_gap_tol=-1e-9)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 DcaConfig(dca_gap_tol=bad)
-            with pytest.raises(ValueError, match="finite"):
-                DcaConfig(fw_gap_tol=bad)
         for bad in (np.nan, 0.0, -1.0):
             with pytest.raises(ValueError, match="time_limit_seconds"):
                 DcaConfig(time_limit_seconds=bad)
@@ -840,8 +835,8 @@ class TestDcaConfig:
             DcaConfig(**{field: cap})
 
     @pytest.mark.parametrize("kwargs", [
-        dict(dca_gap_tol=True, fw_gap_tol=True),
-        dict(fw_gap_tol=True),
+        dict(dca_gap_tol=True, time_limit_seconds=True),
+        dict(dca_gap_tol=True),
         dict(dca_gap_tol=np.True_),
         dict(time_limit_seconds=True),
     ])
@@ -849,6 +844,11 @@ class TestDcaConfig:
         # each compares as 1 and would pass the range checks
         with pytest.raises(ValueError, match="cannot be bools"):
             DcaConfig(**kwargs)
+
+    def test_inner_tolerance_is_not_a_field(self):
+        # every inner solve stops at a FW gap of dca_gap_tol / 2
+        with pytest.raises(TypeError, match="fw_gap_tol"):
+            DcaConfig(fw_gap_tol=1e-9)
 
     def test_numpy_integer_caps_are_accepted(self):
         cfg = DcaConfig(max_outer_iters=np.int64(3), max_inner_iters=np.int32(5))
@@ -1127,12 +1127,13 @@ class TestDcaSolve:
 
     def test_fixed_epsilon_progress_slack(self):
         inst = gen_quadratic_dc(10, 2)
-        cfg = DcaConfig("DCA-BPCG", fw_gap_tol=5e-7)
+        eps = 5e-7
+        cfg = DcaConfig("DCA-BPCG", dca_gap_tol=2 * eps)
         x, record = dca_solve(inst.problem(), np.full(10, 0.1), cfg)
         values = [record.phi0] + [step.objective for step in record.steps]
         for t, step in enumerate(record.steps):
             progress = values[t] - values[t + 1]
-            assert progress >= step.dc_gap_lb - 5e-7 - 1e-9
+            assert progress >= step.dc_gap_lb - eps - 1e-9
 
     def test_trace_is_coherent(self):
         inst = gen_quadratic_dc(10, 3)
@@ -1178,9 +1179,7 @@ class TestDcaSolve:
 
     def test_time_limit(self):
         inst = gen_quadratic_dc(30, 0)
-        cfg = DcaConfig(
-            "DCA-FW-ES", dca_gap_tol=1e-14, fw_gap_tol=1e-14, time_limit_seconds=1e-6
-        )
+        cfg = DcaConfig("DCA-FW-ES", dca_gap_tol=1e-14, time_limit_seconds=1e-6)
         x, record = dca_solve(inst.problem(), np.full(30, 1.0 / 30.0), cfg)
         assert record.termination == "time_limit"
 
@@ -1188,9 +1187,7 @@ class TestDcaSolve:
         # one capped inner solve at n = 100 takes about 0.4 s, so a limit
         # checked only between outer steps overruns 0.2 s by that much
         limit = 0.2
-        cfg = DcaConfig(
-            "DCA-FW", dca_gap_tol=1e-14, fw_gap_tol=1e-14, time_limit_seconds=limit
-        )
+        cfg = DcaConfig("DCA-FW", dca_gap_tol=1e-14, time_limit_seconds=limit)
         problem = gen_quadratic_dc(100, 0).problem()
         started = time.perf_counter()
         _, record = dca_solve(problem, np.full(100, 0.01), cfg)
@@ -1202,11 +1199,7 @@ class TestDcaSolve:
     def test_iteration_cap_label(self):
         inst = gen_quadratic_dc(10, 0)
         cfg = DcaConfig(
-            "DCA-FW",
-            dca_gap_tol=1e-15,
-            fw_gap_tol=1e-15,
-            max_outer_iters=2,
-            max_inner_iters=50,
+            "DCA-FW", dca_gap_tol=1e-15, max_outer_iters=2, max_inner_iters=50
         )
         x, record = dca_solve(inst.problem(), np.full(10, 0.1), cfg)
         assert record.termination == "iteration_cap"
@@ -1219,27 +1212,57 @@ class TestDcaSolve:
         x0 = np.full(n, 1.0 / n)
         Q = np.eye(n)
         problem = quadratic_problem(Q, -x0, n)
-        cfg = DcaConfig("DCA-BPCG", fw_gap_tol=1e-12, max_inner_iters=1)
+        cfg = DcaConfig("DCA-BPCG", dca_gap_tol=2e-12, max_inner_iters=1)
         x, record = dca_solve(problem, x0, cfg)
         assert record.termination == "stalled"
         assert np.array_equal(x, x0)
         assert [step.objective for step in record.steps] == [record.phi0]
         assert record.steps[-1].dc_gap_lb < 0
 
-    @pytest.mark.parametrize("variant", ["DCA-FW", "DCA-BPCG-WS"])
-    def test_inner_tolerance_above_outer_stalls(self, variant):
-        # fw_gap_tol above dca_gap_tol: once an inner solve stops on gap_tol
-        # at its anchor, lb = 0 and ub = gap > dca_gap_tol, and every later
-        # outer step would solve the same subproblem from the same start
+    @pytest.mark.parametrize("variant", ["DCA-FW", "DCA-FW-ES"])
+    def test_zero_step_at_the_anchor_stalls(self, variant):
+        # f = x[1] on the 2-simplex, with an f_grad of (0, -1) at e0's bits
+        # and (0, 1) elsewhere: the FW direction from e0 has slope -1, but
+        # no probe past gamma = 0 lowers f, so the secant search returns
+        # gamma = 0 and the inner solve its anchor, and every later outer
+        # step would solve the same subproblem from the same start
+        e0 = np.array([1.0, 0.0])
+
+        def f_grad(x):
+            return np.array([0.0, -1.0 if x.tobytes() == e0.tobytes() else 1.0])
+
+        problem = DcProblem(
+            f_value=lambda x: float(x[1]),
+            f_grad=f_grad,
+            g_value=lambda x: 0.0,
+            g_subgrad=lambda x: np.zeros(2),
+            lmo=ProbabilitySimplex(2),
+        )
+        x, record = dca_solve(problem, e0, DcaConfig(variant))
+        assert record.termination == "stalled" and record.outer_iters == 1
+        step = record.steps[0]
+        assert (step.inner_iters, step.dc_gap_lb, step.dc_gap_ub) == (0, 0.0, 1.0)
+        assert x.tobytes() == e0.tobytes() and step.objective == record.phi0
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_every_inner_solve_stops_at_half_the_outer_tolerance(
+        self, variant, monkeypatch
+    ):
+        name = "bpcg" if VARIANTS[variant]["subsolver"] == "bpcg" else "vanilla_fw"
+        solver, tolerances = getattr(dcfw.dca, name), []
+
+        def spy(*args, fw_gap_tol, **kwargs):
+            tolerances.append(fw_gap_tol)
+            return solver(*args, fw_gap_tol=fw_gap_tol, **kwargs)
+
+        monkeypatch.setattr(dcfw.dca, name, spy)
+        config = DcaConfig(
+            variant, dca_gap_tol=3e-5, max_outer_iters=5, max_inner_iters=200
+        )
         problem = gen_quadratic_dc(10, 0).problem()
-        config = DcaConfig(variant, fw_gap_tol=1e-2)
-        x, record = dca_solve(problem, initial_point(problem.lmo), config)
-        assert record.termination == "stalled"
-        assert record.outer_iters < config.max_outer_iters
-        last = record.steps[-1]
-        assert last.inner_iters == 0 and last.dc_gap_lb == 0.0
-        assert config.dca_gap_tol < last.dc_gap_ub <= config.fw_gap_tol
-        assert last.objective == problem.phi(x)
+        _, record = dca_solve(problem, np.full(10, 0.1), config)
+        assert len(tolerances) == record.outer_iters >= 2
+        assert all(tol == config.dca_gap_tol / 2.0 for tol in tolerances)
 
     def test_boosting_changes_little_on_dc_quadratics(self):
         # boosted and unboosted runs should take comparable outer work
@@ -1393,6 +1416,31 @@ class TestCertificateProperties:
             _, record = dca_solve(problem, initial_point(problem.lmo), config)
         assert len(ends) == record.outer_iters
 
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(HARD_K, 20), seed=st.integers(0, 2**31 - 1))
+    def test_false_quadratic_declarations_fail_loudly_or_keep_the_bounds(
+        self, n, seed
+    ):
+        # the hard family's f and g are not quadratic; declared so, a run may
+        # raise OracleFailure or skip a boost's search, but each step it
+        # records still keeps the certificates of the adaptive property
+        for variant, features in VARIANTS.items():
+            problem = gen_hard_dc(n, seed).problem()
+            problem.quadratic = True
+            config = DcaConfig(variant, max_outer_iters=10, max_inner_iters=200)
+            with subsolver_stats(variant) as stats:
+                try:
+                    _, record = dca_solve(problem, initial_point(problem.lmo), config)
+                except OracleFailure:
+                    continue
+            values = [record.phi0] + [step.objective for step in record.steps]
+            for t, (inner, step) in enumerate(zip(stats, record.steps, strict=True)):
+                lb, ub = step.dc_gap_lb, step.dc_gap_ub
+                assert lb <= ub + 1e-9
+                assert values[t] - values[t + 1] >= lb - 1e-9
+                if features["stop_mode"] == "adaptive" and inner.termination == "stop_rule":
+                    assert ub <= 2.0 * lb + 1e-9
+
     @settings(max_examples=25, deadline=None)
     @given(
         family_n=_FAMILY_N,
@@ -1406,7 +1454,7 @@ class TestCertificateProperties:
         family, n = family_n
         problem = _FAMILIES[family](n, seed)
         config = DcaConfig(
-            variant, fw_gap_tol=eps, max_outer_iters=15, max_inner_iters=300
+            variant, dca_gap_tol=2 * eps, max_outer_iters=15, max_inner_iters=300
         )
         _, record = dca_solve(problem, initial_point(problem.lmo), config)
         values = [record.phi0] + [step.objective for step in record.steps]

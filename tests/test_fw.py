@@ -184,27 +184,31 @@ class TestSecantLineSearch:
         assert secant_line_search(value, grad, x, d, 1.0, dphi0)[0] == 0.0
 
     @pytest.mark.parametrize(
-        "bad, gamma",
+        "bad, gamma, grad_calls",
         [
-            (lambda g: g == 0.0, "0"),
-            (lambda g: g == 1.0, "1.0"),
-            (lambda g: 0.0 < g < 1.0, "0.4"),
+            (lambda g: g == 0.0, "0", 0),
+            (lambda g: g == 1.0, "1.0", 1),
+            (lambda g: 0.0 < g < 1.0, "0.4", 2),
         ],
         ids=["zero", "gamma_max", "inside"],
     )
-    def test_non_finite_slope_raises(self, bad, gamma):
+    def test_non_finite_slope_raises(self, bad, gamma, grad_calls):
         # phi(gamma) = (gamma - 0.4)^2 along d = 1 from x = 0, with a NaN
         # gradient only at gamma = 0, only at gamma_max = 1, or only strictly
-        # inside (0, 1), where the first probe is the secant step to 0.4
-        def grad(z):
+        # inside (0, 1), where the first probe is the secant step to 0.4.
+        # The search raises at the first NaN slope, having made a gradient
+        # call per probe up to it and no value call
+        def raw_grad(z):
             g = float(z[0])
             return np.array([np.nan if bad(g) else 2.0 * (g - 0.4)])
 
-        value = lambda z: (float(z[0]) - 0.4) ** 2
+        value = Counter(lambda z: (float(z[0]) - 0.4) ** 2)
+        grad = Counter(raw_grad)
         x, d = np.zeros(1), np.ones(1)
-        dphi0 = float(grad(x) @ d)  # nan in the zero case
+        dphi0 = float(raw_grad(x) @ d)  # nan in the zero case
         with pytest.raises(ValueError, match=f"^non-finite slope nan at gamma = {gamma}$"):
             secant_line_search(value, grad, x, d, 1.0, dphi0)
+        assert (grad.calls, value.calls) == (grad_calls, 0)
 
     def test_non_finite_derivative_falls_back_to_grid(self):
         # the search once fell back to a grid search on a NaN slope; now it
@@ -341,15 +345,18 @@ class TestPointContract:
             secant_line_search(value, grad, x, d, 1.0, dphi0=-1.0)
         assert grad.calls == 1
 
-    def test_secant_grid_fallback_zero_step_returns_x_itself(self):
-        # every probe past gamma = 0 is worse, so the backtracking exit, which
-        # replaced the grid fallback, keeps x, whose -0.0 entry x + 0.0 * d
-        # would turn into 0.0
-        value = lambda z: float(z[0])
+    def test_secant_backtracking_zero_step_returns_x_itself(self):
+        # the slope flips sign at every probe, so the secant search spends
+        # its budget; f grows along d, so the backtracking exit halves gamma
+        # until it gives up at gamma = 0 and keeps x, whose -0.0 entry
+        # x + 0.0 * d would turn into 0.0
+        value = Counter(lambda z: float(z[0]))
         flip = Counter(lambda z: np.array([1.0 if flip.calls % 2 else -1.0, 0.0]))
         x, d = np.array([-0.0, 0.5]), np.array([1.0, -1.0])
         gamma, point, g = secant_line_search(value, flip, x, d, 0.5, dphi0=-1.0)
         assert gamma == 0.0 and point is x and g is None
+        # the 40-gradient budget, then f at x and 60 halvings
+        assert (flip.calls, value.calls) == (40, 61)
 
     def test_quadratic_step(self):
         problem = gen_quadratic_dc(8, 0).problem()
@@ -414,6 +421,33 @@ class TestActiveSet:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 ActiveSet([np.eye(2)[0], np.eye(2)[1]], [bad, 1.0])
+
+    @pytest.mark.parametrize(
+        "atoms, shapes",
+        [
+            ([np.zeros(3), np.array([1.0])], "(1,), not (3,)"),
+            ([np.zeros(3), np.ones((1, 3))], "(1, 3), not (3,)"),
+            ([np.ones((1, 3))], "(1, 3), not (3,)"),
+            ([np.float64(1.0)], "(), not (1,)"),
+        ],
+        ids=["short", "row", "first-row", "scalar"],
+    )
+    def test_atoms_of_another_shape_are_refused(self, atoms, shapes):
+        # numpy would broadcast a (1,) or (1, 3) atom into a row of the set
+        weights = [1.0 / len(atoms)] * len(atoms)
+        with pytest.raises(ValueError) as raised:
+            ActiveSet(atoms, weights)
+        assert str(raised.value) == f"atom of shape {shapes}"
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_fw_update_refuses_an_atom_of_another_shape(self, gamma):
+        # at gamma = 1 the iterate would become the short atom itself
+        e = np.eye(3)
+        s = ActiveSet([e[0], e[1]], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^atom of shape \(1,\), not \(3,\)$"):
+            s.fw_update(np.array([1.0]), gamma)
+        assert s.weights == [0.5, 0.5] and np.array_equal(s.vertices, e[:2])
+        assert np.array_equal(s.iterate, [0.5, 0.5, 0.0])
 
     def test_duplicate_atoms_merge(self):
         e0 = np.array([1.0, 0.0])
