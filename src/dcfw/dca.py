@@ -322,8 +322,12 @@ class DcaConfig:
         numbers = (self.dca_gap_tol, self.time_limit_seconds)
         if any(isinstance(v, (bool, np.bool_)) for v in numbers):  # True compares as 1
             raise ValueError(f"tolerance and time limit cannot be bools: {numbers}")
-        if not 0 < self.dca_gap_tol < np.inf:
-            raise ValueError("dca_gap_tol must be positive and finite")
+        # the inner solves stop at dca_gap_tol / 2, which must not underflow
+        if not (self.dca_gap_tol / 2.0 > 0 and self.dca_gap_tol < np.inf):
+            raise ValueError(
+                "dca_gap_tol must be positive and finite, with a half above 0,"
+                f" got {self.dca_gap_tol!r}"
+            )
         if self.time_limit_seconds is not None and not self.time_limit_seconds > 0:
             raise ValueError("time_limit_seconds must be positive")
         check_iter_cap("max_outer_iters", self.max_outer_iters)

@@ -175,6 +175,8 @@ class ActiveSet:
         w_from = self.weights[from_idx]
         if not 0.0 <= gamma <= w_from:
             raise ValueError(f"gamma={gamma} outside [0, {w_from}]")
+        if x.shape != self._x.shape:
+            raise ValueError(f"iterate of shape {x.shape}, not {self._x.shape}")
         self.weights[to_idx] += gamma
         self._x = x
         dropped = gamma >= w_from

@@ -124,12 +124,20 @@ def test_criterion_01_adaptive_rate_certificate(adaptive_runs):
 def test_criterion_02_monotone_descent_adaptive(adaptive_runs):
     runs, _ = adaptive_runs
     checked = 0
+    least = math.inf
     for variant, n, seed, record in runs:
         values = [record.phi0] + [step.objective for step in record.steps]
-        for prev, cur in zip(values, values[1:]):
+        for prev, cur, step in zip(values, values[1:], record.steps):
             assert cur <= prev + 1e-9
+            # each outer step realizes its lb: phi_t - phi_{t+1} >= lb_t
+            slack = prev - cur - step.dc_gap_lb
+            assert slack >= -1e-9
+            least = min(least, slack)
             checked += 1
-    print(f"PASS criterion 2: monotone descent at {checked} outer steps")
+    print(
+        f"PASS criterion 2: monotone descent and progress >= lb at {checked} "
+        f"outer steps, least progress slack {least:.3e}"
+    )
 
 
 def test_criterion_03_fixed_epsilon_slack(fixed_runs):

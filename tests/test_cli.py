@@ -68,8 +68,8 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--tol", "nan"), ("--tol", "inf"), ("--time-limit", "nan"),
-        ("--time-limit", "0"), ("--time-limit", "-1"),
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "5e-324"),
+        ("--time-limit", "nan"), ("--time-limit", "0"), ("--time-limit", "-1"),
     ])
     def test_bad_tolerance_or_time_limit_exits_2(self, tmp_path, capsys, flag, value):
         assert _run_small(tmp_path / "out", flag, value) == 2
@@ -392,6 +392,29 @@ _, record = dca_solve(problem, initial_point(problem.lmo), config)
 assert record.outer_iters == 2 and problem.lmo.call_count > 0
 """
 
+# one Birkhoff LMO call, which loads scipy's assignment solver
+BIRKHOFF_CALL = """
+import numpy as np
+from dcfw import BirkhoffPolytope
+v = BirkhoffPolytope(4)((1.0 - np.eye(4)).ravel())
+assert np.array_equal(v, np.eye(4).ravel())
+"""
+
+
+def _imported_modules(args):
+    """Names of the modules a fresh interpreter run with args imports, from
+    the list -X importtime prints."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return [
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+
 
 class TestEntryPoints:
     def test_module_invocation(self):
@@ -413,19 +436,19 @@ class TestEntryPoints:
     )
     def test_scipy_is_not_imported(self, args):
         # only the Birkhoff LMO needs scipy, and it imports it on its first
-        # call; -X importtime lists every module imported
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", *args],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        imported = [
-            line.rsplit("|", 1)[-1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")
-        ]
+        # call
+        imported = _imported_modules(args)
         assert "dcfw" in imported
         assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+    def test_birkhoff_lmo_imports_no_scipy_subpackage(self):
+        # the LMO loads the assignment solver's C extension alone, not the
+        # scipy.optimize package, which would pull in scipy.sparse and
+        # scipy.linalg too
+        imported = _imported_modules(["-c", BIRKHOFF_CALL])
+        assert "scipy" in imported
+        heavy = ("scipy.optimize", "scipy.sparse", "scipy.linalg")
+        assert not [m for m in imported if m.startswith(heavy)]
 
     def test_console_script(self, declared_scripts_on_path):
         proc = subprocess.run(["bench", "--help"], capture_output=True, text=True)

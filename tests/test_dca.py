@@ -32,7 +32,14 @@ from dcfw import (
     qap_dc_oracles,
     vanilla_fw,
 )
-from dcfw.dca import Oracles, OuterStep, Subproblem, boosted_step, linearize
+from dcfw.dca import (
+    Oracles,
+    OuterStep,
+    Subproblem,
+    boosted_step,
+    grid_two_level,
+    linearize,
+)
 from dcfw.problems import HARD_K
 
 from helpers import (
@@ -814,6 +821,10 @@ class TestDcaConfig:
             DcaConfig(dca_gap_tol=0.0)
         with pytest.raises(ValueError):
             DcaConfig(dca_gap_tol=-1e-9)
+        # the least subnormal, whose half underflows to 0.0
+        with pytest.raises(ValueError, match="half above 0, got 5e-324"):
+            DcaConfig(dca_gap_tol=5e-324)
+        assert DcaConfig(dca_gap_tol=1e-323).dca_gap_tol == 1e-323
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 DcaConfig(dca_gap_tol=bad)
@@ -863,6 +874,81 @@ def _boost_args(problem, x_t, y):
     """(phi_t, phi_y, slope) of the segment [x_t, y], from the oracles."""
     grad = np.asarray(problem.f_grad(x_t)) - np.asarray(problem.g_subgrad(x_t))
     return problem.phi(x_t), problem.phi(y), float(grad @ (y - x_t))
+
+
+def _last_argmin(values):
+    return len(values) - 1 - int(np.argmin(values[::-1]))
+
+
+def _grid_reference(value_fn, points=11):
+    """The two-level search on [0, 1] with every probe evaluated, gamma = 0
+    and the fine grid's two ends included: 2 * points evaluations."""
+    coarse = np.linspace(0.0, 1.0, points)
+    vals = np.array([float(value_fn(g)) for g in coarse])
+    i = _last_argmin(vals)
+    lo, hi = coarse[max(i - 1, 0)], coarse[min(i + 1, points - 1)]
+    fine = np.linspace(lo, hi, points)
+    fine_vals = np.array([float(value_fn(g)) for g in fine])
+    candidates = np.concatenate([coarse, fine])
+    return float(candidates[_last_argmin(np.concatenate([vals, fine_vals]))])
+
+
+class TestGridTwoLevel:
+    """The boosted step's grid search on [0, 1], given the value at 0."""
+
+    def test_flat_objective_returns_gamma_max(self):
+        assert grid_two_level(lambda g: 0.0, 0.0) == 1.0
+
+    def test_decreasing_objective_returns_gamma_max(self):
+        assert grid_two_level(lambda g: -g, 0.0) == 1.0
+
+    def test_parabola_accuracy(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            target = rng.uniform(0.05, 0.95)
+            value = lambda g: (g - target) ** 2
+            got = grid_two_level(value, value(0.0))
+            assert abs(got - target) <= 0.0101
+
+    @pytest.mark.parametrize("target", [-1.0, 0.37, 2.0])
+    def test_fine_grid_ends_are_not_evaluated_again(self, target):
+        # minimum at the first, an interior and the last coarse point
+        value = Counter(lambda g: (g - target) ** 2)
+        grid_two_level(value, target**2)
+        assert value.calls == 19
+
+    def test_matches_full_evaluation_reference(self):
+        # rounded profiles tie often
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            c = rng.standard_normal(5)
+            decimals = int(rng.integers(0, 4))
+
+            def value(g):
+                poly = c[0] + c[1] * g + c[2] * g * g
+                return round(poly + c[3] * np.sin(c[4] * g), decimals)
+
+            assert grid_two_level(value, value(0.0)) == _grid_reference(value)
+
+    def test_known_value_at_zero_saves_one_evaluation(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            c = rng.standard_normal(3)
+            value = Counter(lambda g: c[0] + c[1] * g + c[2] * g**2)
+            got = grid_two_level(value, value(0.0))
+            assert value.calls == 1 + 19
+            assert got == _grid_reference(value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [0.6, 0.36], ids=["coarse", "fine"])
+    def test_non_finite_probe_raises(self, at, bad):
+        # (gamma - 0.37)^2 is least in the coarse cell around 0.4, whose fine
+        # grid probes 0.36; a non-finite probe at either raises
+        def value(g):
+            return bad if abs(g - at) < 1e-12 else (g - 0.37) ** 2
+
+        with pytest.raises(OracleFailure, match=f"^phi is {bad} at gamma = {at}"):
+            grid_two_level(value, 0.37**2)
 
 
 class TestBoostedStep:

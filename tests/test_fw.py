@@ -17,7 +17,7 @@ from dcfw import (
     gen_quadratic_dc,
     vanilla_fw,
 )
-from dcfw.dca import OracleFailure, Oracles, grid_two_level, linearize
+from dcfw.dca import Oracles, linearize
 from dcfw.fw import _WEIGHT_DRIFT_TOL, secant_line_search
 
 from helpers import (
@@ -60,81 +60,6 @@ def test_gap_on_the_one_point_simplex_is_plus_zero():
     _, stats = vanilla_fw(objective, ProbabilitySimplex(1), x, Secant())
     assert np.signbit((x - x).dot(grad))
     assert stats.termination == "gap_tol" and _same_bits(stats.final_fw_gap, 0.0)
-
-
-def _last_argmin(values):
-    return len(values) - 1 - int(np.argmin(values[::-1]))
-
-
-def _grid_reference(value_fn, points=11):
-    """The two-level search on [0, 1] with every probe evaluated, gamma = 0
-    and the fine grid's two ends included: 2 * points evaluations."""
-    coarse = np.linspace(0.0, 1.0, points)
-    vals = np.array([float(value_fn(g)) for g in coarse])
-    i = _last_argmin(vals)
-    lo, hi = coarse[max(i - 1, 0)], coarse[min(i + 1, points - 1)]
-    fine = np.linspace(lo, hi, points)
-    fine_vals = np.array([float(value_fn(g)) for g in fine])
-    candidates = np.concatenate([coarse, fine])
-    return float(candidates[_last_argmin(np.concatenate([vals, fine_vals]))])
-
-
-class TestGridTwoLevel:
-    """The boosted step's grid search on [0, 1], given the value at 0."""
-
-    def test_flat_objective_returns_gamma_max(self):
-        assert grid_two_level(lambda g: 0.0, 0.0) == 1.0
-
-    def test_decreasing_objective_returns_gamma_max(self):
-        assert grid_two_level(lambda g: -g, 0.0) == 1.0
-
-    def test_parabola_accuracy(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            target = rng.uniform(0.05, 0.95)
-            value = lambda g: (g - target) ** 2
-            got = grid_two_level(value, value(0.0))
-            assert abs(got - target) <= 0.0101
-
-    @pytest.mark.parametrize("target", [-1.0, 0.37, 2.0])
-    def test_fine_grid_ends_are_not_evaluated_again(self, target):
-        # minimum at the first, an interior and the last coarse point
-        value = Counter(lambda g: (g - target) ** 2)
-        grid_two_level(value, target**2)
-        assert value.calls == 19
-
-    def test_matches_full_evaluation_reference(self):
-        # rounded profiles tie often
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            c = rng.standard_normal(5)
-            decimals = int(rng.integers(0, 4))
-
-            def value(g):
-                poly = c[0] + c[1] * g + c[2] * g * g
-                return round(poly + c[3] * np.sin(c[4] * g), decimals)
-
-            assert grid_two_level(value, value(0.0)) == _grid_reference(value)
-
-    def test_known_value_at_zero_saves_one_evaluation(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            c = rng.standard_normal(3)
-            value = Counter(lambda g: c[0] + c[1] * g + c[2] * g**2)
-            got = grid_two_level(value, value(0.0))
-            assert value.calls == 1 + 19
-            assert got == _grid_reference(value)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("at", [0.6, 0.36], ids=["coarse", "fine"])
-    def test_non_finite_probe_raises(self, at, bad):
-        # (gamma - 0.37)^2 is least in the coarse cell around 0.4, whose fine
-        # grid probes 0.36; a non-finite probe at either raises
-        def value(g):
-            return bad if abs(g - at) < 1e-12 else (g - 0.37) ** 2
-
-        with pytest.raises(OracleFailure, match=f"^phi is {bad} at gamma = {at}"):
-            grid_two_level(value, 0.37**2)
 
 
 class TestSecantLineSearch:
@@ -544,6 +469,15 @@ class TestActiveSet:
             s.pairwise_update(2, 0, 0.1, x)
         with pytest.raises(ValueError):
             s.pairwise_update(1, 0, 0.8, x)  # exceeds the source weight
+
+    @pytest.mark.parametrize("x", [np.array([7.0]), np.zeros(3), np.zeros((1, 2))])
+    def test_pairwise_refuses_an_iterate_of_another_shape(self, x):
+        e = np.eye(2)
+        s = ActiveSet([e[0], e[1]], [0.5, 0.5])
+        before = s.iterate
+        with pytest.raises(ValueError, match=r"^iterate of shape .*, not \(2,\)$"):
+            s.pairwise_update(1, 0, 0.25, x)
+        assert s.weights == [0.5, 0.5] and len(s) == 2 and s.iterate is before
 
     def test_extremes(self):
         e = np.eye(3)

@@ -1,5 +1,8 @@
 """Linear minimization oracles: worked examples, vertex structure, brute force."""
 
+import importlib.machinery
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,6 +241,43 @@ class TestBirkhoff:
             assert np.array_equal(X.sum(axis=0), np.ones(n))
             assert np.array_equal(X.sum(axis=1), np.ones(n))
             assert perm_cost(C, X) == brute_force_assignment(C)
+
+    def test_solver_agrees_with_scipy_optimize(self):
+        # the LMO loads scipy.optimize's _lsap extension alone; its function
+        # must give scipy.optimize.linear_sum_assignment's assignment on costs
+        # with many ties, so every vertex keeps its bits
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            C = rng.integers(0, 5, size=(n, n)).astype(float)
+            v = BirkhoffPolytope(n)(C.ravel())
+            rows, cols = linear_sum_assignment(C)
+            got_rows, got_cols = BirkhoffPolytope._assign(C)
+            assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
+            want = np.zeros(n * n)
+            want[rows * n + cols] = 1.0
+            assert v.tobytes() == want.tobytes()
+
+    def test_missing_extension_raises_before_a_vertex(self, monkeypatch):
+        import scipy
+
+        find_spec = importlib.machinery.PathFinder.find_spec
+
+        def no_lsap(name, path=None, target=None):
+            return None if name == "_lsap" else find_spec(name, path, target)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_lsap)
+        monkeypatch.setattr(BirkhoffPolytope, "_assign", None)
+        directory = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+        lmo = BirkhoffPolytope(3)
+        with pytest.raises(ImportError) as info:
+            lmo(np.arange(9.0))
+        assert str(info.value) == (
+            f"scipy {scipy.__version__} has no _lsap extension in {directory}"
+        )
+        assert BirkhoffPolytope._assign is None
 
     def test_contains(self):
         lmo = BirkhoffPolytope(4)
