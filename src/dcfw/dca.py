@@ -11,6 +11,7 @@ subsolver's Frank-Wolfe gap at y turns it into an upper bound.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -25,9 +26,9 @@ from .fw import ActiveSet, Secant, bpcg, check_iter_cap, vanilla_fw
 # memo of the one live subproblem (see Subproblem.quadratic_step), so
 # 4096 * 4 * 8n bytes at most, 13.1 MB at n = 100
 VERTEX_TABLE_SIZE = 4096
-# largest relative difference Subproblem.certify accepts between the values
-# quadratic_step carried and the oracles' (measured: at most 3.1e-14 over
-# 2,227 checks on the quadratic and QAP families, at up to 5,000 steps)
+# largest relative difference Subproblem.certify accepts between the gradient
+# quadratic_step carried and the oracles' (measured: at most 7.7e-14 over
+# 4,322 checks on the quadratic and QAP families, at up to 5,000 steps)
 CARRY_RTOL = 1e-9
 # largest shortfall of g(x) below its linearization at the anchor that
 # dca_solve accepts at a new iterate x, relative to max(|g(x)|, |g(anchor)|)
@@ -56,11 +57,12 @@ class DcProblem:
     convex part being linearized.  lmo is a LinearMinimizationOracle over the
     feasible region, and its dimension is the problem's.  quadratic declares
     f_grad and g_subgrad both affine on the region (f and g quadratic
-    there).  The vanilla-FW subsolver then steps in closed form without
-    oracle calls at its iterates (see Subproblem.quadratic_step), with its
-    values checked against the oracles where the run moves to them, and the
+    there).  The vanilla-FW subsolver then steps in closed form without a
+    gradient call at its iterates (see Subproblem.quadratic_step), with the
+    gradient checked against the oracles where the run moves to, and the
     boosted step takes y without a search when phi's closed form along its
-    segment is least there (see boosted_step).  A false declaration
+    segment is least there (see boosted_step).  The stop rule and the
+    certificates read h from the oracles' f only.  A false declaration
     therefore raises OracleFailure or skips a search, never makes a
     certificate wrong.
     """
@@ -151,7 +153,8 @@ class Subproblem:
     quadratic, true on a declared quadratic whose record keeps a vertex
     table (vanilla FW's; BPCG's steps would round differently in closed form
     and change its LMO counts), makes Secant take quadratic_step, the one
-    step whose values, and gradients at vertices, the subproblem keeps.
+    step whose gradients, at its last point and at vertices, the subproblem
+    keeps; it keeps no value of h.
     """
 
     anchor: np.ndarray
@@ -167,19 +170,14 @@ class Subproblem:
         self.phi_at_anchor = self.f_at_anchor - self.g_at_anchor
         self.grad_at_anchor = self.f_grad_at_anchor - self.g_grad_at_anchor
         self.grad_at_anchor.flags.writeable = False
-        self._carried = (None, None, None)  # quadratic_step's (point, grad, h)
+        self._carried = (None, None)  # quadratic_step's (point, grad)
         self._vertex_grads = {}  # quadratic_step's memo at vertices, see there
 
     def _lin(self, x):
         return self.g_at_anchor + float(self.g_grad_at_anchor.dot(x - self.anchor))
 
     def value(self, x):
-        """h(x) = f(x) - lin(x), f from the record, or the h quadratic_step
-        carried when x is the array it returned, which the solver iterates on
-        and never writes into; a copy of it gets the oracles' h, never a wrong one."""
-        point, _, h = self._carried
-        if x is point:
-            return h
+        """h(x) = f(x) - lin(x), f from the record."""
         return self.oracles.f(x) - self._lin(x)
 
     def grad(self, x):
@@ -205,15 +203,14 @@ class Subproblem:
         the end point still descends.  The gradient at the end point takes
         f_grad from the record, but at a last LMO vertex the record's table
         holds, it comes from the anchor's memo, read-only.  The surrogate's
-        gradient is affine, so its gradient and h at x + gamma * d follow
-        from those at x (h from value) and the end point; both are carried
-        to the point returned, where value reads h, and certify checks both.
-        Returns (gamma, x + gamma * d, the gradient there), or (0.0, x,
-        None) when d does not descend.
+        gradient is affine, so its gradient at x + gamma * d follows from
+        those at x and the end point; it is carried to the point returned,
+        where certify checks it.  No value of h is computed: the stop rule and
+        the gap bounds take f from the record.  Returns (gamma, x + gamma *
+        d, the gradient there), or (0.0, x, None) when d does not descend.
         """
         if not dphi0 < 0:
             return 0.0, x, None
-        h = self.value(x)
         # 1.0 * d is d bit for bit, so a full step skips the product
         end = x + d if gamma_max == 1.0 else x + gamma_max * d
         oracles, vertex = self.oracles, self.oracles.last_vertex
@@ -236,34 +233,29 @@ class Subproblem:
             diff *= gamma / gamma_max
             diff += grad
             grad = diff
-        h += gamma * dphi0 + 0.5 * gamma * gamma * curv / gamma_max
-        self._carried = (y, grad, h)
+        self._carried = (y, grad)
         return gamma, y, grad
 
     def certify(self, y):
-        """Check the gradient and h that quadratic_step carried to y against
-        the oracles' values, taken through the record, and drop the carry,
-        so value(y) is then the oracles' h; a difference above CARRY_RTOL
-        means f is not quadratic on the region and raises OracleFailure.
-        Does nothing unless y is the carried point itself."""
-        point, grad_c, h_c = self._carried
+        """Check the gradient quadratic_step carried to y, which the FW gap
+        at y comes from, against the oracles' f_grad, taken through the
+        record, and drop the carry; a difference above CARRY_RTOL means f is
+        not quadratic on the region and raises OracleFailure.  Does nothing
+        unless y is the carried point itself."""
+        point, grad_c = self._carried
         if y is not point:
             return
-        self._carried = (None, None, None)
+        self._carried = (None, None)
         f_grad = self.oracles.f_grad(y)
-        grad = f_grad - self.g_grad_at_anchor
-        h = self.value(y)
-        # relative to the terms each value is the difference of
+        # relative to the terms the gradient is the difference of
         tiny = np.finfo(float).tiny
         scale = max(np.abs(f_grad).max(), np.abs(self.g_grad_at_anchor).max(), tiny)
-        grad_drift = float(np.abs(grad - grad_c).max() / scale)
-        h_drift = abs(h - h_c) / max(abs(h), abs(self.phi_at_anchor), tiny)
-        if not (grad_drift <= CARRY_RTOL and h_drift <= CARRY_RTOL):
+        drift = float(np.abs(f_grad - self.g_grad_at_anchor - grad_c).max() / scale)
+        if not drift <= CARRY_RTOL:
             raise OracleFailure(
                 "f is declared quadratic but the oracles disagree with the "
-                f"values carried along the subsolver's steps: gradient by "
-                f"{grad_drift:.3g}, f by {h_drift:.3g} (relative, allowed "
-                f"{CARRY_RTOL:g})"
+                f"gradient carried along the subsolver's steps by {drift:.3g} "
+                f"(relative, allowed {CARRY_RTOL:g})"
             )
 
 
@@ -319,16 +311,20 @@ class DcaConfig:
         if self.variant not in VARIANTS:
             names = sorted(VARIANTS)
             raise ValueError(f"unknown variant {self.variant!r}, choose from {names}")
-        numbers = (self.dca_gap_tol, self.time_limit_seconds)
-        if any(isinstance(v, (bool, np.bool_)) for v in numbers):  # True compares as 1
-            raise ValueError(f"tolerance and time limit cannot be bools: {numbers}")
+        tol, limit = self.dca_gap_tol, self.time_limit_seconds
+        if any(isinstance(v, (bool, np.bool_)) for v in (tol, limit)):  # True compares as 1
+            raise ValueError(f"tolerance and time limit cannot be bools: {(tol, limit)}")
+        # a string or None would fail in the arithmetic and comparisons below
+        if not isinstance(tol, numbers.Real):
+            raise ValueError(f"dca_gap_tol must be a real number, got {tol!r}")
+        if not isinstance(limit, (numbers.Real, type(None))):
+            raise ValueError(f"time_limit_seconds must be a real number or None, got {limit!r}")
         # the inner solves stop at dca_gap_tol / 2, which must not underflow
-        if not (self.dca_gap_tol / 2.0 > 0 and self.dca_gap_tol < np.inf):
+        if not (tol / 2.0 > 0 and tol < np.inf):
             raise ValueError(
-                "dca_gap_tol must be positive and finite, with a half above 0,"
-                f" got {self.dca_gap_tol!r}"
+                f"dca_gap_tol must be positive and finite, with a half above 0, got {tol!r}"
             )
-        if self.time_limit_seconds is not None and not self.time_limit_seconds > 0:
+        if limit is not None and not limit > 0:
             raise ValueError("time_limit_seconds must be positive")
         check_iter_cap("max_outer_iters", self.max_outer_iters)
         check_iter_cap("max_inner_iters", self.max_inner_iters)

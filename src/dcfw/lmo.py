@@ -6,6 +6,7 @@ counts how many times it has been called.
 
 import importlib.machinery
 import importlib.util
+import numbers
 import operator
 import os
 
@@ -77,6 +78,8 @@ class KSparsePolytope(LinearMinimizationOracle):
         self.k = as_index(k, "k")
         if not 1 <= self.k <= self.dimension:
             raise ValueError(f"need 1 <= k <= {dimension}, got k={k}")
+        if not isinstance(tau, (numbers.Real, np.bool_)):  # "1" or None fails to compare
+            raise ValueError(f"tau must be a real number, got {tau!r}")
         if isinstance(tau, (bool, np.bool_)) or not 0 < tau < np.inf:
             raise ValueError(f"tau must be positive and finite, got {tau}")
         self.tau = float(tau)

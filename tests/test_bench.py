@@ -529,9 +529,11 @@ class TestRunSuite:
     # An adaptive inner solve asks f only where a convexity bound on the
     # surrogate leaves its stop rule a chance to fire (fw._inner_loop), so
     # the adaptive rows make far fewer f_value calls than inner iterations.
+    # The quadratic fast path carries no h, so the stop rule of the quadratic
+    # DCA-FW-ES row asks the oracles for f: 22 calls beyond the DCA-FW row's.
     PINNED_ORACLE_CALLS = {
         ("quad-n10-s0", "DCA-FW"): (27, 21, 21),
-        ("quad-n10-s0", "DCA-FW-ES"): (23, 21, 21),
+        ("quad-n10-s0", "DCA-FW-ES"): (23, 43, 21),
         ("quad-n10-s0", "DCA-BPCG"): (127, 11, 11),
         ("quad-n10-s0", "DCA-BPCG-ES"): (32, 20, 10),
         ("quad-n10-s0", "DCA-BPCG-WS"): (117, 11, 11),

@@ -179,6 +179,12 @@ class TestKSparsePolytope:
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             KSparsePolytope(5, tau, 2)
 
+    @pytest.mark.parametrize("tau", ["10", None])
+    def test_tau_of_another_type_is_refused(self, tau):
+        # either would raise TypeError from the range comparison
+        with pytest.raises(ValueError, match="tau must be a real number"):
+            KSparsePolytope(20, tau, 3)
+
 
 def birkhoff_vertex(C):
     """BirkhoffPolytope's vertex for the cost matrix C, as an n x n matrix."""
