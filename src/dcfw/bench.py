@@ -4,9 +4,10 @@ profiles.
 """
 
 import csv
+import math
 import time
 from dataclasses import dataclass, replace
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,20 @@ def _parse_flag(text):
     return text == "1"
 
 
+def _parse_count(text):
+    count = int(text)
+    if count < 0:
+        raise ValueError(f"expected a count of at least 0, got {count}")
+    return count
+
+
+def _parse_seconds(text):
+    seconds = float(text)
+    if not 0.0 <= seconds < math.inf:  # nan fails the comparison too
+        raise ValueError(f"expected finite seconds of at least 0, got {text!r}")
+    return seconds
+
+
 # results.csv column -> (BenchResult field, parser of the written text)
 _RESULT_COLUMNS = {
     "instance": ("instance", str),
@@ -35,9 +50,9 @@ _RESULT_COLUMNS = {
     "n": ("n", int),
     "seed": ("seed", int),
     "solved": ("solved", _parse_flag),
-    "outer_iters": ("outer_iters", int),
-    "wall_s": ("wall_seconds", float),
-    "lmo_calls": ("lmo_calls", int),
+    "outer_iters": ("outer_iters", _parse_count),
+    "wall_s": ("wall_seconds", _parse_seconds),
+    "lmo_calls": ("lmo_calls", _parse_count),
     "final_obj": ("final_objective", float),
     "reason": ("reason", str),
 }
@@ -88,8 +103,8 @@ def _iter_instances(suite, sizes, seeds, qaplib_dir, log):
         for n in sizes:
             check_size(n, least)
         for n, seed in product(sizes, seeds):
-            inst = gen(n, seed)
-            yield f"{tag}-n{n}-s{seed}", n, seed, inst.problem
+            # no local holds the instance while the next one is built
+            yield f"{tag}-n{n}-s{seed}", n, seed, gen(n, seed).problem
         return
     if suite == "qap":
         for n in sizes:
@@ -105,9 +120,9 @@ def _iter_instances(suite, sizes, seeds, qaplib_dir, log):
                 log(f"skipping {name}.dat: {message}")
         for name in report.valid:
             inst = parse_qaplib((Path(qaplib_dir) / f"{name}.dat").read_bytes(), name)
-            if inst.n > limit:
-                continue
-            yield name, inst.n, 0, (lambda inst=inst: qap_dc_oracles(inst))
+            if inst.n <= limit:
+                yield name, inst.n, 0, (lambda inst=inst: qap_dc_oracles(inst))
+            del inst  # not alive while the next file is parsed
         return
     raise ValueError(f"unknown suite {suite!r}")
 
@@ -158,15 +173,16 @@ def run_suite(
     qaplib_dir keeping instances with n <= max(sizes).  Every run's
     DcaConfig takes dca_gap_tol.  Results and per-run traces are
     written under out_dir as each run finishes; a failing run is recorded as
-    unsolved and the suite continues.  An out_dir that already holds a
-    results.csv, or a repeated size, seed or variant, is refused, since
-    either would record one (instance, variant) pair twice, and so is an
-    empty list, a cap that is not an integer of at least 1, a size a
-    generated suite's family is not defined for or a qap size below 1, a
-    size or seed that is not an integer (TypeError; a bool included) or a
-    negative seed, or a qap suite with seeds other than [0] or no instance
-    to run, all before any output.  Each file the qap suite cannot parse is
-    passed to log with the parser's message.
+    unsolved and the suite continues.  One instance is alive at a time.  An
+    out_dir that already holds a results.csv or a CSV under traces/, or a
+    repeated size, seed or variant, is refused, since each would record one
+    (instance, variant) pair twice or leave a trace that results.csv does
+    not list, and so is an empty list, a cap that is not an integer of at
+    least 1, a size a generated suite's family is not defined for or a qap
+    size below 1, a size or seed that is not an integer (TypeError; a bool
+    included) or a negative seed, or a qap suite with seeds other than [0]
+    or no instance to run, all before any output.  Each file the qap suite
+    cannot parse is passed to log with the parser's message.
     Returns the list of BenchResult rows.
     """
     # built first, so that a bad variant, tolerance or time limit is refused
@@ -193,10 +209,16 @@ def run_suite(
         if results_path.exists():
             raise ValueError(f"{results_path} already exists; choose a new output")
         trace_dir = out / "traces"
+        if any(trace_dir.glob("*.csv")):
+            raise ValueError(f"{trace_dir} already holds traces; choose a new output")
         trace_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for instance_id, n, seed, make_problem in chain([first], instances):
+    # one instance is alive at a time: each name that holds one is dropped
+    # before the generator builds the next
+    entry, first = first, None
+    while entry is not None:
+        instance_id, n, seed, make_problem = entry
         caps = default_caps(suite, n)
         outer = outer_cap if outer_cap is not None else caps[0]
         inner = inner_cap if inner_cap is not None else caps[1]
@@ -238,14 +260,17 @@ def run_suite(
                     f"wall={result.wall_seconds:.2f}s {result.reason}"
                 )
             results.append(result)
+        del entry, make_problem, problem
+        entry = next(instances, None)
     return results
 
 
 def load_results(in_dir):
     """Read results.csv written by run_suite back into BenchResult rows.  A
     header without one of RESULT_FIELDS, a row with a missing or an extra
-    field or a field that does not parse, and a repeated (instance, variant)
-    pair raise ValueError."""
+    field, a field that does not parse, a negative outer_iters or lmo_calls,
+    a wall_s that is negative or not finite, and a repeated (instance,
+    variant) pair raise ValueError."""
     path = Path(in_dir) / "results.csv"
     if not path.exists():
         raise FileNotFoundError(f"no results.csv under {in_dir}")
@@ -276,10 +301,14 @@ def load_results(in_dir):
 
 
 def shifted_geomean(values, shift=1.0):
-    """exp(mean(log(v + shift))) - shift over the given values."""
+    """exp(mean(log(v + shift))) - shift over the given values, which must
+    be finite and exceed -shift."""
     v = np.asarray(list(values), dtype=float)
     if v.size == 0:
         raise ValueError("shifted_geomean of an empty sequence")
+    bad = v[~np.isfinite(v)]
+    if bad.size:
+        raise ValueError(f"values must be finite, got {bad.tolist()}")
     if np.any(v + shift <= 0):
         raise ValueError(f"values must exceed -shift = {-shift}")
     return float(np.exp(np.mean(np.log(v + shift))) - shift)

@@ -47,9 +47,15 @@ def _logistic(z):
 
 
 def _random_curved_matrix(rng, n):
-    # M^T M is PSD; the ridge keeps the smallest eigenvalue at least 0.1
+    # M^T M is PSD; the ridge keeps the smallest eigenvalue at least 0.1.
+    # The ridge goes onto the product's diagonal in place, with the bits of
+    # M.T @ M + 0.1 * np.eye(n) but none of its three n x n temporaries;
+    # adding 0.0 first turns an entry -0.0 into +0.0, as that sum did.
     M = rng.standard_normal((n, n))
-    return M.T @ M + 0.1 * np.eye(n)
+    A = M.T @ M
+    A += 0.0
+    A.flat[:: n + 1] += 0.1
+    return A
 
 
 @dataclass

@@ -1,8 +1,11 @@
 """Benchmark harness: variant mapping, suite runs, persistence, statistics."""
 
 import csv
+import gc
 import math
 import re
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -456,6 +459,93 @@ class TestRunSuite:
         assert (tmp_path / "results.csv").read_bytes() == before
         assert len(load_results(tmp_path)) == 1
 
+    def test_rerun_beside_old_traces_is_refused(self, tmp_path):
+        kwargs = dict(out_dir=tmp_path, outer_cap=50, inner_cap=2000)
+        run_suite("quadratics", [6], [0], ["DCA-BPCG-WS-ES"], **kwargs)
+        (tmp_path / "results.csv").unlink()
+        traces = tmp_path / "traces"
+        before = {p.name: p.read_bytes() for p in traces.iterdir()}
+        message = f"^{re.escape(str(traces))} already holds traces"
+        with pytest.raises(ValueError, match=message):
+            run_suite("quadratics", [6], [0], ["DCA-BPCG-ES"], **kwargs)
+        assert not (tmp_path / "results.csv").exists()
+        assert {p.name: p.read_bytes() for p in traces.iterdir()} == before
+        # an emptied traces/ takes a new run
+        for name in before:
+            (traces / name).unlink()
+        run_suite("quadratics", [6], [0], ["DCA-BPCG-ES"], **kwargs)
+        assert [r.variant for r in load_results(tmp_path)] == ["DCA-BPCG-ES"]
+        assert [p.name for p in traces.iterdir()] == ["quad-n6-s0__DCA-BPCG-ES.csv"]
+
+    @pytest.mark.parametrize("suite, raising", [
+        ("quadratics", False), ("quadratics", True), ("hard", False), ("qap", False),
+    ], ids=["quadratics", "quadratics-raising", "hard", "qap"])
+    def test_one_instance_is_alive_at_a_time(self, tmp_path, monkeypatch, suite, raising):
+        # with the collector off, reference counts alone free each instance:
+        # none built earlier, the first included, is alive when the next
+        # one is built, and neither is its matrix A, which the oracles hold
+        name = {"quadratics": "gen_quadratic_dc", "hard": "gen_hard_dc"}.get(
+            suite, "parse_qaplib"
+        )
+        build = getattr(dcfw.bench, name)
+        refs, alive_at_build = [], []
+
+        def tracked(*args):
+            alive_at_build.append([ref() is not None for ref in refs])
+            inst = build(*args)
+            refs.extend((weakref.ref(inst), weakref.ref(inst.A)))
+            return inst
+
+        def explode(problem, x0, config):
+            problem.f_grad(x0)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(dcfw.bench, name, tracked)
+        if raising:
+            monkeypatch.setattr(dcfw.bench, "dca_solve", explode)
+        kwargs = dict(out_dir=tmp_path / "out", outer_cap=3, inner_cap=50)
+        if suite == "qap":
+            qdir = tmp_path / "instances"
+            qdir.mkdir()
+            rng = np.random.default_rng(0)
+            for i, n in enumerate([3, 6, 4]):  # the n = 6 file is skipped
+                inst = QapInstance(f"q{i}", n, *synthetic_qap(rng, n))
+                (qdir / f"q{i}.dat").write_text(serialize_qaplib(inst))
+            args = ("qap", [4], [0])
+            kwargs["qaplib_dir"] = qdir
+        else:
+            args = (suite, [10, 12], [0, 1])
+        gc.disable()
+        try:
+            results = run_suite(*args, ["DCA-FW", "DCA-BPCG-WS-ES"], **kwargs)
+        finally:
+            gc.enable()
+        assert len(results) == (4 if suite == "qap" else 8)
+        assert all(r.raised == raising for r in results)
+        assert len(alive_at_build) == (3 if suite == "qap" else 4)
+        assert alive_at_build == [[False] * 2 * k for k in range(len(alive_at_build))]
+
+    def test_peak_memory_is_the_instance_being_built(self):
+        # One instance alive at a time, each built with no n x n temporary:
+        # the peak is B's build, the draw M and the product M^T M, beside the
+        # finished A, plus the solver's vectors.  The warm-up build leaves
+        # numpy.random's first import out of the count.
+        n = 300
+        gen_quadratic_dc(n, 0)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run_suite(
+                "quadratics", [n], [0, 1, 2], ["DCA-BPCG-WS-ES"], outer_cap=1, inner_cap=2
+            )
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 3.5 * 8 * n * n
+
     def test_load_results_rejects_repeated_rows(self, tmp_path):
         run_suite(
             "quadratics", [6], [0], ["DCA-BPCG-WS-ES"], out_dir=tmp_path,
@@ -481,10 +571,31 @@ class TestRunSuite:
                 lambda header, row: (header, _with_field(row, "solved", "7")),
                 "line 2: column solved: expected 0 or 1, got '7'",
             ),
+            (
+                lambda header, row: (header, _with_field(row, "wall_s", "nan")),
+                "line 2: column wall_s: expected finite seconds of at least 0, got 'nan'",
+            ),
+            (
+                lambda header, row: (header, _with_field(row, "wall_s", "inf")),
+                "line 2: column wall_s: expected finite seconds of at least 0, got 'inf'",
+            ),
+            (
+                lambda header, row: (header, _with_field(row, "wall_s", "-3.0")),
+                "line 2: column wall_s: expected finite seconds of at least 0, got '-3.0'",
+            ),
+            (
+                lambda header, row: (header, _with_field(row, "lmo_calls", "-1")),
+                "line 2: column lmo_calls: expected a count of at least 0, got -1",
+            ),
+            (
+                lambda header, row: (header, _with_field(row, "outer_iters", "-2")),
+                "line 2: column outer_iters: expected a count of at least 0, got -2",
+            ),
         ],
         ids=[
             "header", "missing-field", "extra-field", "unparsed-field",
-            "solved-not-0-or-1",
+            "solved-not-0-or-1", "wall_s-nan", "wall_s-inf", "wall_s-negative",
+            "lmo_calls-negative", "outer_iters-negative",
         ],
     )
     def test_load_results_rejects_malformed_file(self, tmp_path, edit, message):
@@ -675,6 +786,15 @@ class TestShiftedGeomean:
             shifted_geomean([])
         with pytest.raises(ValueError):
             shifted_geomean([-2.0], 1.0)
+
+    @pytest.mark.parametrize("values, named", [
+        ([1.0, math.nan], "[nan]"),
+        ([math.inf, 2.0], "[inf]"),
+        ([-math.inf, 3.0, math.nan], "[-inf, nan]"),
+    ])
+    def test_non_finite_values_are_refused(self, values, named):
+        with pytest.raises(ValueError, match=f"^values must be finite, got {re.escape(named)}$"):
+            shifted_geomean(values)
 
     @given(
         st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20),

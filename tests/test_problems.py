@@ -13,7 +13,7 @@ from dcfw import (
     initial_point,
     qap_dc_oracles,
 )
-from dcfw.problems import _logistic
+from dcfw.problems import _logistic, _random_curved_matrix
 
 from helpers import central_diff_grad, rand_birkhoff, rand_ksparse, rand_simplex, rel_err
 
@@ -70,6 +70,35 @@ class TestQuadraticFamily:
         with pytest.raises(ValueError, match="defined for n >= 1, got 0"):
             gen_quadratic_dc(0, 0)
         gen_quadratic_dc(1, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 100, 300])
+    def test_curved_matrix_has_the_bits_of_the_ridge_sum(self, n):
+        for seed in (0, 1, 7, 7919):
+            built = _random_curved_matrix(np.random.default_rng(seed), n)
+            M = np.random.default_rng(seed).standard_normal((n, n))
+            reference = M.T @ M + 0.1 * np.eye(n)
+            assert built.dtype == reference.dtype and built.shape == (n, n)
+            assert built.tobytes() == reference.tobytes()
+
+    def test_curved_matrix_turns_a_signed_zero_product_entry_positive(self):
+        # M.T @ M of this stub draw is a prescribed Gram matrix whose zeros
+        # are -0.0 off and on the diagonal; the ridge sum makes them +0.0
+        gram = np.array([[4.0, -0.0, 1.5], [-0.0, -0.0, 2.0], [1.5, 2.0, 9.0]])
+
+        class Draw(np.ndarray):
+            def __matmul__(self, other):
+                return gram.copy()
+
+        class StubRng:
+            def standard_normal(self, shape):
+                return np.zeros(shape).view(Draw)
+
+        M = StubRng().standard_normal((3, 3))
+        reference = np.asarray(M.T @ M + 0.1 * np.eye(3))
+        assert not np.signbit(reference[0, 1])  # the stub shows the case
+        built = _random_curved_matrix(StubRng(), 3)
+        assert type(built) is np.ndarray
+        assert built.tobytes() == reference.tobytes()
 
 
 class TestHardFamily:
