@@ -4,7 +4,6 @@ profiles.
 """
 
 import csv
-import math
 import time
 from dataclasses import dataclass, replace
 from itertools import product
@@ -12,10 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import integer, real
 from .dca import DcaConfig, OuterStep, RunRecord, dca_solve
-from .fw import check_iter_cap
-from .lmo import as_index
-from .problems import HARD_K, QUADRATIC_MIN_N, check_size, gen_hard_dc, gen_quadratic_dc
+from .problems import HARD_K, QUADRATIC_MIN_N, gen_hard_dc, gen_quadratic_dc
 from .problems import initial_point, qap_dc_oracles
 from .qaplib import parse_qaplib, scan_directory
 
@@ -29,30 +27,25 @@ def _parse_flag(text):
     return text == "1"
 
 
-def _parse_count(text):
-    count = int(text)
-    if count < 0:
-        raise ValueError(f"expected a count of at least 0, got {count}")
-    return count
+def _count(column, least):
+    """Parser of a column that holds an integer of at least least."""
+    return lambda text: integer(column, int(text), least)
 
 
 def _parse_seconds(text):
-    seconds = float(text)
-    if not 0.0 <= seconds < math.inf:  # nan fails the comparison too
-        raise ValueError(f"expected finite seconds of at least 0, got {text!r}")
-    return seconds
+    return real("wall_s", float(text), nonnegative=True, finite=True)
 
 
 # results.csv column -> (BenchResult field, parser of the written text)
 _RESULT_COLUMNS = {
     "instance": ("instance", str),
     "variant": ("variant", str),
-    "n": ("n", int),
-    "seed": ("seed", int),
+    "n": ("n", _count("n", 1)),  # every family needs a coordinate
+    "seed": ("seed", _count("seed", 0)),
     "solved": ("solved", _parse_flag),
-    "outer_iters": ("outer_iters", _parse_count),
+    "outer_iters": ("outer_iters", _count("outer_iters", 0)),
     "wall_s": ("wall_seconds", _parse_seconds),
-    "lmo_calls": ("lmo_calls", _parse_count),
+    "lmo_calls": ("lmo_calls", _count("lmo_calls", 0)),
     "final_obj": ("final_objective", float),
     "reason": ("reason", str),
 }
@@ -93,22 +86,21 @@ class BenchResult:
 def _iter_instances(suite, sizes, seeds, qaplib_dir, log):
     # the checks run before the first instance, so before any output
     for seed in seeds:
-        if as_index(seed, "seed") < 0:
-            raise ValueError(f"seeds must be non-negative, got {seed}")
+        integer("seed", seed, 0)
     if suite in ("quadratics", "hard"):
         if suite == "quadratics":
             gen, tag, least = gen_quadratic_dc, "quad", QUADRATIC_MIN_N
         else:
             gen, tag, least = gen_hard_dc, "hard", HARD_K
         for n in sizes:
-            check_size(n, least)
+            integer("n", n, least)
         for n, seed in product(sizes, seeds):
             # no local holds the instance while the next one is built
             yield f"{tag}-n{n}-s{seed}", n, seed, gen(n, seed).problem
         return
     if suite == "qap":
         for n in sizes:
-            check_size(n, 1)
+            integer("n", n, 1)
         limit = max(sizes)
         if list(seeds) != [0]:  # each file runs once, recorded as seed 0
             raise ValueError(f"the qap suite takes seeds [0] only, got {list(seeds)}")
@@ -177,13 +169,13 @@ def run_suite(
     out_dir that already holds a results.csv or a CSV under traces/, or a
     repeated size, seed or variant, is refused, since each would record one
     (instance, variant) pair twice or leave a trace that results.csv does
-    not list, and so is an empty list, a cap that is not an integer of at
-    least 1, a size a generated suite's family is not defined for or a qap
-    size below 1, a size or seed that is not an integer (TypeError; a bool
-    included) or a negative seed, or a qap suite with seeds other than [0]
-    or no instance to run, all before any output.  Each file the qap suite
-    cannot parse is passed to log with the parser's message.
-    Returns the list of BenchResult rows.
+    not list, and so is an empty list, a cap below 1, a size a generated
+    suite's family is not defined for or a qap size below 1, a negative
+    seed, a cap, size or seed that is not an integer (TypeError; a bool
+    included), or a qap suite with seeds other than [0] or no instance to
+    run, all before any output.  Each file the qap suite cannot parse is
+    passed to log with the parser's message.  Returns the list of
+    BenchResult rows.
     """
     # built first, so that a bad variant, tolerance or time limit is refused
     # before any output
@@ -196,7 +188,7 @@ def run_suite(
             raise ValueError(f"{name} {list(values)} repeat an entry")
     for name, cap in (("outer_cap", outer_cap), ("inner_cap", inner_cap)):
         if cap is not None:
-            check_iter_cap(name, cap)  # DcaConfig's rule, before any output
+            integer(name, cap, 1)  # DcaConfig's rule, before any output
     # only the first instance is made before any output, the rest one by one
     instances = _iter_instances(suite, sizes, seeds, qaplib_dir, log)
     first = next(instances, None)
@@ -268,9 +260,9 @@ def run_suite(
 def load_results(in_dir):
     """Read results.csv written by run_suite back into BenchResult rows.  A
     header without one of RESULT_FIELDS, a row with a missing or an extra
-    field, a field that does not parse, a negative outer_iters or lmo_calls,
-    a wall_s that is negative or not finite, and a repeated (instance,
-    variant) pair raise ValueError."""
+    field, a field that does not parse, an n below 1, a negative seed,
+    outer_iters or lmo_calls, a wall_s that is negative or not finite, and
+    a repeated (instance, variant) pair raise ValueError."""
     path = Path(in_dir) / "results.csv"
     if not path.exists():
         raise FileNotFoundError(f"no results.csv under {in_dir}")
@@ -302,7 +294,8 @@ def load_results(in_dir):
 
 def shifted_geomean(values, shift=1.0):
     """exp(mean(log(v + shift))) - shift over the given values, which must
-    be finite and exceed -shift."""
+    be finite and exceed -shift; shift must be a finite real number."""
+    shift = real("shift", shift, finite=True)
     v = np.asarray(list(values), dtype=float)
     if v.size == 0:
         raise ValueError("shifted_geomean of an empty sequence")

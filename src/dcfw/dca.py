@@ -11,14 +11,14 @@ subsolver's Frank-Wolfe gap at y turns it into an upper bound.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .fw import ActiveSet, Secant, bpcg, check_iter_cap, vanilla_fw
+from ._checks import integer, real
+from .fw import ActiveSet, Secant, bpcg, vanilla_fw
 
 
 # vertex gradients an Oracles record keeps; it then stops adding.  An entry
@@ -311,23 +311,13 @@ class DcaConfig:
         if self.variant not in VARIANTS:
             names = sorted(VARIANTS)
             raise ValueError(f"unknown variant {self.variant!r}, choose from {names}")
-        tol, limit = self.dca_gap_tol, self.time_limit_seconds
-        if any(isinstance(v, (bool, np.bool_)) for v in (tol, limit)):  # True compares as 1
-            raise ValueError(f"tolerance and time limit cannot be bools: {(tol, limit)}")
-        # a string or None would fail in the arithmetic and comparisons below
-        if not isinstance(tol, numbers.Real):
-            raise ValueError(f"dca_gap_tol must be a real number, got {tol!r}")
-        if not isinstance(limit, (numbers.Real, type(None))):
-            raise ValueError(f"time_limit_seconds must be a real number or None, got {limit!r}")
-        # the inner solves stop at dca_gap_tol / 2, which must not underflow
-        if not (tol / 2.0 > 0 and tol < np.inf):
-            raise ValueError(
-                f"dca_gap_tol must be positive and finite, with a half above 0, got {tol!r}"
-            )
-        if limit is not None and not limit > 0:
-            raise ValueError("time_limit_seconds must be positive")
-        check_iter_cap("max_outer_iters", self.max_outer_iters)
-        check_iter_cap("max_inner_iters", self.max_inner_iters)
+        tol = real("dca_gap_tol", self.dca_gap_tol, positive=True, finite=True)
+        if not tol / 2.0 > 0:  # the inner solves' tolerance must not underflow
+            raise ValueError(f"dca_gap_tol must have a half above 0, got {tol!r}")
+        if self.time_limit_seconds is not None:
+            real("time_limit_seconds", self.time_limit_seconds, positive=True)
+        integer("max_outer_iters", self.max_outer_iters, 1)
+        integer("max_inner_iters", self.max_inner_iters, 1)
 
 
 class OuterStep(NamedTuple):

@@ -7,11 +7,12 @@ objects exposing ``value(x)`` and ``grad(x)``.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import integer, real
 
 # weight drift beyond this triggers renormalization of an active set
 _WEIGHT_DRIFT_TOL = 1e-12
@@ -24,22 +25,6 @@ _SECANT_MAX_EVAL = 40
 # of that scale over 126,497 iterates of the four benchmark workloads at
 # seeds 0 and 7919, a bound from h at the previous iterate by 4.2e-16)
 STOP_BOUND_RTOL = 1e-9
-
-
-def check_iter_cap(name, cap):
-    """Raise ValueError unless cap is an integer, not a bool, of at least 1."""
-    if type(cap) is bool or not isinstance(cap, (int, np.integer)) or cap < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
-
-
-def _check_number(name, value):
-    """Raise ValueError unless value is a real number, not a bool or NaN."""
-    # a float takes the first test; numbers.Real's ABC check costs about 1 µs
-    number = type(value) is float or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-    )
-    if not number or math.isnan(value):
-        raise ValueError(f"{name} must be a number, not NaN or a bool, got {value!r}")
 
 
 class ActiveSet:
@@ -62,9 +47,7 @@ class ActiveSet:
         self._m = 0
         self.weights = []
         for v, w in zip(vertices, weights):
-            w = float(w)
-            if not 0.0 < w < math.inf:
-                raise ValueError(f"weights must be positive and finite, got {w}")
+            w = real("weights", w, positive=True, finite=True)
             self._add(self._atom(np.asarray(v, dtype=float)), w)
         self._x = self.recombine()
         self._renormalize_if_drifted()
@@ -329,10 +312,10 @@ def _inner_loop(
     max(|descent_from|, |h| at the last evaluation), and restarts the bound
     from that value.  A NaN bound always evaluates.  The rule fires only on
     an evaluated value, so it stops where evaluating at every x would."""
-    check_iter_cap("max_iters", max_iters)
-    _check_number("fw_gap_tol", fw_gap_tol)
+    max_iters = integer("max_iters", max_iters, 1)
+    fw_gap_tol = real("fw_gap_tol", fw_gap_tol)
     if descent_from is not None:
-        _check_number("descent_from", descent_from)
+        descent_from = real("descent_from", descent_from)
     stats = FwStats()
     steps = {"fw": 0, "pairwise_descent": 0, "pairwise_drop": 0}
     grad = None
@@ -411,8 +394,9 @@ def vanilla_fw(
 
     Returns (x, FwStats).  The reported gap is always evaluated at the
     returned iterate, and the solve calls lmo iterations + 1 times.  A
-    max_iters, fw_gap_tol or descent_from outside these raises ValueError
-    before the first LMO call.
+    max_iters, fw_gap_tol or descent_from of another kind raises TypeError,
+    and one that is NaN or below range ValueError, before the first LMO
+    call.
     """
 
     def step(k, x, grad, v, d, gap):

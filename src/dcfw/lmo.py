@@ -6,32 +6,21 @@ counts how many times it has been called.
 
 import importlib.machinery
 import importlib.util
-import numbers
-import operator
 import os
 
 import numpy as np
 
+from ._checks import integer, real
+
 # slack a point may have in contains() and still count as inside
 _TOL = 1e-9
-
-
-def as_index(value, name):
-    """value as an int.  operator.index refuses a value that is not an
-    integer, where int() would truncate it; a bool, an int that says nothing
-    about a size, is refused too."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 class LinearMinimizationOracle:
     """Base oracle: argmin of <c, v> over the vertices of a polytope."""
 
     def __init__(self, dimension):
-        self.dimension = as_index(dimension, "dimension")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be positive, got {dimension}")
+        self.dimension = integer("dimension", dimension, 1)
         self.call_count = 0
 
     def __call__(self, c):
@@ -75,14 +64,10 @@ class KSparsePolytope(LinearMinimizationOracle):
 
     def __init__(self, dimension, tau, k):
         super().__init__(dimension)
-        self.k = as_index(k, "k")
-        if not 1 <= self.k <= self.dimension:
-            raise ValueError(f"need 1 <= k <= {dimension}, got k={k}")
-        if not isinstance(tau, (numbers.Real, np.bool_)):  # "1" or None fails to compare
-            raise ValueError(f"tau must be a real number, got {tau!r}")
-        if isinstance(tau, (bool, np.bool_)) or not 0 < tau < np.inf:
-            raise ValueError(f"tau must be positive and finite, got {tau}")
-        self.tau = float(tau)
+        self.k = integer("k", k, 1)
+        if self.k > self.dimension:
+            raise ValueError(f"need k <= dimension = {self.dimension}, got {k}")
+        self.tau = real("tau", tau, positive=True, finite=True)
 
     def _minimize(self, c):
         # stable sort keeps lower indices first among tied magnitudes
@@ -108,9 +93,7 @@ class BirkhoffPolytope(LinearMinimizationOracle):
     _assign = None
 
     def __init__(self, n):
-        self.n = as_index(n, "order")
-        if self.n < 1:
-            raise ValueError(f"order must be positive, got {n}")
+        self.n = integer("n", n, 1)
         super().__init__(self.n * self.n)
 
     def _minimize(self, c):

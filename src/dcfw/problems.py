@@ -12,21 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
 from .dca import DcProblem
-from .lmo import BirkhoffPolytope, KSparsePolytope, ProbabilitySimplex, as_index
+from .lmo import BirkhoffPolytope, KSparsePolytope, ProbabilitySimplex
 
 HARD_TAU = 10.0
 HARD_K = 10
 # least n of the quadratic family, whose simplex needs a coordinate; the
 # hard family's is HARD_K, since its polytope picks k coordinates
 QUADRATIC_MIN_N = 1
-
-
-def check_size(n, least):
-    """Raise TypeError unless n is an integer, not a bool, and ValueError
-    when it is below a family's least size."""
-    if as_index(n, "n") < least:
-        raise ValueError(f"family is defined for n >= {least}, got {n}")
 
 
 def _logistic(z):
@@ -90,8 +84,9 @@ class QuadraticDcInstance:
 
 def gen_quadratic_dc(n, seed):
     """Random DC quadratic over the simplex with curvature floor 0.1; needs
-    n >= 1."""
-    check_size(n, QUADRATIC_MIN_N)
+    n >= 1 and seed >= 0."""
+    n = integer("n", n, QUADRATIC_MIN_N)
+    seed = integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     A = _random_curved_matrix(rng, n)
     B = _random_curved_matrix(rng, n)
@@ -155,8 +150,10 @@ class HardDcInstance:
 
 
 def gen_hard_dc(n, seed):
-    """Random instance of the exponential/logistic family; needs n >= k."""
-    check_size(n, HARD_K)
+    """Random instance of the exponential/logistic family; needs n >= k and
+    seed >= 0."""
+    n = integer("n", n, HARD_K)
+    seed = integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     A = _random_curved_matrix(rng, n)
     B = _random_curved_matrix(rng, n)

@@ -362,9 +362,7 @@ class TestRunSuite:
     def test_size_the_family_cannot_make_writes_nothing(
         self, tmp_path, suite, sizes, least
     ):
-        with pytest.raises(
-            ValueError, match=f"defined for n >= {least}, got {sizes[-1]}"
-        ):
+        with pytest.raises(ValueError, match=f"^need n >= {least}, got {sizes[-1]}$"):
             run_suite(
                 suite, sizes, [0], ["DCA-BPCG-ES"], out_dir=tmp_path / "out",
                 outer_cap=3, inner_cap=50,
@@ -372,11 +370,11 @@ class TestRunSuite:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sizes, seeds, error, message", [
-        ([10, 2.5], [0], TypeError, "cannot be interpreted as an integer"),
+        ([10, 2.5], [0], TypeError, "n must be an integer, got 2.5"),
         ([10, True], [0], TypeError, "n must be an integer, got True"),
-        ([10], [0, 1.5], TypeError, "cannot be interpreted as an integer"),
+        ([10], [0, 1.5], TypeError, "seed must be an integer, got 1.5"),
         ([10], [0, True], TypeError, "seed must be an integer, got True"),
-        ([10], [0, -1], ValueError, "seeds must be non-negative, got -1"),
+        ([10], [0, -1], ValueError, "need seed >= 0, got -1"),
     ], ids=["float-size", "bool-size", "float-seed", "bool-seed", "negative-seed"])
     def test_size_or_seed_that_is_no_index_writes_nothing(
         self, tmp_path, sizes, seeds, error, message
@@ -391,13 +389,13 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("sizes, seeds, error, message", [
         ([True], [0], TypeError, "n must be an integer, got True"),
-        ([4.5], [0], TypeError, "cannot be interpreted as an integer"),
-        ([5], [-3], ValueError, "seeds must be non-negative, got -3"),
-        ([5], ["x"], TypeError, "cannot be interpreted as an integer"),
+        ([4.5], [0], TypeError, "n must be an integer, got 4.5"),
+        ([5], [-3], ValueError, "need seed >= 0, got -3"),
+        ([5], ["x"], TypeError, "seed must be an integer, got 'x'"),
         # [4, 0] ran, and [0] failed for finding no file with n <= 0
-        ([4, 0], [0], ValueError, "defined for n >= 1, got 0$"),
-        ([0], [0], ValueError, "defined for n >= 1, got 0$"),
-        ([5, -1], [0], ValueError, "defined for n >= 1, got -1$"),
+        ([4, 0], [0], ValueError, "need n >= 1, got 0$"),
+        ([0], [0], ValueError, "need n >= 1, got 0$"),
+        ([5, -1], [0], ValueError, "need n >= 1, got -1$"),
     ], ids=[
         "bool-size", "float-size", "negative-seed", "str-seed",
         "zero-size-after-4", "zero-size", "negative-size",
@@ -573,29 +571,42 @@ class TestRunSuite:
             ),
             (
                 lambda header, row: (header, _with_field(row, "wall_s", "nan")),
-                "line 2: column wall_s: expected finite seconds of at least 0, got 'nan'",
+                "line 2: column wall_s: wall_s must be at least 0 and finite, got nan",
             ),
             (
                 lambda header, row: (header, _with_field(row, "wall_s", "inf")),
-                "line 2: column wall_s: expected finite seconds of at least 0, got 'inf'",
+                "line 2: column wall_s: wall_s must be at least 0 and finite, got inf",
             ),
             (
                 lambda header, row: (header, _with_field(row, "wall_s", "-3.0")),
-                "line 2: column wall_s: expected finite seconds of at least 0, got '-3.0'",
+                "line 2: column wall_s: wall_s must be at least 0 and finite, got -3.0",
             ),
             (
                 lambda header, row: (header, _with_field(row, "lmo_calls", "-1")),
-                "line 2: column lmo_calls: expected a count of at least 0, got -1",
+                "line 2: column lmo_calls: need lmo_calls >= 0, got -1",
             ),
             (
                 lambda header, row: (header, _with_field(row, "outer_iters", "-2")),
-                "line 2: column outer_iters: expected a count of at least 0, got -2",
+                "line 2: column outer_iters: need outer_iters >= 0, got -2",
+            ),
+            (
+                lambda header, row: (header, _with_field(row, "n", "0")),
+                "line 2: column n: need n >= 1, got 0",
+            ),
+            (
+                lambda header, row: (header, _with_field(row, "n", "-5")),
+                "line 2: column n: need n >= 1, got -5",
+            ),
+            (
+                lambda header, row: (header, _with_field(row, "seed", "-1")),
+                "line 2: column seed: need seed >= 0, got -1",
             ),
         ],
         ids=[
             "header", "missing-field", "extra-field", "unparsed-field",
             "solved-not-0-or-1", "wall_s-nan", "wall_s-inf", "wall_s-negative",
-            "lmo_calls-negative", "outer_iters-negative",
+            "lmo_calls-negative", "outer_iters-negative", "n-zero", "n-negative",
+            "seed-negative",
         ],
     )
     def test_load_results_rejects_malformed_file(self, tmp_path, edit, message):
@@ -753,7 +764,7 @@ class TestRunSuite:
             suite="quadratics", sizes=[6], seeds=[0], variants=["DCA-FW"],
             out_dir=tmp_path / "out",
         )
-        with pytest.raises(ValueError, match="empty|at least 1"):
+        with pytest.raises(ValueError, match="empty|>= 1"):
             run_suite(**{**args, **override})
         assert not (tmp_path / "out").exists()
 
@@ -767,7 +778,7 @@ class TestRunSuite:
             suite="quadratics", sizes=[6], seeds=[0], variants=["DCA-FW"],
             out_dir=tmp_path / "out",
         )
-        with pytest.raises(ValueError, match="_cap must be an integer of at least 1"):
+        with pytest.raises(TypeError, match="^(outer|inner)_cap must be an integer, got "):
             run_suite(**{**args, **override})
         assert not (tmp_path / "out").exists()
 

@@ -835,7 +835,7 @@ class TestDcaConfig:
     def test_iteration_caps_must_be_integers(self, field, cap):
         # range() would fail on a float only once a run starts, and a bool
         # is an int that says nothing about a count
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
             DcaConfig(**{field: cap})
 
     @pytest.mark.parametrize("kwargs", [
@@ -845,8 +845,9 @@ class TestDcaConfig:
         dict(time_limit_seconds=True),
     ])
     def test_bools_are_not_numbers(self, kwargs):
-        # each compares as 1 and would pass the range checks
-        with pytest.raises(ValueError, match="cannot be bools"):
+        # each compares as 1 and would pass the range checks; dca_gap_tol is
+        # checked first
+        with pytest.raises(TypeError, match=f"^{next(iter(kwargs))} must be a real number"):
             DcaConfig(**kwargs)
 
     @pytest.mark.parametrize("field, value", [
@@ -855,8 +856,9 @@ class TestDcaConfig:
         ("time_limit_seconds", "5"),
     ])
     def test_numbers_of_another_type_are_refused(self, field, value):
-        # each would raise TypeError from arithmetic or a comparison
-        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        # each would raise TypeError from arithmetic or a comparison, without
+        # naming the field
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, got "):
             DcaConfig(**{field: value})
 
     def test_inner_tolerance_is_not_a_field(self):

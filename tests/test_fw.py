@@ -794,30 +794,35 @@ class TestVanillaFw:
 
     @pytest.mark.parametrize("solver", ["vanilla_fw", "bpcg"])
     @pytest.mark.parametrize(
-        "bad",
+        "bad, error",
         [
-            dict(max_iters=-1),
-            dict(max_iters=0),
-            dict(max_iters=True),
-            dict(max_iters=2.0),
-            dict(fw_gap_tol=np.nan),
-            dict(fw_gap_tol=True),
-            dict(fw_gap_tol="1e-6"),
-            dict(fw_gap_tol=np.float64(np.nan)),
-            dict(fw_gap_tol=None),
-            dict(fw_gap_tol=1j),
-            dict(descent_from=np.nan),
-            dict(descent_from=False),
-            dict(descent_from=np.bool_(True)),
-            dict(descent_from="1.0"),
+            pytest.param(bad, error, id=",".join(f"{k}={v!r}" for k, v in bad.items()))
+            for bad, error in [
+                (dict(max_iters=-1), ValueError),
+                (dict(max_iters=0), ValueError),
+                (dict(max_iters=True), TypeError),
+                (dict(max_iters=2.0), TypeError),
+                (dict(fw_gap_tol=np.nan), ValueError),
+                (dict(fw_gap_tol=True), TypeError),
+                (dict(fw_gap_tol="1e-6"), TypeError),
+                (dict(fw_gap_tol=np.float64(np.nan)), ValueError),
+                (dict(fw_gap_tol=None), TypeError),
+                (dict(fw_gap_tol=1j), TypeError),
+                (dict(descent_from=np.nan), ValueError),
+                (dict(descent_from=False), TypeError),
+                (dict(descent_from=np.bool_(True)), TypeError),
+                (dict(descent_from="1.0"), TypeError),
+            ]
         ],
-        ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items()),
     )
-    def test_bad_inputs_raise_before_any_lmo_call(self, solver, bad):
+    def test_bad_inputs_raise_before_any_lmo_call(self, solver, bad, error):
+        # a value of the wrong kind raises TypeError, a NaN or one below range
+        # ValueError, and the message names the parameter
         c = np.array([2.0, -1.0, 0.5])
         obj = make_objective(lambda x: float(c @ x), lambda x: c)
         lmo = ProbabilitySimplex(3)
-        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be "):
+        name = next(iter(bad))
+        with pytest.raises(error, match=f"^({name} must be |need {name} >= )"):
             if solver == "bpcg":
                 bpcg(obj, lmo, ActiveSet.from_vertex(np.eye(3)[0]), Secant(), **bad)
             else:

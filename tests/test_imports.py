@@ -1,6 +1,6 @@
 """Every module-level import in the library is used in its module or listed
-in the module's __all__, and only the Birkhoff LMO imports scipy; no linter
-is assumed installed."""
+in the module's __all__, only the Birkhoff LMO imports scipy, and only
+_checks.py imports numbers or operator; no linter is assumed installed."""
 
 import ast
 from pathlib import Path
@@ -49,8 +49,8 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == ["b", "os"]
 
 
-def scipy_import_sites(source):
-    """Qualified name of the function or class around each import of scipy
+def import_sites(source, package):
+    """Qualified name of the function or class around each import of package
     in source, or "<module>" for a module-level one."""
     sites = []
 
@@ -65,7 +65,7 @@ def scipy_import_sites(source):
                 modules = [child.module]
             else:
                 modules = []
-            if any(m.split(".")[0] == "scipy" for m in modules):
+            if any(m.split(".")[0] == package for m in modules):
                 sites.append(scope or "<module>")
             visit(child, scope)
 
@@ -76,7 +76,7 @@ def scipy_import_sites(source):
 def test_only_the_birkhoff_lmo_imports_scipy():
     # scipy costs a third of a second and tens of MB to import, so only the
     # solver that needs it pays, on its first call
-    sites = {path.name: scipy_import_sites(path.read_text()) for path in MODULES}
+    sites = {path.name: import_sites(path.read_text(), "scipy") for path in MODULES}
     assert {name: s for name, s in sites.items() if s} == {
         "lmo.py": ["BirkhoffPolytope._minimize"]
     }
@@ -86,4 +86,12 @@ def test_a_scipy_import_is_found():
     source = "import scipy\ndef f():\n    from scipy.special import expit\n"
     source += "class C:\n    def g(self):\n        import scipy.optimize as o\n"
     source += "from .scipy import x\n"
-    assert scipy_import_sites(source) == ["<module>", "f", "C.g"]
+    assert import_sites(source, "scipy") == ["<module>", "f", "C.g"]
+
+
+@pytest.mark.parametrize("package", ["numbers", "operator"])
+def test_only_the_checks_module_imports_the_number_rule(package):
+    # a number or count a caller passes is checked by dcfw._checks alone, so
+    # one mistake raises one exception type wherever it is made
+    sites = {path.name: import_sites(path.read_text(), package) for path in MODULES}
+    assert {name for name, s in sites.items() if s} <= {"_checks.py"}

@@ -181,8 +181,9 @@ class TestKSparsePolytope:
 
     @pytest.mark.parametrize("tau", ["10", None])
     def test_tau_of_another_type_is_refused(self, tau):
-        # either would raise TypeError from the range comparison
-        with pytest.raises(ValueError, match="tau must be a real number"):
+        # either would raise TypeError from the range comparison, without
+        # naming tau
+        with pytest.raises(TypeError, match="^tau must be a real number, got "):
             KSparsePolytope(20, tau, 3)
 
 
@@ -330,21 +331,21 @@ class TestOracleProtocol:
             lmo(bad)
 
     def test_sizes_below_one_are_refused(self):
-        with pytest.raises(ValueError, match="dimension must be positive"):
+        with pytest.raises(ValueError, match="^need dimension >= 1, got 0$"):
             LinearMinimizationOracle(0)
-        with pytest.raises(ValueError, match="order must be positive"):
+        with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
             BirkhoffPolytope(0)
 
-    @pytest.mark.parametrize("make", [
-        lambda: LinearMinimizationOracle(3.0),
-        lambda: ProbabilitySimplex(3.7),
-        lambda: BirkhoffPolytope(2.5),
-        lambda: KSparsePolytope(5.0, 1.0, 2),
-        lambda: KSparsePolytope(5, 1.0, 2.5),
+    @pytest.mark.parametrize("make, name", [
+        (lambda: LinearMinimizationOracle(3.0), "dimension"),
+        (lambda: ProbabilitySimplex(3.7), "dimension"),
+        (lambda: BirkhoffPolytope(2.5), "n"),
+        (lambda: KSparsePolytope(5.0, 1.0, 2), "dimension"),
+        (lambda: KSparsePolytope(5, 1.0, 2.5), "k"),
     ], ids=["base", "simplex", "birkhoff", "ksparse-dimension", "ksparse-k"])
-    def test_sizes_that_are_not_integers_are_refused(self, make):
+    def test_sizes_that_are_not_integers_are_refused(self, make, name):
         # int() would truncate them: the simplex to dimension 3, k to 2
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
             make()
 
     @pytest.mark.parametrize("make", [
@@ -357,7 +358,7 @@ class TestOracleProtocol:
     ], ids=["simplex", "birkhoff", "ksparse", "ksparse-k", "ksparse-tau", "numpy-tau"])
     def test_bools_are_refused(self, make):
         # a bool is an int, and compares as one, but says nothing about a size
-        with pytest.raises((TypeError, ValueError), match="got True"):
+        with pytest.raises(TypeError, match=r"got (np\.)?True"):
             make()
 
     def test_integer_sizes_of_numpy_type_are_accepted(self):

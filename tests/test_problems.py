@@ -67,7 +67,7 @@ class TestQuadraticFamily:
         assert p2.lmo.call_count == 0
 
     def test_needs_a_coordinate(self):
-        with pytest.raises(ValueError, match="defined for n >= 1, got 0"):
+        with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
             gen_quadratic_dc(0, 0)
         gen_quadratic_dc(1, 0)
 
