@@ -56,10 +56,11 @@ METRICS = {"iters": "outer_iters", "time": "wall_seconds", "lmo": "lmo_calls"}
 
 
 def default_caps(suite, n):
-    """(outer, inner) iteration caps: larger instances get the larger budget."""
+    """(outer, inner) iteration caps: larger instances get the larger budget,
+    smaller ones DcaConfig's defaults."""
     if suite == "qap" or n >= 100:
         return 500, 50000
-    return 200, 10000
+    return DcaConfig.max_outer_iters, DcaConfig.max_inner_iters
 
 
 @dataclass
@@ -177,8 +178,10 @@ def run_suite(
     passed to log with the parser's message.  Returns the list of
     BenchResult rows.
     """
-    # built first, so that a bad variant, tolerance or time limit is refused
-    # before any output
+    # refused before any output: a bad time limit under this function's own
+    # name, then a bad variant or tolerance by the configs
+    if time_limit is not None:
+        real("time_limit", time_limit, positive=True)
     common = dict(dca_gap_tol=dca_gap_tol, time_limit_seconds=time_limit)
     configs = {v: DcaConfig(v, **common) for v in variants}
     for name, values in (("sizes", sizes), ("seeds", seeds), ("variants", variants)):

@@ -277,7 +277,9 @@ def linearize(oracles, x_t):
             raise OracleFailure(
                 f"{name} returned shape {grad.shape} at the anchor, expected {x_t.shape}"
             )
-        # count_nonzero is a C call, where all() goes through Python wrappers
+        # count_nonzero is the cheapest finiteness test measured, isfinite
+        # included: 0.64-0.73 us against 1.29-1.36 us for all() at n = 50-300
+        # (numpy 2.4, where both go through a Python-level wrapper)
         if np.count_nonzero(np.isfinite(grad)) != grad.size:
             raise OracleFailure(f"{name} returned non-finite entries at the anchor")
     return Subproblem(x_t.copy(), g_val, g_grad, f_val, f_grad, oracles)

@@ -69,10 +69,10 @@ class QuadraticDcInstance:
         """Fresh DcProblem (and LMO call counter) for this instance."""
         A, B, a, b, c, d = self.A, self.B, self.a, self.b, self.c, self.d
         return DcProblem(
-            f_value=lambda x: 0.5 * float(x @ A @ x) + float(a @ x) + c,
-            f_grad=lambda x: A @ x + a,
-            g_value=lambda x: 0.5 * float(x @ B @ x) + float(b @ x) + d,
-            g_subgrad=lambda x: B @ x + b,
+            f_value=lambda x: 0.5 * float(x.dot(A).dot(x)) + float(a.dot(x)) + c,
+            f_grad=lambda x: A.dot(x) + a,
+            g_value=lambda x: 0.5 * float(x.dot(B).dot(x)) + float(b.dot(x)) + d,
+            g_subgrad=lambda x: B.dot(x) + b,
             lmo=ProbabilitySimplex(self.n),
             quadratic=True,
         )
@@ -123,22 +123,22 @@ class HardDcInstance:
 
         def f_value(x):
             return (
-                0.5 * float(x @ A @ x)
-                + float(a @ x)
-                + np.exp(float(c @ x) / n) / n
+                0.5 * float(x.dot(A).dot(x))
+                + float(a.dot(x))
+                + np.exp(float(c.dot(x)) / n) / n
             )
 
         def f_grad(x):
-            return A @ x + a + (np.exp(float(c @ x) / n) / n**2) * c
+            return A.dot(x) + a + (np.exp(float(c.dot(x)) / n) / n**2) * c
 
         def g_value(x):
             # log(1 + exp(z)) evaluated without overflow for large z
-            return 0.5 * float(x @ B @ x) + float(b @ x) + 0.1 * float(
+            return 0.5 * float(x.dot(B).dot(x)) + float(b.dot(x)) + 0.1 * float(
                 np.logaddexp(0.0, d * x).sum()
             )
 
         def g_subgrad(x):
-            return B @ x + b + 0.1 * d * _logistic(d * x)
+            return B.dot(x) + b + 0.1 * d * _logistic(d * x)
 
         return DcProblem(
             f_value=f_value,
@@ -175,27 +175,27 @@ def qap_dc_oracles(inst):
     """
     A = np.asarray(inst.A, dtype=float)
     B = np.asarray(inst.B, dtype=float)
-    n = inst.n
+    n, AT, BT = inst.n, A.T, B.T
 
     def f_value(x):
         X = x.reshape(n, n)
-        Y = A.T @ X + X @ B
+        Y = AT.dot(X) + X.dot(B)
         return 0.25 * float((Y * Y).sum())
 
     def f_grad(x):
         X = x.reshape(n, n)
-        Y = A.T @ X + X @ B
-        return (0.5 * (A @ Y + Y @ B.T)).ravel()
+        Y = AT.dot(X) + X.dot(B)
+        return (0.5 * (A.dot(Y) + Y.dot(BT))).ravel()
 
     def g_value(x):
         X = x.reshape(n, n)
-        Z = A.T @ X - X @ B
+        Z = AT.dot(X) - X.dot(B)
         return 0.25 * float((Z * Z).sum())
 
     def g_subgrad(x):
         X = x.reshape(n, n)
-        Z = A.T @ X - X @ B
-        return (0.5 * (A @ Z - Z @ B.T)).ravel()
+        Z = AT.dot(X) - X.dot(B)
+        return (0.5 * (A.dot(Z) - Z.dot(BT))).ravel()
 
     return DcProblem(
         f_value=f_value,

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import integer
+
 _TOKEN = re.compile(rb"\S+")
 
 
@@ -92,10 +94,24 @@ def _format_entry(v):
 
 
 def serialize_qaplib(inst):
-    """Instance back to text; parsing the result reproduces n, A, and B."""
-    lines = [str(inst.n), ""]
-    for M in (inst.A, inst.B):
-        for row in np.asarray(M, dtype=float):
+    """Instance back to text; parsing the result reproduces n, A, and B.
+
+    An instance the parser would refuse is refused, naming it, before any
+    text is built: an n that is not an integer (TypeError) or is below 1,
+    a matrix that is not n x n or an entry that is not finite (ValueError).
+    """
+    n = integer(f"n of instance {inst.name!r}", inst.n, 1)
+    matrices = {"A": np.asarray(inst.A, dtype=float), "B": np.asarray(inst.B, dtype=float)}
+    for label, M in matrices.items():
+        if M.shape != (n, n):
+            raise ValueError(
+                f"instance {inst.name!r}: {label} has shape {M.shape}, expected ({n}, {n})"
+            )
+        if not np.isfinite(M).all():
+            raise ValueError(f"instance {inst.name!r}: {label} has a non-finite entry")
+    lines = [str(n), ""]
+    for M in matrices.values():
+        for row in M:
             lines.append(" ".join(_format_entry(v) for v in row))
         lines.append("")
     return "\n".join(lines)

@@ -129,8 +129,7 @@ PARAMETERS = [
     ("run_suite", "outer_cap", lambda v: _suite(outer_cap=v), int, 0, True),
     ("run_suite", "inner_cap", lambda v: _suite(inner_cap=v), int, 0, True),
     ("run_suite", "dca_gap_tol", lambda v: _suite(dca_gap_tol=v), float, -1e-6, False),
-    # run_suite hands time_limit to DcaConfig, whose field the message names
-    ("run_suite", "time_limit_seconds", lambda v: _suite(time_limit=v), float, 0.0, True),
+    ("run_suite", "time_limit", lambda v: _suite(time_limit=v), float, 0.0, True),
     ("shifted_geomean", "shift", lambda v: shifted_geomean([1.0, 2.0], v), float, math.inf, False),
     ("ActiveSet", "weights", lambda v: ActiveSet(np.eye(2), [v, 1.0]), float, 0.0, False),
 ]

@@ -122,6 +122,33 @@ class TestRoundTrip:
         back = parse_qaplib(serialize_qaplib(inst))
         assert np.array_equal(back.A, inst.A) and np.array_equal(back.B, inst.B)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_refuses_a_non_finite_entry(self, bad):
+        B = np.ones((2, 2))
+        B[1, 0] = bad
+        with pytest.raises(ValueError, match="'inf2'.*B has a non-finite entry"):
+            serialize_qaplib(QapInstance("inf2", 2, np.ones((2, 2)), B))
+
+    @pytest.mark.parametrize(
+        "A_shape, B_shape", [((2, 2), (2, 2)), ((3, 3), (3,)), ((9,), (3, 3))]
+    )
+    def test_refuses_matrices_that_are_not_n_by_n(self, A_shape, B_shape):
+        inst = QapInstance("y", 3, np.ones(A_shape), np.ones(B_shape))
+        with pytest.raises(ValueError, match="'y'.* has shape .*, expected \\(3, 3\\)"):
+            serialize_qaplib(inst)
+
+    @pytest.mark.parametrize(
+        "n, error", [(0, ValueError), (-1, ValueError), (1.0, TypeError), (True, TypeError)]
+    )
+    def test_refuses_an_n_the_parser_refuses(self, n, error):
+        with pytest.raises(error, match="n of instance 'z'"):
+            serialize_qaplib(QapInstance("z", n, np.ones((1, 1)), np.ones((1, 1))))
+
+    def test_numpy_integer_n_round_trips(self):
+        inst = QapInstance("np", np.int64(2), np.eye(2), np.ones((2, 2)))
+        back = parse_qaplib(serialize_qaplib(inst))
+        assert back.n == 2 and np.array_equal(back.A, inst.A)
+
 
 class TestScanDirectory:
     def _build_corpus(self, root):
