@@ -173,15 +173,17 @@ def run_suite(
     not list, and so is an empty list, a cap below 1, a size a generated
     suite's family is not defined for or a qap size below 1, a negative
     seed, a cap, size or seed that is not an integer (TypeError; a bool
-    included), or a qap suite with seeds other than [0] or no instance to
-    run, all before any output.  Each file the qap suite cannot parse is
-    passed to log with the parser's message.  Returns the list of
-    BenchResult rows.
+    included), a log that is neither None nor callable (TypeError), or a qap
+    suite with seeds other than [0] or no instance to run, all before any
+    output.  Each file the qap suite cannot parse is passed to log with the
+    parser's message.  Returns the list of BenchResult rows.
     """
-    # refused before any output: a bad time limit under this function's own
-    # name, then a bad variant or tolerance by the configs
+    # refused before any output: a bad time limit or log under this
+    # function's own name, then a bad variant or tolerance by the configs
     if time_limit is not None:
         real("time_limit", time_limit, positive=True)
+    if log is not None and not callable(log):
+        raise TypeError(f"log must be callable or None, got {log!r}")
     common = dict(dca_gap_tol=dca_gap_tol, time_limit_seconds=time_limit)
     configs = {v: DcaConfig(v, **common) for v in variants}
     for name, values in (("sizes", sizes), ("seeds", seeds), ("variants", variants)):
@@ -319,7 +321,8 @@ def performance_profile(results, metric, *, modified=False, thetas=None):
     its recorded metric, as solved at its final iteration.  Returns (thetas,
     curves) where curves maps each variant to the fraction of instances
     with ratio <= theta, sampled on a log-spaced grid unless an explicit
-    theta grid is given.  metric is a key of METRICS.
+    theta grid is given, each theta a real number that is not NaN.  metric
+    is a key of METRICS.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, choose from {list(METRICS)}")
@@ -349,7 +352,7 @@ def performance_profile(results, metric, *, modified=False, thetas=None):
         thetas = np.geomspace(1.0, max(top * 1.05, 1.0 + 1e-9), 64)
         thetas[0] = 1.0
     else:
-        thetas = np.asarray(thetas, dtype=float)
+        thetas = np.array([real("thetas", t) for t in thetas])
     curves = {}
     for s in variants:
         rs = np.asarray(ratios[s])

@@ -32,7 +32,7 @@ RUN_OPTIONS = {
     "seeds": dict(type=_int_list, help="comma separated seeds (default 0..4, qap 0)"),
     "variants": dict(
         type=_name_list,
-        default=",".join(v for v in VARIANTS if not v.endswith("-BT")),
+        default=",".join(v for v, f in VARIANTS.items() if not f["boosted"]),
         help="comma separated variant names",
     ),
     "qaplib_dir": dict(help="directory of .dat files"),

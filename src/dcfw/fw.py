@@ -30,12 +30,12 @@ STOP_BOUND_RTOL = 1e-9
 class ActiveSet:
     """Convex combination of polytope vertices with a cached iterate.
 
-    The atoms are the rows of one array, kept in insertion order: the array
-    doubles when full, and dropping an atom shifts the rows after it down.
-    Atoms are deduplicated by value, so coordinates 0.0 and -0.0 match;
-    weights stay positive and sum to one.  The cached iterate is updated
-    incrementally by the step routines and recomputed from scratch whenever
-    the weights are renormalized.
+    The atoms are the first len(weights) rows of one array, in insertion
+    order: the array doubles when full, and dropping an atom shifts the rows
+    after it down.  Atoms are deduplicated by value, so coordinates 0.0 and
+    -0.0 match; weights stay positive and sum to one.  The cached iterate is
+    updated incrementally by the step routines and recomputed from scratch
+    whenever the weights are renormalized.
     """
 
     def __init__(self, vertices, weights):
@@ -44,7 +44,6 @@ class ActiveSet:
         if not len(vertices):
             raise ValueError("active set needs at least one atom")
         self._rows = np.empty((len(vertices), np.size(vertices[0])))
-        self._m = 0
         self.weights = []
         for v, w in zip(vertices, weights):
             w = real("weights", w, positive=True, finite=True)
@@ -57,12 +56,12 @@ class ActiveSet:
         return cls([v], [1.0])
 
     def __len__(self):
-        return self._m
+        return len(self.weights)
 
     @property
     def vertices(self):
         """Atoms as the rows of a read-only (len, n) view."""
-        view = self._rows[: self._m]
+        view = self._rows[: len(self.weights)]
         view.flags.writeable = False
         return view
 
@@ -73,8 +72,7 @@ class ActiveSet:
 
     def copy(self):
         out = ActiveSet.__new__(ActiveSet)
-        out._rows = self._rows[: self._m].copy()
-        out._m = self._m
+        out._rows = self._rows[: len(self.weights)].copy()
         out.weights = list(self.weights)
         out._x = self._x.copy()
         return out
@@ -82,7 +80,7 @@ class ActiveSet:
     def recombine(self):
         """Recompute the iterate directly from atoms and weights."""
         x = np.zeros(self._rows.shape[1])
-        for v, w in zip(self._rows[: self._m], self.weights):
+        for v, w in zip(self._rows, self.weights):
             x += w * v
         return x
 
@@ -92,7 +90,7 @@ class ActiveSet:
         return v
 
     def _add(self, v, w):
-        m = self._m
+        m = len(self.weights)
         same = np.flatnonzero((self._rows[:m] == v).all(axis=1))
         if same.size:
             self.weights[same[0]] += w
@@ -102,12 +100,11 @@ class ActiveSet:
             grown[:m] = self._rows
             self._rows = grown
         self._rows[m] = v
-        self._m = m + 1
         self.weights.append(w)
 
     def _drop(self, i):
-        self._rows[i : self._m - 1] = self._rows[i + 1 : self._m]
-        self._m -= 1
+        m = len(self.weights)
+        self._rows[i : m - 1] = self._rows[i + 1 : m]
         del self.weights[i]
 
     def _renormalize_if_drifted(self):
@@ -121,7 +118,7 @@ class ActiveSet:
         atom (min <grad, v>), ties resolved to the lowest index."""
         # vecdot takes one BLAS dot per row, so each score is bit-identical
         # to np.dot(grad, v); a matrix product may sum in another order
-        scores = np.vecdot(self._rows[: self._m], grad)
+        scores = np.vecdot(self._rows[: len(self.weights)], grad)
         return int(scores.argmax()), int(scores.argmin())
 
     def fw_update(self, v, gamma):
@@ -134,7 +131,6 @@ class ActiveSet:
             return
         if gamma == 1.0:
             self._rows[0] = v
-            self._m = 1
             self.weights = [1.0]
             self._x = v
             return
@@ -150,7 +146,7 @@ class ActiveSet:
         the set keeps it as its iterate.  Returns True when a drop happened.
         The indices are atom positions in range(len(self)); a negative one
         raises IndexError."""
-        m = self._m
+        m = len(self.weights)
         if not (0 <= to_idx < m and 0 <= from_idx < m):
             raise IndexError(f"atom indices ({to_idx}, {from_idx}) outside range({m})")
         if to_idx == from_idx:
@@ -316,6 +312,8 @@ def _inner_loop(
     fw_gap_tol = real("fw_gap_tol", fw_gap_tol)
     if descent_from is not None:
         descent_from = real("descent_from", descent_from)
+    if deadline is not None:
+        deadline = real("deadline", deadline)
     stats = FwStats()
     steps = {"fw": 0, "pairwise_descent": 0, "pairwise_drop": 0}
     grad = None
@@ -394,9 +392,9 @@ def vanilla_fw(
 
     Returns (x, FwStats).  The reported gap is always evaluated at the
     returned iterate, and the solve calls lmo iterations + 1 times.  A
-    max_iters, fw_gap_tol or descent_from of another kind raises TypeError,
-    and one that is NaN or below range ValueError, before the first LMO
-    call.
+    max_iters, fw_gap_tol, descent_from or deadline of another kind raises
+    TypeError, and one that is NaN or below range ValueError, before the
+    first LMO call.
     """
 
     def step(k, x, grad, v, d, gap):

@@ -52,6 +52,22 @@ def _random_curved_matrix(rng, n):
     return A
 
 
+def _draw(family, n, seed, least, cd_size):
+    """family(n, seed, A, B, a, b, c, d) drawn by PCG64 from seed in the
+    order A, B, a, b, c, d, after refusing an n below least or a negative
+    seed.  c and d have shape cd_size: None draws each as a Python float."""
+    n = integer("n", n, least)
+    seed = integer("seed", seed, 0)
+    rng = np.random.default_rng(seed)
+    A = _random_curved_matrix(rng, n)
+    B = _random_curved_matrix(rng, n)
+    a = rng.standard_normal(n)
+    b = rng.standard_normal(n)
+    c = rng.standard_normal(cd_size)
+    d = rng.standard_normal(cd_size)
+    return family(n=n, seed=seed, A=A, B=B, a=a, b=b, c=c, d=d)
+
+
 @dataclass
 class QuadraticDcInstance:
     """phi(x) = (1/2 x'Ax + a'x + c) - (1/2 x'Bx + b'x + d) on the simplex."""
@@ -85,16 +101,7 @@ class QuadraticDcInstance:
 def gen_quadratic_dc(n, seed):
     """Random DC quadratic over the simplex with curvature floor 0.1; needs
     n >= 1 and seed >= 0."""
-    n = integer("n", n, QUADRATIC_MIN_N)
-    seed = integer("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    A = _random_curved_matrix(rng, n)
-    B = _random_curved_matrix(rng, n)
-    a = rng.standard_normal(n)
-    b = rng.standard_normal(n)
-    c = float(rng.standard_normal())
-    d = float(rng.standard_normal())
-    return QuadraticDcInstance(n=n, seed=seed, A=A, B=B, a=a, b=b, c=c, d=d)
+    return _draw(QuadraticDcInstance, n, seed, QUADRATIC_MIN_N, None)
 
 
 @dataclass
@@ -152,16 +159,7 @@ class HardDcInstance:
 def gen_hard_dc(n, seed):
     """Random instance of the exponential/logistic family; needs n >= k and
     seed >= 0."""
-    n = integer("n", n, HARD_K)
-    seed = integer("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    A = _random_curved_matrix(rng, n)
-    B = _random_curved_matrix(rng, n)
-    a = rng.standard_normal(n)
-    b = rng.standard_normal(n)
-    c = rng.standard_normal(n)
-    d = rng.standard_normal(n)
-    return HardDcInstance(n=n, seed=seed, A=A, B=B, a=a, b=b, c=c, d=d)
+    return _draw(HardDcInstance, n, seed, HARD_K, n)
 
 
 def qap_dc_oracles(inst):

@@ -89,12 +89,13 @@ def parse_qaplib(text, name=""):
 def _format_entry(v):
     v = float(v)
     if v.is_integer() and abs(v) < 1e16:
-        return str(int(v))
+        return f"{v:.0f}"  # the digits of int(v), and -0.0 as -0
     return repr(v)
 
 
 def serialize_qaplib(inst):
-    """Instance back to text; parsing the result reproduces n, A, and B.
+    """Instance back to text; parsing the result reproduces n, A, and B,
+    the sign of a zero entry included.
 
     An instance the parser would refuse is refused, naming it, before any
     text is built: an n that is not an integer (TypeError) or is below 1,

@@ -448,6 +448,13 @@ class TestRunSuite:
         assert [r.instance for r in results] == ["hard-n10-s0"]
         assert results[0].n == 10
 
+    def test_a_log_that_cannot_be_called_is_refused_before_any_output(self, tmp_path):
+        # the first run's line would be logged only after its result and
+        # trace were written, leaving a prefix of the suite behind
+        with pytest.raises(TypeError, match=r"^log must be callable or None, got 5$"):
+            run_suite("quadratics", [3], [0, 1], ["DCA-FW"], out_dir=tmp_path, log=5)
+        assert list(tmp_path.rglob("*")) == []
+
     def test_rerun_into_used_output_is_refused(self, tmp_path):
         kwargs = dict(out_dir=tmp_path, outer_cap=50, inner_cap=2000)
         run_suite("quadratics", [6], [0], ["DCA-BPCG-WS-ES"], **kwargs)

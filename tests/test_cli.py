@@ -11,7 +11,7 @@ import pytest
 
 from dcfw import VARIANTS, QapInstance, serialize_qaplib
 from dcfw.bench import RESULT_FIELDS
-from dcfw.cli import _read_config_file, main
+from dcfw.cli import _read_config_file, build_parser, main
 
 try:
     import tomllib
@@ -58,6 +58,11 @@ class TestRun:
         assert rows[0]["solved"] == "1"
         out = capsys.readouterr().out
         assert "1 runs, 1 solved" in out
+
+    def test_default_variants_are_the_non_boosted_ones_in_table_order(self):
+        args = build_parser().parse_args(["run"])
+        expected = [name for name, features in VARIANTS.items() if not features["boosted"]]
+        assert args.variants == expected and len(expected) == 6
 
     def test_boosted_flag_exits_2(self, tmp_path, capsys):
         # the boosted variant is selected by name, --variants DCA-BPCG-WS-ES-BT

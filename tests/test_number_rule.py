@@ -20,12 +20,13 @@ from dcfw import (
     gen_hard_dc,
     gen_quadratic_dc,
     load_results,
+    performance_profile,
     run_suite,
     shifted_geomean,
     vanilla_fw,
 )
 from dcfw._checks import integer, real
-from dcfw.bench import RESULT_FIELDS
+from dcfw.bench import RESULT_FIELDS, BenchResult
 
 from helpers import make_objective
 
@@ -93,6 +94,13 @@ def _fw(solver, **kwargs):
     return solver(objective, lmo, start, Secant(), **kwargs)
 
 
+# two variants on one instance, both solved
+_RESULTS = [
+    BenchResult("p1", variant, 3, 0, True, 1, 0.5, lmo, -1.0, "converged")
+    for variant, lmo in (("A", 10), ("B", 20))
+]
+
+
 def _suite(**kwargs):
     args = dict(suite="quadratics", sizes=[3], seeds=[0], variants=["DCA-FW"])
     return run_suite(**{**args, **kwargs})
@@ -115,6 +123,8 @@ PARAMETERS = [
     ("bpcg", "fw_gap_tol", lambda v: _fw(bpcg, fw_gap_tol=v), float, None, False),
     ("vanilla_fw", "descent_from", lambda v: _fw(vanilla_fw, descent_from=v), float, None, True),
     ("bpcg", "descent_from", lambda v: _fw(bpcg, descent_from=v), float, None, True),
+    ("vanilla_fw", "deadline", lambda v: _fw(vanilla_fw, deadline=v), float, None, True),
+    ("bpcg", "deadline", lambda v: _fw(bpcg, deadline=v), float, None, True),
     ("ProbabilitySimplex", "dimension", lambda v: ProbabilitySimplex(v), int, 0, False),
     ("KSparsePolytope", "dimension", lambda v: KSparsePolytope(v, 1.0, 1), int, 0, False),
     ("KSparsePolytope", "k", lambda v: KSparsePolytope(5, 1.0, v), int, 0, False),
@@ -131,6 +141,10 @@ PARAMETERS = [
     ("run_suite", "dca_gap_tol", lambda v: _suite(dca_gap_tol=v), float, -1e-6, False),
     ("run_suite", "time_limit", lambda v: _suite(time_limit=v), float, 0.0, True),
     ("shifted_geomean", "shift", lambda v: shifted_geomean([1.0, 2.0], v), float, math.inf, False),
+    (
+        "performance_profile", "thetas",
+        lambda v: performance_profile(_RESULTS, "lmo", thetas=[v, 2.0]), float, None, False,
+    ),
     ("ActiveSet", "weights", lambda v: ActiveSet(np.eye(2), [v, 1.0]), float, 0.0, False),
 ]
 
@@ -158,6 +172,13 @@ def _table():
 def test_each_entry_point_refuses_each_mistake_by_its_kind(call, name, value, error):
     with pytest.raises(error, match=rf"\b{name}\b"):
         call(value)
+
+
+def test_an_infinite_deadline_or_theta_is_a_setting():
+    for solver in (vanilla_fw, bpcg):
+        assert _fw(solver, deadline=math.inf)[-1].termination == "gap_tol"
+    _, curves = performance_profile(_RESULTS, "lmo", thetas=[1.0, math.inf])
+    assert curves["B"].tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("column, text", [

@@ -17,7 +17,12 @@ from dcfw import (
     qap_dc_oracles,
 )
 from dcfw import problems as problems_module
-from dcfw.problems import _logistic, _random_curved_matrix
+from dcfw.problems import (
+    HardDcInstance,
+    QuadraticDcInstance,
+    _logistic,
+    _random_curved_matrix,
+)
 
 from helpers import central_diff_grad, rand_birkhoff, rand_ksparse, rand_simplex, rel_err
 
@@ -163,6 +168,88 @@ class TestHardFamily:
         a = gen_hard_dc(10, 5)
         b = gen_hard_dc(10, 5)
         assert np.array_equal(a.A, b.A) and np.array_equal(a.d, b.d)
+
+
+def _reference_quadratic(n, seed):
+    # the quadratic generator's body before both families shared _draw
+    rng = np.random.default_rng(seed)
+    A = _random_curved_matrix(rng, n)
+    B = _random_curved_matrix(rng, n)
+    a = rng.standard_normal(n)
+    b = rng.standard_normal(n)
+    c = float(rng.standard_normal())
+    d = float(rng.standard_normal())
+    return QuadraticDcInstance(n=n, seed=seed, A=A, B=B, a=a, b=b, c=c, d=d)
+
+
+def _reference_hard(n, seed):
+    # the hard generator's body before both families shared _draw
+    rng = np.random.default_rng(seed)
+    A = _random_curved_matrix(rng, n)
+    B = _random_curved_matrix(rng, n)
+    a = rng.standard_normal(n)
+    b = rng.standard_normal(n)
+    c = rng.standard_normal(n)
+    d = rng.standard_normal(n)
+    return HardDcInstance(n=n, seed=seed, A=A, B=B, a=a, b=b, c=c, d=d)
+
+
+class TestOneDrawForBothFamilies:
+    SEEDS = [0, 1, 7919, 2**31 - 1]
+
+    def _assert_same_instance(self, built, reference):
+        assert type(built) is type(reference)
+        assert (built.n, built.seed) == (reference.n, reference.seed)
+        for field in "ABabcd":
+            got, expected = getattr(built, field), getattr(reference, field)
+            assert type(got) is type(expected), field
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), field
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 30, 300])
+    def test_quadratic_family_keeps_its_bits(self, n, seed):
+        built = gen_quadratic_dc(n, seed)
+        assert type(built.c) is float and type(built.d) is float
+        self._assert_same_instance(built, _reference_quadratic(n, seed))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [10, 11, 50])
+    def test_hard_family_keeps_its_bits(self, n, seed):
+        self._assert_same_instance(gen_hard_dc(n, seed), _reference_hard(n, seed))
+
+
+def rng_calls_outside(source, allowed):
+    """Line numbers of method calls on a name rng outside the functions named
+    in allowed."""
+    tree = ast.parse(source)
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in allowed:
+            inside.update(id(sub) for sub in ast.walk(node))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "rng"
+        and id(node) not in inside
+    ]
+
+
+class TestTheDrawOrderHasOneOwner:
+    # the instances' bits are the draw order A, B, a, b, c, d; a second
+    # place that draws could fall out of step with it
+    ALLOWED = {"_draw", "_random_curved_matrix"}
+
+    def test_only_the_draw_calls_the_generator(self):
+        found = rng_calls_outside(Path(problems_module.__file__).read_text(), self.ALLOWED)
+        assert found == [], f"rng used on lines {found} of problems.py; draw in _draw"
+
+    def test_a_call_outside_is_found(self):
+        source = "def _draw(rng):\n    rng.random()\n"
+        source += "def gen(rng):\n    x = rng.standard_normal(3)\n    rng2.random()\n"
+        assert rng_calls_outside(source, self.ALLOWED) == [4]
 
 
 class TestQapOracles:

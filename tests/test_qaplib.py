@@ -144,6 +144,14 @@ class TestRoundTrip:
         with pytest.raises(error, match="n of instance 'z'"):
             serialize_qaplib(QapInstance("z", n, np.ones((1, 1)), np.ones((1, 1))))
 
+    def test_a_signed_zero_round_trips(self):
+        A = np.array([[-0.0, 0.0], [-0.0, 3.0]])
+        inst = QapInstance("z", 2, A, -A)
+        back = parse_qaplib(serialize_qaplib(inst))
+        for before, after in ((inst.A, back.A), (inst.B, back.B)):
+            assert np.array_equal(np.signbit(after), np.signbit(before))
+            assert after.tobytes() == before.tobytes()
+
     def test_numpy_integer_n_round_trips(self):
         inst = QapInstance("np", np.int64(2), np.eye(2), np.ones((2, 2)))
         back = parse_qaplib(serialize_qaplib(inst))
