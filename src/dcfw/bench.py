@@ -84,40 +84,23 @@ class BenchResult:
         return self.reason.startswith("error:")
 
 
-def _iter_instances(suite, sizes, seeds, qaplib_dir, log):
-    # the checks run before the first instance, so before any output
-    for seed in seeds:
-        integer("seed", seed, 0)
-    if suite in ("quadratics", "hard"):
-        if suite == "quadratics":
-            gen, tag, least = gen_quadratic_dc, "quad", QUADRATIC_MIN_N
-        else:
-            gen, tag, least = gen_hard_dc, "hard", HARD_K
-        for n in sizes:
-            integer("n", n, least)
+def _iter_instances(gen, tag, sizes, seeds, qaplib_dir, log):
+    # run_suite has checked the arguments; gen None is the qap suite
+    if gen is not None:
         for n, seed in product(sizes, seeds):
             # no local holds the instance while the next one is built
             yield f"{tag}-n{n}-s{seed}", n, seed, gen(n, seed).problem
         return
-    if suite == "qap":
-        for n in sizes:
-            integer("n", n, 1)
-        limit = max(sizes)
-        if list(seeds) != [0]:  # each file runs once, recorded as seed 0
-            raise ValueError(f"the qap suite takes seeds [0] only, got {list(seeds)}")
-        if qaplib_dir is None:
-            raise ValueError("the qap suite needs a directory of instance files")
-        report = scan_directory(qaplib_dir)
-        if log is not None:
-            for name, message in report.invalid:
-                log(f"skipping {name}.dat: {message}")
-        for name in report.valid:
-            inst = parse_qaplib((Path(qaplib_dir) / f"{name}.dat").read_bytes(), name)
-            if inst.n <= limit:
-                yield name, inst.n, 0, (lambda inst=inst: qap_dc_oracles(inst))
-            del inst  # not alive while the next file is parsed
-        return
-    raise ValueError(f"unknown suite {suite!r}")
+    limit = max(sizes)
+    report = scan_directory(qaplib_dir)
+    if log is not None:
+        for name, message in report.invalid:
+            log(f"skipping {name}.dat: {message}")
+    for name in report.valid:
+        inst = parse_qaplib((Path(qaplib_dir) / f"{name}.dat").read_bytes(), name)
+        if inst.n <= limit:
+            yield name, inst.n, 0, (lambda inst=inst: qap_dc_oracles(inst))
+        del inst  # not alive while the next file is parsed
 
 
 def _error_reason(err):
@@ -170,50 +153,68 @@ def run_suite(
     out_dir that already holds a results.csv or a CSV under traces/, or a
     repeated size, seed or variant, is refused, since each would record one
     (instance, variant) pair twice or leave a trace that results.csv does
-    not list, and so is an empty list, a cap below 1, a size a generated
-    suite's family is not defined for or a qap size below 1, a negative
-    seed, a cap, size or seed that is not an integer (TypeError; a bool
-    included), a log that is neither None nor callable (TypeError), or a qap
-    suite with seeds other than [0] or no instance to run, all before any
-    output.  Each file the qap suite cannot parse is passed to log with the
-    parser's message.  Returns the list of BenchResult rows.
+    not list, and so is a sizes, seeds or variants that is a str or bytes
+    or has no len() (TypeError), an empty list, a cap below 1, a size a
+    generated suite's family is not defined for or a qap size below 1, a
+    negative seed, a cap, size or seed that is not an integer (TypeError; a
+    bool included), a log that is neither None nor callable (TypeError), or
+    a qap suite with seeds other than [0], all before any instance is built,
+    or a qap suite with no instance to run, before any output.  Each file
+    the qap suite cannot parse is passed to log with the parser's message.
+    Returns the list of BenchResult rows.
     """
-    # refused before any output: a bad time limit or log under this
-    # function's own name, then a bad variant or tolerance by the configs
+    # every argument is refused here, before anything is built or written,
+    # but a qap suite with no instance to run, which needs its files parsed
     if time_limit is not None:
         real("time_limit", time_limit, positive=True)
     if log is not None and not callable(log):
         raise TypeError(f"log must be callable or None, got {log!r}")
-    common = dict(dca_gap_tol=dca_gap_tol, time_limit_seconds=time_limit)
-    configs = {v: DcaConfig(v, **common) for v in variants}
     for name, values in (("sizes", sizes), ("seeds", seeds), ("variants", variants)):
+        if isinstance(values, (str, bytes)) or not hasattr(values, "__len__"):
+            raise TypeError(f"{name} must be a list, got {values!r}")
         if not len(values):
             raise ValueError(f"{name} is empty; the suite would run nothing")
         if len(set(values)) != len(values):
             raise ValueError(f"{name} {list(values)} repeat an entry")
+    common = dict(dca_gap_tol=dca_gap_tol, time_limit_seconds=time_limit)
+    configs = {v: DcaConfig(v, **common) for v in variants}
+    if suite == "quadratics":
+        gen, tag, least = gen_quadratic_dc, "quad", QUADRATIC_MIN_N
+    elif suite == "hard":
+        gen, tag, least = gen_hard_dc, "hard", HARD_K
+    elif suite == "qap":
+        gen, tag, least = None, None, 1  # the files name the instances
+    else:
+        raise ValueError(f"unknown suite {suite!r}")
+    for seed in seeds:
+        integer("seed", seed, 0)
+    for n in sizes:
+        integer("n", n, least)
     for name, cap in (("outer_cap", outer_cap), ("inner_cap", inner_cap)):
         if cap is not None:
             integer(name, cap, 1)  # DcaConfig's rule, before any output
-    # only the first instance is made before any output, the rest one by one
-    instances = _iter_instances(suite, sizes, seeds, qaplib_dir, log)
-    first = next(instances, None)
-    if first is None:
-        raise ValueError(f"no QAP instance to run: no file parses with n <= {max(sizes)}")
+    if gen is None and list(seeds) != [0]:  # each file runs once, as seed 0
+        raise ValueError(f"the qap suite takes seeds [0] only, got {list(seeds)}")
+    if gen is None and qaplib_dir is None:
+        raise ValueError("the qap suite needs a directory of instance files")
     trace_dir = results_path = None
     if out_dir is not None:
-        out = Path(out_dir)
-        results_path = out / "results.csv"
+        results_path = Path(out_dir) / "results.csv"
         if results_path.exists():
             raise ValueError(f"{results_path} already exists; choose a new output")
-        trace_dir = out / "traces"
+        trace_dir = Path(out_dir) / "traces"
         if any(trace_dir.glob("*.csv")):
             raise ValueError(f"{trace_dir} already holds traces; choose a new output")
+    instances = _iter_instances(gen, tag, sizes, seeds, qaplib_dir, log)
+    entry = next(instances, None)
+    if entry is None:
+        raise ValueError(f"no QAP instance to run: no file parses with n <= {max(sizes)}")
+    if trace_dir is not None:
         trace_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
     # one instance is alive at a time: each name that holds one is dropped
     # before the generator builds the next
-    entry, first = first, None
     while entry is not None:
         instance_id, n, seed, make_problem = entry
         caps = default_caps(suite, n)
@@ -322,10 +323,17 @@ def performance_profile(results, metric, *, modified=False, thetas=None):
     curves) where curves maps each variant to the fraction of instances
     with ratio <= theta, sampled on a log-spaced grid unless an explicit
     theta grid is given, each theta a real number that is not NaN.  metric
-    is a key of METRICS.
+    is a key of METRICS.  A modified that is not a bool, or a thetas that is
+    a str or bytes or has no len(), raises TypeError.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, choose from {list(METRICS)}")
+    if not isinstance(modified, (bool, np.bool_)):
+        raise TypeError(f"modified must be a bool, got {modified!r}")
+    if thetas is not None:
+        if isinstance(thetas, (str, bytes)) or not hasattr(thetas, "__len__"):
+            raise TypeError(f"thetas must be a list, got {thetas!r}")
+        thetas = np.array([real("thetas", t) for t in thetas])
     name = METRICS[metric]
     variants = list(dict.fromkeys(r.variant for r in results))
     instances = list(dict.fromkeys(r.instance for r in results))
@@ -351,8 +359,6 @@ def performance_profile(results, metric, *, modified=False, thetas=None):
         top = max(finite) if finite else 1.0
         thetas = np.geomspace(1.0, max(top * 1.05, 1.0 + 1e-9), 64)
         thetas[0] = 1.0
-    else:
-        thetas = np.array([real("thetas", t) for t in thetas])
     curves = {}
     for s in variants:
         rs = np.asarray(ratios[s])

@@ -87,17 +87,17 @@ class Oracles:
     value held is the oracle's own, never a closed form's.  A non-finite f
     or g raises OracleFailure naming step, the outer step dca_solve is in.
 
-    With vertex_table, for the vanilla-FW subsolver, lmo calls the
-    problem's LMO and records the bits of the vertex it returns, and
-    vertex_grads maps the bits of a vertex to a read-only copy of f_grad
-    there, stored when f_grad is first asked at the last vertex, at most
-    VERTEX_TABLE_SIZE per run, and served to f_grad at any point with those
-    bits, across outer steps, since f_grad does not depend on the anchor.
+    lmo calls the problem's LMO and records the bits of the vertex it
+    returns, and vertex_grads maps the bits of a vertex to a read-only copy
+    of f_grad there, stored when f_grad is first asked at the last vertex,
+    at most VERTEX_TABLE_SIZE per run, and served to f_grad at any point with
+    those bits, across outer steps, since f_grad does not depend on the
+    anchor.  The table fills only for a subsolver that calls this lmo.
     """
 
-    def __init__(self, problem, vertex_table=False):
+    def __init__(self, problem):
         self.problem = problem
-        self.vertex_grads = {} if vertex_table else None
+        self.vertex_grads = {}
         self.last_vertex = None  # bits of the vertex lmo returned last
         self.step = 0
         self._f = self._g = self._f_grad = (None, None)
@@ -132,7 +132,8 @@ class Oracles:
         if key == self._f_grad[0]:
             return self._f_grad[1]
         table = self.vertex_grads
-        f_grad = None if table is None else table.get(key)
+        # BPCG's table stays empty, and a lookup hashes all of x's bytes
+        f_grad = table.get(key) if table else None
         if f_grad is None:
             f_grad = np.asarray(self.problem.f_grad(x), dtype=float)
             if key == self.last_vertex and len(table) < VERTEX_TABLE_SIZE:
@@ -150,11 +151,9 @@ class Subproblem:
     f and f_grad at the anchor are the oracles' (f_grad a read-only copy),
     and grad_at_anchor is the surrogate's gradient there.  oracles is the
     run's record, through which the surrogate evaluates f and f_grad.
-    quadratic, true on a declared quadratic whose record keeps a vertex
-    table (vanilla FW's; BPCG's steps would round differently in closed form
-    and change its LMO counts), makes Secant take quadratic_step, the one
-    step whose gradients, at its last point and at vertices, the subproblem
-    keeps; it keeps no value of h.
+    quadratic, which dca_solve sets for vanilla FW on a declared quadratic,
+    makes Secant take quadratic_step, the one step whose gradients, at its
+    last point and at vertices, the subproblem keeps; it keeps no value of h.
     """
 
     anchor: np.ndarray
@@ -163,10 +162,9 @@ class Subproblem:
     f_at_anchor: float
     f_grad_at_anchor: np.ndarray
     oracles: Oracles
+    quadratic = False  # not a field: dca_solve's to set
 
     def __post_init__(self):
-        oracles = self.oracles  # Secant.step reads quadratic every step
-        self.quadratic = oracles.problem.quadratic and oracles.vertex_grads is not None
         self.phi_at_anchor = self.f_at_anchor - self.g_at_anchor
         self.grad_at_anchor = self.f_grad_at_anchor - self.g_grad_at_anchor
         self.grad_at_anchor.flags.writeable = False
@@ -310,6 +308,8 @@ class DcaConfig:
     time_limit_seconds: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.variant, str):
+            raise TypeError(f"variant must be a str, got {self.variant!r}")
         if self.variant not in VARIANTS:
             names = sorted(VARIANTS)
             raise ValueError(f"unknown variant {self.variant!r}, choose from {names}")
@@ -484,8 +484,7 @@ def dca_solve(problem, x0, config):
     adaptive = features["stop_mode"] == "adaptive"
     lmo_base = lmo.call_count
     line_search = Secant()
-    # only vanilla FW keeps a vertex table and takes the closed-form step
-    oracles = Oracles(problem, vertex_table=not use_bpcg)
+    oracles = Oracles(problem)
     record = RunRecord(phi0=oracles.f(x0) - oracles.g(x0))
     started = time.perf_counter()
     deadline = None
@@ -518,6 +517,9 @@ def dca_solve(problem, x0, config):
                 x_set = ActiveSet.from_vertex(lmo(sub.grad_at_anchor))
             y, x_set, stats = bpcg(sub, lmo, x_set, line_search, **inner)
         else:
+            # BPCG keeps the secant: its steps would round differently in
+            # closed form and change its LMO counts
+            sub.quadratic = problem.quadratic
             y, stats = vanilla_fw(sub, oracles.lmo, x, line_search, **inner)
             sub.certify(y)
 

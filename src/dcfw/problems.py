@@ -4,7 +4,9 @@ Three difference-of-convex families: random quadratics over the probability
 simplex, a quadratic-plus-exponential versus quadratic-plus-logistic family
 over a k-sparse polytope, and quadratic assignment relaxations over the
 Birkhoff polytope.  Generated instances are reproducible from (n, seed) via a
-fixed PCG64 draw order.
+fixed PCG64 draw order, bit for bit for a fixed BLAS build and thread count:
+with OpenBLAS the quadratics' M.T @ M differs in bits between one
+and two threads at n = 100 and 300.  perfbench/run.py pins one thread.
 """
 
 import math

@@ -1,7 +1,9 @@
 """Benchmark harness: variant mapping, suite runs, persistence, statistics."""
 
+import ast
 import csv
 import gc
+import inspect
 import math
 import re
 import tracemalloc
@@ -91,6 +93,13 @@ class TestVariantConfig:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant 'DCA-GD', choose from"):
             DcaConfig("DCA-GD")
+
+    @pytest.mark.parametrize("variant", [["DCA-FW"], 5, None, b"DCA-FW"])
+    def test_variant_that_is_not_a_str(self, variant):
+        # a list raised "unhashable type" and 5 "unknown variant"
+        message = f"^variant must be a str, got {re.escape(repr(variant))}$"
+        with pytest.raises(TypeError, match=message):
+            DcaConfig(variant)
 
     def test_contradictory_override(self):
         # the name is the only way to set a feature
@@ -463,6 +472,53 @@ class TestRunSuite:
             run_suite("quadratics", [6], [0], ["DCA-BPCG-WS-ES"], **kwargs)
         assert (tmp_path / "results.csv").read_bytes() == before
         assert len(load_results(tmp_path)) == 1
+
+    @pytest.mark.parametrize("used", ["results", "traces"])
+    def test_used_output_builds_no_instance(self, tmp_path, monkeypatch, used):
+        # the refusal comes before the first instance, not after it
+        if used == "results":
+            (tmp_path / "results.csv").write_text("")
+        else:
+            (tmp_path / "traces").mkdir()
+            (tmp_path / "traces" / "old.csv").write_text("")
+        builds = Counter(dcfw.bench.gen_quadratic_dc)
+        monkeypatch.setattr(dcfw.bench, "gen_quadratic_dc", builds)
+        with pytest.raises(ValueError, match="choose a new output"):
+            run_suite("quadratics", [300], [0], ["DCA-FW"], out_dir=tmp_path)
+        assert builds.calls == 0
+
+    @pytest.mark.parametrize("override, name", [
+        (dict(variants="DCA-FW"), "variants"),
+        (dict(variants=b"DCA-FW"), "variants"),
+        (dict(sizes=3), "sizes"),
+        (dict(sizes=(n for n in [6])), "sizes"),
+        (dict(seeds="0"), "seeds"),
+        (dict(seeds=0), "seeds"),
+    ], ids=["str-variants", "bytes-variants", "int-sizes", "generator-sizes",
+            "str-seeds", "int-seeds"])
+    def test_list_argument_of_the_wrong_kind_writes_nothing(
+        self, tmp_path, override, name
+    ):
+        # "DCA-FW" ran the names 'D', 'C', ..., and 3 had no len()
+        args = dict(
+            suite="quadratics", sizes=[6], seeds=[0], variants=["DCA-FW"],
+            out_dir=tmp_path / "out",
+        )
+        with pytest.raises(TypeError, match=f"^{name} must be a list, got "):
+            run_suite(**{**args, **override})
+        assert not (tmp_path / "out").exists()
+
+    def test_instances_are_built_from_checked_arguments(self):
+        # run_suite refuses every argument before the generator starts, so
+        # the generator checks nothing itself
+        tree = ast.parse(inspect.getsource(dcfw.bench._iter_instances))
+        nodes = list(ast.walk(tree))
+        assert not [node for node in nodes if isinstance(node, ast.Raise)]
+        called = {
+            node.func.id for node in nodes
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert not called & {"integer", "real"}
 
     def test_rerun_beside_old_traces_is_refused(self, tmp_path):
         kwargs = dict(out_dir=tmp_path, outer_cap=50, inner_cap=2000)
@@ -896,6 +952,24 @@ class TestPerformanceProfile:
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             performance_profile(self._table(), "energy")
+
+    @pytest.mark.parametrize("thetas", [2.0, "12"])
+    def test_thetas_that_is_no_list(self, thetas):
+        # 2.0 was "not iterable", and "12" ran the thetas '1' and '2'
+        with pytest.raises(TypeError, match="^thetas must be a list, got "):
+            performance_profile(self._table(), "lmo", thetas=thetas)
+
+    def test_modified_must_be_a_bool(self):
+        # "no" made the profile modified
+        for modified in ("no", 1, None):
+            with pytest.raises(TypeError, match="^modified must be a bool, got "):
+                performance_profile(self._table(), "lmo", modified=modified)
+        grid = [1.0, 1.5, 2.0]
+        _, numpy_flag = performance_profile(
+            self._table(), "lmo", modified=np.True_, thetas=grid
+        )
+        _, flag = performance_profile(self._table(), "lmo", modified=True, thetas=grid)
+        assert all(np.array_equal(numpy_flag[s], flag[s]) for s in flag)
 
     def test_empty_results(self):
         with pytest.raises(ValueError):

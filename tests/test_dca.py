@@ -337,7 +337,7 @@ class TestVertexTable:
 
         problem = quadratic_problem(Q, np.zeros(n), n)
         problem.f_grad = f_grad
-        oracles = Oracles(problem, vertex_table=True)
+        oracles = Oracles(problem)
         v = oracles.lmo(-np.eye(n)[2])
         anchor = np.full(n, 1.0 / n)
         sub = linearize(oracles, anchor)
@@ -360,7 +360,32 @@ class TestVertexTable:
 
         monkeypatch.setattr(dcfw.dca, "bpcg", spy)
         dca_solve(gen_quadratic_dc(6, 0).problem(), np.full(6, 1.0 / 6.0), DcaConfig())
-        assert tables and all(t is None for t in tables)
+        assert tables and all(t == {} for t in tables)
+
+    def test_only_vanilla_fw_takes_the_closed_form(self, monkeypatch):
+        # dca_solve alone switches the closed form on, for vanilla FW; BPCG
+        # calls the problem's LMO, so its record's table never fills
+        subs = {"fw": [], "bpcg": []}
+
+        def spy(name, solver):
+            def run(sub, *args, **kwargs):
+                subs[name].append((sub, "quadratic" in vars(sub)))
+                return solver(sub, *args, **kwargs)
+            return run
+
+        monkeypatch.setattr(dcfw.dca, "vanilla_fw", spy("fw", vanilla_fw))
+        monkeypatch.setattr(dcfw.dca, "bpcg", spy("bpcg", bpcg))
+        x0 = np.full(6, 1.0 / 6.0)
+        for variant in VARIANTS:
+            cfg = DcaConfig(variant, max_outer_iters=5, max_inner_iters=200)
+            dca_solve(gen_quadratic_dc(6, 0).problem(), x0, cfg)
+        assert subs["fw"] and subs["bpcg"]
+        for sub, was_set in subs["bpcg"]:
+            assert not was_set and not sub.quadratic
+            assert sub.oracles.vertex_grads == {} and sub.oracles.last_vertex is None
+        for sub, was_set in subs["fw"]:
+            assert was_set and sub.quadratic is True
+        assert any(sub.oracles.vertex_grads for sub, _ in subs["fw"])
 
 
 class TestQuadraticFastPath:
@@ -370,8 +395,8 @@ class TestQuadraticFastPath:
         problem = gen_quadratic_dc(n, seed).problem()
         problem.f_grad = Counter(problem.f_grad)
         x0 = np.full(n, 1.0 / n)
-        sub = linearize(Oracles(problem, vertex_table=True), x0)
-        assert sub.quadratic
+        sub = linearize(Oracles(problem), x0)
+        sub.quadratic = True  # as dca_solve sets it for vanilla FW
         return sub, problem.f_grad, x0
 
     def test_no_f_grad_call_per_iteration_beyond_new_vertices(self):
