@@ -148,8 +148,9 @@ def run_suite(
     product of sizes and seeds, the qap suite reads *.dat files from
     qaplib_dir keeping instances with n <= max(sizes).  Every run's
     DcaConfig takes dca_gap_tol.  Results and per-run traces are
-    written under out_dir as each run finishes; a failing run is recorded as
-    unsolved and the suite continues.  One instance is alive at a time.  An
+    written under out_dir as each run finishes; a run that raises is recorded
+    as unsolved, with a trace of the outer steps it completed if any, and the
+    suite continues.  One instance is alive at a time.  An
     out_dir that already holds a results.csv or a CSV under traces/, or a
     repeated size, seed or variant, is refused, since each would record one
     (instance, variant) pair twice or leave a trace that results.csv does
@@ -231,8 +232,10 @@ def run_suite(
                 _, record = dca_solve(problem, x0, config)
                 reason = record.termination
             except Exception as err:  # keep the suite going
-                # an empty record: no steps, a NaN objective, no termination
-                record, reason = RunRecord(), _error_reason(err)
+                # dca_solve attaches the steps it completed; from elsewhere,
+                # an empty record: no steps, a NaN objective
+                record = getattr(err, "record", RunRecord())
+                reason = _error_reason(err)
             result = BenchResult(
                 instance=instance_id,
                 variant=variant,
@@ -247,7 +250,7 @@ def run_suite(
                 ),
                 reason=reason,
             )
-            if trace_dir is not None and record.termination:
+            if trace_dir is not None and (record.termination or record.steps):
                 _write_trace(trace_dir / f"{instance_id}__{variant}.csv", record)
             if results_path is not None:
                 _append_result(results_path, result)

@@ -88,11 +88,12 @@ class Oracles:
     or g raises OracleFailure naming step, the outer step dca_solve is in.
 
     lmo calls the problem's LMO and records the bits of the vertex it
-    returns, and vertex_grads maps the bits of a vertex to a read-only copy
-    of f_grad there, stored when f_grad is first asked at the last vertex,
-    at most VERTEX_TABLE_SIZE per run, and served to f_grad at any point with
-    those bits, across outer steps, since f_grad does not depend on the
-    anchor.  The table fills only for a subsolver that calls this lmo.
+    returns as last_vertex.  vertex_grads maps the bits of a vertex to a
+    read-only copy of f_grad there, at most VERTEX_TABLE_SIZE per run, and
+    has one rule: f_grad reads and writes it only at the last vertex.  So a
+    vertex the LMO returns again, in any outer step, costs no f_grad call,
+    since f_grad does not depend on the anchor, and a record whose lmo was
+    never called, as under BPCG, looks nothing up.
     """
 
     def __init__(self, problem):
@@ -126,20 +127,19 @@ class Oracles:
         return self._g[1]
 
     def f_grad(self, x):
-        """f_grad at x, from vertex_grads when it holds x's bits, and kept
-        there when x is the last vertex."""
+        """f_grad at x; at the last vertex, from vertex_grads or kept there."""
         key = x.tobytes()
         if key == self._f_grad[0]:
             return self._f_grad[1]
-        table = self.vertex_grads
-        # BPCG's table stays empty, and a lookup hashes all of x's bytes
-        f_grad = table.get(key) if table else None
+        vertex, table = self.last_vertex, self.vertex_grads
+        at_vertex = key == vertex  # look up vertex, not key: bytes keep their hash
+        f_grad = table.get(vertex) if at_vertex else None
         if f_grad is None:
             f_grad = np.asarray(self.problem.f_grad(x), dtype=float)
-            if key == self.last_vertex and len(table) < VERTEX_TABLE_SIZE:
+            if at_vertex and len(table) < VERTEX_TABLE_SIZE:
                 f_grad = f_grad.copy()  # the oracle may reuse its array
                 f_grad.flags.writeable = False
-                table[self.last_vertex] = f_grad
+                table[vertex] = f_grad
         self._f_grad = (key, f_grad)
         return f_grad
 
@@ -342,7 +342,8 @@ class RunRecord:
 
     phi0: float = np.nan
     steps: list = field(default_factory=list)
-    termination: str = ""  # converged | iteration_cap | time_limit | stalled
+    # converged | iteration_cap | time_limit | stalled; "" if it raised
+    termination: str = ""
 
     @property
     def outer_iters(self):
@@ -469,7 +470,19 @@ def dca_solve(problem, x0, config):
     anchor, raises OracleFailure.
 
     Returns (x_final, RunRecord), the record holding an OuterStep per step.
+    An exception raised on the way carries, as its record attribute, the
+    RunRecord of the steps completed before it, with no termination.
     """
+    record = RunRecord()
+    try:
+        return _solve(problem, x0, config, record), record
+    except Exception as err:
+        err.record = record
+        raise
+
+
+def _solve(problem, x0, config, record):
+    # dca_solve's body: fills record as the run goes and returns x_final
     x0 = np.asarray(x0, dtype=float)
     lmo = problem.lmo
     if x0.shape != (lmo.dimension,):
@@ -485,7 +498,7 @@ def dca_solve(problem, x0, config):
     lmo_base = lmo.call_count
     line_search = Secant()
     oracles = Oracles(problem)
-    record = RunRecord(phi0=oracles.f(x0) - oracles.g(x0))
+    record.phi0 = oracles.f(x0) - oracles.g(x0)
     started = time.perf_counter()
     deadline = None
     if config.time_limit_seconds is not None:
@@ -494,7 +507,6 @@ def dca_solve(problem, x0, config):
     x = x0.copy()
     x_set = None  # an active set that holds x, for a warm start
     sub = None
-    record.termination = "iteration_cap"
     for t in range(config.max_outer_iters):
         if deadline is not None and time.perf_counter() > deadline:
             record.termination = "time_limit"
@@ -565,4 +577,6 @@ def dca_solve(problem, x0, config):
         if stalled or repeats:
             record.termination = "stalled"
             break
-    return x, record
+    else:
+        record.termination = "iteration_cap"
+    return x

@@ -246,6 +246,38 @@ class TestRunSuite:
         loaded = load_results(tmp_path)
         assert [r.reason for r in loaded] == ["error:RuntimeError: boom"] * 2
 
+    def test_a_run_that_raises_keeps_the_steps_it_completed(self, tmp_path, monkeypatch):
+        # DCA-FW asks g at x0 and once at each new iterate, so a g_value that
+        # returns nan at its 4th call raises in outer step 2, after two steps
+        make = QuadraticDcInstance.problem
+
+        def failing(inst):
+            problem = make(inst)
+            g_value = Counter(problem.g_value)
+            problem.g_value = lambda x: np.nan if g_value.calls == 3 else g_value(x)
+            return problem
+
+        def trace(out_dir):
+            path = out_dir / "traces" / "quad-n10-s0__DCA-FW.csv"
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            return [{k: v for k, v in row.items() if k != "elapsed_s"} for row in rows]
+
+        args = ("quadratics", [10], [0], ["DCA-FW"])
+        (whole,) = run_suite(*args, out_dir=tmp_path / "a", outer_cap=5)
+        monkeypatch.setattr(QuadraticDcInstance, "problem", failing)
+        (cut,) = run_suite(*args, out_dir=tmp_path / "b", outer_cap=5)
+        assert whole.outer_iters > 2
+        assert cut.reason == "error:OracleFailure: g_value returned nan in outer step 2"
+        assert not cut.solved and cut.outer_iters == 2
+        rows = trace(tmp_path / "b")
+        assert rows == trace(tmp_path / "a")[:2]
+        assert repr(cut.final_objective) == rows[-1]["objective"]
+        (loaded,) = load_results(tmp_path / "b")
+        assert (loaded.outer_iters, loaded.final_objective, loaded.reason) == (
+            2, cut.final_objective, cut.reason
+        )
+
     def test_false_quadratic_declaration_is_recorded(self, monkeypatch):
         make = HardDcInstance.problem
 

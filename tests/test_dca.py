@@ -351,6 +351,50 @@ class TestVertexTable:
         # the anchor's gradient is a copy too
         assert np.array_equal(sub.f_grad_at_anchor, Q @ anchor)
 
+    def test_the_table_is_read_and_written_at_the_last_vertex_only(self, monkeypatch):
+        # each access is keyed on the record's last_vertex, that very bytes
+        # object, so no access hashes a point's bytes again
+        class Spy(dict):
+            def __init__(self, oracles):
+                super().__init__()
+                self.oracles, self.at_last = oracles, []  # one entry an access
+
+            def _seen(self, key):
+                self.at_last.append(key is self.oracles.last_vertex)
+
+            def get(self, key, default=None):
+                self._seen(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                self._seen(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                self._seen(key)
+                return super().__contains__(key)
+
+            def __setitem__(self, key, value):
+                self._seen(key)
+                super().__setitem__(key, value)
+
+        tables, init = [], Oracles.__init__
+
+        def spied(oracles, problem):
+            init(oracles, problem)
+            oracles.vertex_grads = Spy(oracles)
+            tables.append(oracles.vertex_grads)
+
+        monkeypatch.setattr(Oracles, "__init__", spied)
+        for variant in ("DCA-FW", "DCA-BPCG-ES"):
+            problem = gen_hard_dc(20, 0).problem()
+            cfg = DcaConfig(variant, max_outer_iters=5, max_inner_iters=300)
+            dca_solve(problem, initial_point(problem.lmo), cfg)
+        fw, bpcg_table = tables
+        assert len(fw) > 0 and len(fw.at_last) > len(fw)
+        assert all(fw.at_last)
+        assert bpcg_table.at_last == []
+
     def test_bpcg_runs_keep_no_table(self, monkeypatch):
         tables = []
 
@@ -446,8 +490,8 @@ class TestQuadraticFastPath:
         sub.grad(x0)  # moves the record's last point off v
         sub.oracles.lmo(-grad)  # and its last vertex
         assert kept.tobytes() == sub.grad(v).tobytes()
-        # the record's table served v: no oracle call beyond the one at x0
-        assert record_calls.calls == 3 and f_grad.calls == 3
+        # v is no longer the last vertex, so the record asks the oracle
+        assert record_calls.calls == 3 and f_grad.calls == 4
 
     def test_each_anchor_starts_with_an_empty_vertex_memo(self, monkeypatch):
         memos = []  # (memo size at the solve's start, the subproblem)
@@ -663,6 +707,25 @@ class TestOracleRecord:
         with pytest.raises(OracleFailure, match=message):
             dca_solve(problem, initial_point(problem.lmo), config)
         assert nan_inside == [True]
+
+    def test_a_raised_run_carries_the_steps_it_completed(self):
+        config = DcaConfig("DCA-FW", max_outer_iters=20, max_inner_iters=500)
+        whole = gen_quadratic_dc(10, 0).problem()
+        _, record = dca_solve(whole, initial_point(whole.lmo), config)
+        problem = gen_quadratic_dc(10, 0).problem()
+        g_value = Counter(problem.g_value)
+        # g at x0, then at each new iterate: the 4th call is outer step 2's
+        problem.g_value = lambda x: np.nan if g_value.calls == 3 else g_value(x)
+        with pytest.raises(OracleFailure, match="in outer step 2$") as raised:
+            dca_solve(problem, initial_point(problem.lmo), config)
+        cut = raised.value.record
+        assert cut.termination == "" and cut.phi0 == record.phi0
+        steps = [repr(step._replace(elapsed_s=None)) for step in record.steps]
+        assert [repr(step._replace(elapsed_s=None)) for step in cut.steps] == steps[:2]
+        # a refused argument carries a record too, with no step
+        with pytest.raises(ValueError, match="x0 has shape") as raised:
+            dca_solve(problem, np.zeros(3), config)
+        assert raised.value.record.steps == []
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     @pytest.mark.parametrize("family", [gen_quadratic_dc, gen_hard_dc])
@@ -1581,3 +1644,36 @@ class TestCertificateProperties:
             assert values[t] - values[t + 1] >= step.dc_gap_lb - 1e-9
             # criterion 3: the step realizes lb as progress, up to epsilon
             assert values[t] - values[t + 1] >= step.dc_gap_lb - eps - 1e-9
+
+
+class TestVertexTableLeavesTrajectories:
+    """The record's vertex table saves f_grad calls and nothing else: with
+    VERTEX_TABLE_SIZE = 0 no gradient is kept, and the run is the same."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        family_n=st.one_of(
+            st.tuples(st.just("quadratic"), st.integers(2, 30)),
+            st.tuples(st.just("hard"), st.integers(HARD_K, 20)),
+            st.tuples(st.just("qap"), st.integers(3, 5)),
+        ),
+        seed=st.integers(0, 2**31 - 1),
+        variant=st.sampled_from(["DCA-FW", "DCA-FW-ES"]),
+    )
+    def test_runs_with_and_without_the_table_agree(self, family_n, seed, variant):
+        family, n = family_n
+        config = DcaConfig(variant, max_outer_iters=8, max_inner_iters=300)
+
+        def run():
+            problem = _FAMILIES[family](n, seed)
+            problem.f_grad = Counter(problem.f_grad)
+            x, record = dca_solve(problem, initial_point(problem.lmo), config)
+            steps = [repr(step._replace(elapsed_s=None)) for step in record.steps]
+            ends = (record.termination, problem.lmo.call_count, x.tobytes())
+            return steps, ends, problem.f_grad.calls
+
+        *kept, calls = run()
+        with mock.patch.object(dcfw.dca, "VERTEX_TABLE_SIZE", 0):
+            *bare, bare_calls = run()
+        assert kept == bare
+        assert calls <= bare_calls
